@@ -12,7 +12,6 @@ import hashlib
 import io
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -51,6 +50,36 @@ def _load_json(path):
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}:{exc.lineno}:{exc.colno}: malformed JSON ({exc.msg})") from exc
+
+
+def _load_spec(path, build, dim=None):
+    """``build`` applied to the JSON file at ``path``; a spec that does not parse
+    (missing key, wrong type or shape) or has a dimension other than ``dim`` is a
+    configuration error."""
+    spec = _load_json(path)
+    try:
+        obj = build(spec)
+    except PreconditionError:  # a ValueError, but it keeps exit code 2
+        raise
+    except KeyError as exc:
+        raise ConfigError(f"{path}: missing key {exc}") from exc
+    except (TypeError, ValueError, IndexError, AttributeError, OverflowError) as exc:
+        raise ConfigError(f"{path}: malformed spec ({exc})") from exc
+    if dim is not None and obj.dim != dim:
+        raise ConfigError(f"{path}: dimension {obj.dim} differs from the domain's {dim}")
+    return obj
+
+
+def _load_chain(path):
+    """A chain spec file, or the file ``decompose --out`` writes (chain under "chain")."""
+    from .decompose import chain_from_spec
+
+    def build(spec):
+        chain = spec if "pieces" in spec else spec.get("chain")
+        if not isinstance(chain, dict):
+            raise ConfigError(f"{path}: no chain (no 'pieces' and no 'chain' entry)")
+        return chain_from_spec(chain)
+    return _load_spec(path, build)
 
 
 def _fmt(x):
@@ -187,10 +216,6 @@ def _build_parser():
 
 def run(argv):
     """Execute one subcommand; returns the process exit code."""
-    if os.environ.get("WHITNEY_LAB_THREADS"):
-        n = os.environ["WHITNEY_LAB_THREADS"]
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, n)
     try:
         args = _build_parser().parse_args(argv)
         return _dispatch(args)
@@ -218,8 +243,15 @@ def _dispatch(args):
     seed = a.get("seed", 0)
     meta = _meta(a, seed)
 
+    def domain_and_dirs():
+        dom = _load_spec(args.domain, geo.domain_from_spec)
+        return dom, _load_spec(args.dirs, geo.direction_set_from_spec, dom.dim)
+
+    def function(dim):
+        return _load_spec(args.function, lambda s: modulus.function_from_spec(s, dim), dim)
+
     if cmd == "basis":
-        dirs = geo.direction_set_from_spec(_load_json(args.dirs))
+        dirs = _load_spec(args.dirs, geo.direction_set_from_spec, args.dim)
         basis = polyspace.build_basis(args.dim, args.order, dirs)
         payload = {"meta": meta, "n_basis": basis.n_basis, **basis.spec()}
         _emit(payload, args.out, args.format,
@@ -228,9 +260,8 @@ def _dispatch(args):
         return 0
 
     if cmd == "modulus":
-        dom = geo.domain_from_spec(_load_json(args.domain))
-        dirs = geo.direction_set_from_spec(_load_json(args.dirs))
-        f = modulus.function_from_spec(_load_json(args.function), dim=dom.dim)
+        dom, dirs = domain_and_dirs()
+        f = function(dom.dim)
         plan = geo.sample_plan(dom, n_points=args.density, seed=seed)
         t = args.t if args.t else geo.diameter(dom, plan).value
         res = modulus.set_modulus(f, dom, plan, dirs, args.order, t, _parse_p(args.p))
@@ -243,9 +274,8 @@ def _dispatch(args):
         return 0
 
     if cmd == "approx":
-        dom = geo.domain_from_spec(_load_json(args.domain))
-        dirs = geo.direction_set_from_spec(_load_json(args.dirs))
-        f = modulus.function_from_spec(_load_json(args.function), dim=dom.dim)
+        dom, dirs = domain_and_dirs()
+        f = function(dom.dim)
         plan = geo.sample_plan(dom, n_points=args.density, seed=seed)
         basis = polyspace.build_basis(dom.dim, args.order, dirs)
         res = approx.best_approx(f, dom, plan, basis, _parse_p(args.p), seed=seed)
@@ -256,8 +286,7 @@ def _dispatch(args):
         return 0 if res.status != "max_iter" else 3
 
     if cmd == "whitney-estimate":
-        dom = geo.domain_from_spec(_load_json(args.domain))
-        dirs = geo.direction_set_from_spec(_load_json(args.dirs))
+        dom, dirs = domain_and_dirs()
         plan = geo.sample_plan(dom, n_points=args.density, seed=seed)
         family = {"kind": args.family}
         est = whitney.empirical_whitney_constant(
@@ -270,7 +299,7 @@ def _dispatch(args):
         return 0
 
     if cmd == "chain-bound":
-        chain = decompose.chain_from_spec(_load_json(args.chain))
+        chain = _load_chain(args.chain)
         if args.skip_verify:
             chain.verified = True
         else:
@@ -280,7 +309,7 @@ def _dispatch(args):
                 raise PreconditionError("chain failed verification",
                                         witnesses=res.witnesses)
         bound = whitney.chain_upper_bound(chain, args.w0, _parse_p(args.p))
-        payload = {"meta": meta, "value": bound.value,
+        payload = {"meta": meta, "value": bound.value, "log2_value": bound.log2_value,
                    "closed_form": bound.closed_form, "theta": bound.theta,
                    "n_links": bound.n_links, "w0": args.w0}
         if args.out or args.format == "csv":
@@ -292,8 +321,8 @@ def _dispatch(args):
         return 0
 
     if cmd == "decompose":
-        dom = geo.domain_from_spec(_load_json(args.domain))
-        dirs = geo.direction_set_from_spec(_load_json(args.dirs)) if args.dirs else None
+        dom = _load_spec(args.domain, geo.domain_from_spec)
+        dirs = _load_spec(args.dirs, geo.direction_set_from_spec, dom.dim) if args.dirs else None
         if args.method == "star":
             chain = decompose.star_shaped_decomposition(dom, args.order, seed=seed)
         elif args.method == "planar":
@@ -319,7 +348,7 @@ def _dispatch(args):
         return 0
 
     if cmd == "verify-chain":
-        chain = decompose.chain_from_spec(_load_json(args.chain))
+        chain = _load_chain(args.chain)
         res = decompose.verify_chain(chain, samples_per_piece=args.density, seed=seed)
         payload = {"meta": meta, "ok": res.ok,
                    "worst_violation": res.worst_violation,
@@ -335,7 +364,7 @@ def _dispatch(args):
         xi = np.asarray(json.loads(args.xi), dtype=float) if args.xi else \
             np.eye(d)[-1]
         if args.dirs:
-            dirs = geo.direction_set_from_spec(_load_json(args.dirs))
+            dirs = _load_spec(args.dirs, geo.direction_set_from_spec, d)
         else:
             dirs = _default_margin_dirs(d)
         n_list = [int(s) for s in str(args.n).split(",") if s.strip()]
@@ -353,8 +382,7 @@ def _dispatch(args):
         return 0
 
     if cmd == "xray-check":
-        dom = geo.domain_from_spec(_load_json(args.domain))
-        dirs = geo.direction_set_from_spec(_load_json(args.dirs))
+        dom, dirs = domain_and_dirs()
         sample = geo.boundary_points(dom, n=args.samples, seed=seed)
         ok, wit = geo.xray_verifies(dom, dirs, sample)
         payload = {"meta": meta, "ok": ok,
@@ -364,14 +392,13 @@ def _dispatch(args):
         return 0 if ok else 2
 
     if cmd == "report":
-        dom = geo.domain_from_spec(_load_json(args.domain))
-        dirs = geo.direction_set_from_spec(_load_json(args.dirs))
+        dom, dirs = domain_and_dirs()
         plan = geo.sample_plan(dom, n_points=args.density, seed=seed)
         dom_id = _config_hash({"domain": dom.spec()})
         e_id = _config_hash({"dirs": dirs.spec()})
         chain = None
         if args.chain:
-            chain = decompose.chain_from_spec(_load_json(args.chain))
+            chain = _load_chain(args.chain)
             vres = decompose.verify_chain(chain, seed=seed, check_coverage=False)
             if not vres.ok:
                 raise PreconditionError("chain failed verification")

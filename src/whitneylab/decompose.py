@@ -17,7 +17,7 @@ import numpy as np
 from .errors import PreconditionError, SpanDeficiencyError
 from . import geometry as geo
 from .geometry import (
-    Domain, DirectionSet, PolytopeRep, BallRep, AffineImageRep,
+    Domain, DirectionSet, PolytopeRep, BallRep, UnionRep,
     ball, cone_body, direction_set, intersection, union, affine_image,
     domain_from_spec,
 )
@@ -129,36 +129,6 @@ def _candidate_order(k, r):
     return order
 
 
-def _violation_distance(dom, pts):
-    """Lower-bound distance from each point to the domain (0 if member)."""
-    rep = dom.rep
-    pts = np.atleast_2d(pts)
-    if isinstance(rep, PolytopeRep):
-        norms = np.maximum(np.linalg.norm(rep.A, axis=1), 1e-300)
-        return np.maximum(np.max((pts @ rep.A.T - rep.b) / norms, axis=1), 0.0)
-    if isinstance(rep, BallRep):
-        return np.maximum(np.linalg.norm(pts - rep.center, axis=1) - rep.radius, 0.0)
-    if isinstance(rep, geo.ConeBodyRep):
-        proj = pts @ rep.xi
-        nrm = np.linalg.norm(pts, axis=1)
-        excess = np.maximum(nrm * (1.0 - rep.eps) - proj, 0.0) / 2.0
-        excess = np.maximum(excess, proj - 1.0)
-        return np.maximum(excess, 0.0)
-    if isinstance(rep, geo.UnionRep):
-        return np.min([_violation_distance(p, pts) for p in rep.parts], axis=0)
-    if isinstance(rep, geo.IntersectionRep):
-        return np.max([_violation_distance(p, pts) for p in rep.parts], axis=0)
-    if isinstance(rep, AffineImageRep):
-        smin = float(np.linalg.svd(rep.matrix, compute_uv=False)[-1])
-        back = (pts - rep.shift) @ rep.inverse.T
-        return smin * _violation_distance(rep.base, back)
-    raise TypeError(f"unknown rep {type(rep)!r}")
-
-
-def _union_violation(pieces, pts):
-    return np.min([_violation_distance(p, pts) for p in pieces], axis=0)
-
-
 def verify_chain(chain, samples_per_piece=VERIFY_SAMPLES, seed=0, tol_rel=1e-9,
                  coverage_samples=COVERAGE_SAMPLES, check_coverage=True,
                  max_witnesses=10):
@@ -183,7 +153,7 @@ def verify_chain(chain, samples_per_piece=VERIFY_SAMPLES, seed=0, tol_rel=1e-9,
             inside = _union_contains(prior, shifted, order)
             if not inside.all():
                 bad = shifted[~inside]
-                dists = _union_violation(prior, bad)
+                dists = UnionRep(tuple(prior)).violation(bad)
                 real = dists > tol
                 if real.any():
                     worst = max(worst, float(dists.max()))
@@ -377,21 +347,10 @@ def _box_corners_frame(U, xi, half, t_lo, t_hi):
 # planar two-direction chain
 # ---------------------------------------------------------------------------
 
-def _contains_unit_ball(dom):
-    if isinstance(dom.rep, PolytopeRep):
-        norms = np.maximum(np.linalg.norm(dom.rep.A, axis=1), 1e-300)
-        return bool(np.all(dom.rep.b / norms >= 1.0 - 1e-9))
-    if isinstance(dom.rep, BallRep):
-        return dom.rep.radius - np.linalg.norm(dom.rep.center) >= 1.0 - 1e-9
-    return False
-
-
 def _parallelogram_dirs(dom):
-    """Edge directions if the polytope is a parallelogram, else None."""
-    if not (dom.dim == 2 and isinstance(dom.rep, PolytopeRep)):
-        return None
-    verts = dom.vertices()
-    if len(verts) != 4:
+    """Edge directions if the planar domain is a parallelogram, else None."""
+    verts = dom.rep.vertices
+    if dom.dim != 2 or verts is None or len(verts) != 4:
         return None
     c = verts.mean(axis=0)
     v = verts - c
@@ -430,7 +389,7 @@ def planar_two_direction_chain(dom, r=1):
                                    "planar", target=dom)
         return chain, para
 
-    if not _contains_unit_ball(dom):
+    if geo.signed_boundary_distance(dom, np.zeros(2)) > -(1.0 - 1e-9):
         raise PreconditionError("domain must be normalized to contain the unit ball")
 
     if isinstance(dom.rep, PolytopeRep):

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import linprog, minimize
@@ -38,53 +38,205 @@ def _as_points(x, dim):
 # ---------------------------------------------------------------------------
 # representations
 # ---------------------------------------------------------------------------
+# Each answers member(pts, slack), violation(pts) (a lower bound of the
+# distance to the set, 0 on members) and spec(), and where it has exact answers
+# vertices, diameter(), signed_distance(pts), boundary(x, tol) -> (flag,
+# outward normals or None) and anchor() (an interior point); None means none.
+
+class _Rep:
+    vertices = None
+
+    def diameter(self):
+        if self.vertices is None:
+            return None
+        if len(self.vertices) == 0:
+            raise PreconditionError("empty domain has no diameter")
+        return _max_pairwise(self.vertices)
+
+    def signed_distance(self, pts):
+        return None
+
+    def boundary(self, x, tol):
+        return None
+
+    def anchor(self):
+        return None
+
+    def violation(self, pts):
+        return np.maximum(self.signed_distance(pts), 0.0)
+
 
 @dataclass(eq=False)
-class PolytopeRep:
+class PolytopeRep(_Rep):
     """Half-space intersection {x : A x <= b}."""
     A: np.ndarray
     b: np.ndarray
 
+    def member(self, pts, slack):
+        if self.A.shape[0] == 0:
+            return np.zeros(len(pts), dtype=bool)
+        return np.all(pts @ self.A.T <= self.b + slack, axis=1)
+
+    def spec(self):
+        return {"type": "polytope", "A": self.A.tolist(), "b": self.b.tolist()}
+
+    @cached_property
+    def vertices(self):
+        return _polytope_vertices(self.A, self.b)
+
+    def signed_distance(self, pts):
+        norms = np.maximum(np.linalg.norm(self.A, axis=1), 1e-300)
+        return np.max((pts @ self.A.T - self.b) / norms, axis=1)
+
+    def boundary(self, x, tol):
+        res = self.A @ x - self.b
+        norms = np.linalg.norm(self.A, axis=1)
+        active = np.abs(res) <= tol * np.maximum(norms, 1e-300)
+        return bool(active.any()), self.A[active]
+
+    def anchor(self):
+        return _chebyshev_ball(self.A, self.b)[0]
+
 
 @dataclass(eq=False)
-class BallRep:
+class BallRep(_Rep):
     center: np.ndarray
     radius: float
 
+    def member(self, pts, slack):
+        return np.linalg.norm(pts - self.center, axis=1) <= self.radius + slack
+
+    def spec(self):
+        return {"type": "ball", "center": self.center.tolist(), "radius": self.radius}
+
+    def diameter(self):
+        return 2.0 * self.radius
+
+    def signed_distance(self, pts):
+        return np.linalg.norm(pts - self.center, axis=1) - self.radius
+
+    def boundary(self, x, tol):
+        return (abs(np.linalg.norm(x - self.center) - self.radius) <= tol,
+                (x - self.center)[None, :])
+
+    def anchor(self):
+        return self.center.copy()
+
 
 @dataclass(eq=False)
-class ConeBodyRep:
+class ConeBodyRep(_Rep):
     """Capped norm cone {x : ||x|| (1 - eps) <= x . xi <= 1}."""
     xi: np.ndarray
     eps: float
 
+    def member(self, pts, slack):
+        proj = pts @ self.xi
+        nrm = np.linalg.norm(pts, axis=1)
+        return (nrm * (1.0 - self.eps) <= proj + slack) & (proj <= 1.0 + slack)
+
+    def spec(self):
+        return {"type": "cone_body", "xi": self.xi.tolist(), "eps": self.eps}
+
+    def diameter(self):
+        # rim diameter or apex-to-rim slant
+        rim_rho = math.sqrt(1.0 / (1.0 - self.eps) ** 2 - 1.0)
+        return max(2.0 * rim_rho, 1.0 / (1.0 - self.eps))
+
+    def violation(self, pts):
+        proj = pts @ self.xi
+        nrm = np.linalg.norm(pts, axis=1)
+        excess = np.maximum(nrm * (1.0 - self.eps) - proj, 0.0) / 2.0
+        return np.maximum(np.maximum(excess, proj - 1.0), 0.0)
+
+    def boundary(self, x, tol):
+        proj = float(x @ self.xi)
+        on_cone = abs(float(np.linalg.norm(x)) * (1.0 - self.eps) - proj) <= tol
+        return abs(proj - 1.0) <= tol or on_cone, None
+
 
 @dataclass(eq=False)
-class UnionRep:
+class UnionRep(_Rep):
     parts: tuple
 
+    def member(self, pts, slack):
+        out = np.zeros(len(pts), dtype=bool)
+        for part in self.parts:
+            rem = ~out
+            if not rem.any():
+                break
+            out[rem] = part.rep.member(pts[rem], slack)
+        return out
+
+    def violation(self, pts):
+        return np.min([p.rep.violation(pts) for p in self.parts], axis=0)
+
+    def spec(self):
+        return {"type": "union", "parts": [p.spec() for p in self.parts]}
+
 
 @dataclass(eq=False)
-class IntersectionRep:
+class IntersectionRep(_Rep):
     parts: tuple
 
+    def member(self, pts, slack):
+        out = np.ones(len(pts), dtype=bool)
+        for part in self.parts:
+            rem = out.nonzero()[0]
+            if rem.size == 0:
+                break
+            out[rem] = part.rep.member(pts[rem], slack)
+        return out
+
+    def violation(self, pts):
+        return np.max([p.rep.violation(pts) for p in self.parts], axis=0)
+
+    def spec(self):
+        return {"type": "intersection", "parts": [p.spec() for p in self.parts]}
+
 
 @dataclass(eq=False)
-class AffineImageRep:
+class AffineImageRep(_Rep):
     """Image of ``base`` under x -> matrix @ x + shift (matrix invertible)."""
     base: "Domain"
     matrix: np.ndarray
     shift: np.ndarray
     inverse: np.ndarray
 
+    @cached_property
+    def _singular_values(self):
+        return np.linalg.svd(self.matrix, compute_uv=False)
+
+    def _back(self, pts):
+        return (pts - self.shift) @ self.inverse.T
+
+    def member(self, pts, slack):
+        return self.base.rep.member(self._back(pts),
+                                    slack / max(1.0, float(self._singular_values[0])))
+
+    def violation(self, pts):
+        return float(self._singular_values[-1]) * self.base.rep.violation(self._back(pts))
+
+    def spec(self):
+        return {"type": "affine_image", "base": self.base.spec(),
+                "matrix": self.matrix.tolist(), "shift": self.shift.tolist()}
+
+    @cached_property
+    def vertices(self):
+        base = self.base.rep.vertices
+        return None if base is None else base @ self.matrix.T + self.shift
+
+    def diameter(self):
+        if isinstance(self.base.rep, BallRep):
+            return 2.0 * self.base.rep.radius * float(self._singular_values[0])
+        return super().diameter()
+
 
 @dataclass(eq=False)
 class Domain:
     """A compact subset of R^d with a guaranteed axis-aligned bounding box."""
     dim: int
-    rep: object
+    rep: _Rep
     bbox: np.ndarray  # (2, d): [lo, hi]
-    _vertices: Optional[np.ndarray] = field(default=None, repr=False)
 
     # -- queries ------------------------------------------------------------
 
@@ -93,14 +245,11 @@ class Domain:
         pts, single = _as_points(x, self.dim)
         if not np.all(np.isfinite(pts)):
             raise PreconditionError("membership query requires finite coordinates")
-        out = _member(self.rep, pts, self._slack() if slack is None else slack)
+        out = self.rep.member(pts, self._slack() if slack is None else slack)
         return bool(out[0]) if single else out
 
     def strictly_inside(self, x, margin=None):
-        pts, single = _as_points(x, self.dim)
-        m = margin if margin is not None else 1e-9 * self.scale()
-        out = _member(self.rep, pts, -m)
-        return bool(out[0]) if single else out
+        return self.contains(x, slack=-(margin if margin is not None else 1e-9 * self.scale()))
 
     def scale(self):
         ext = self.bbox[1] - self.bbox[0]
@@ -110,80 +259,27 @@ class Domain:
         return MEMBERSHIP_SLACK * max(1.0, self.scale())
 
     def vertices(self):
-        """Vertex list for polytope-backed domains (enumerated, cached)."""
-        if self._vertices is None:
-            rep = self.rep
-            if isinstance(rep, PolytopeRep):
-                self._vertices = _polytope_vertices(rep.A, rep.b)
-            elif isinstance(rep, AffineImageRep) and isinstance(rep.base.rep, PolytopeRep):
-                base = rep.base.vertices()
-                self._vertices = base @ rep.matrix.T + rep.shift
-            else:
-                raise PreconditionError("vertices only available for polytope domains")
-        return self._vertices
+        """Vertex list for polytope-backed domains (enumerated once)."""
+        if self.rep.vertices is None:
+            raise PreconditionError("vertices only available for polytope domains")
+        return self.rep.vertices
 
     def spec(self):
         """JSON-serializable description."""
-        return _rep_spec(self.rep)
-
-
-def _member(rep, pts, slack):
-    if isinstance(rep, PolytopeRep):
-        if rep.A.shape[0] == 0:
-            return np.zeros(len(pts), dtype=bool)
-        return np.all(pts @ rep.A.T <= rep.b + slack, axis=1)
-    if isinstance(rep, BallRep):
-        d2 = np.linalg.norm(pts - rep.center, axis=1)
-        return d2 <= rep.radius + slack
-    if isinstance(rep, ConeBodyRep):
-        proj = pts @ rep.xi
-        nrm = np.linalg.norm(pts, axis=1)
-        return (nrm * (1.0 - rep.eps) <= proj + slack) & (proj <= 1.0 + slack)
-    if isinstance(rep, UnionRep):
-        out = np.zeros(len(pts), dtype=bool)
-        for part in rep.parts:
-            rem = ~out
-            if not rem.any():
-                break
-            out[rem] = _member(part.rep, pts[rem], slack)
-        return out
-    if isinstance(rep, IntersectionRep):
-        out = np.ones(len(pts), dtype=bool)
-        for part in rep.parts:
-            rem = out.nonzero()[0]
-            if rem.size == 0:
-                break
-            out[rem] = _member(part.rep, pts[rem], slack)
-        return out
-    if isinstance(rep, AffineImageRep):
-        back = (pts - rep.shift) @ rep.inverse.T
-        return _member(rep.base.rep, back, slack / max(1.0, float(np.linalg.norm(rep.matrix, 2))))
-    raise TypeError(f"unknown rep {type(rep)!r}")
+        return self.rep.spec()
 
 
 # ---------------------------------------------------------------------------
 # constructors
 # ---------------------------------------------------------------------------
 
-def polytope(A, b, require_interior=False):
-    """Bounded half-space polytope {x : A x <= b}.
-
-    With ``require_interior`` the Chebyshev radius must be positive, as for
-    user-facing domains; internal decomposition pieces may be degenerate.
-    """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    b = np.asarray(b, dtype=float).ravel()
+def polytope(A, b):
+    """Bounded half-space polytope {x : A x <= b} (possibly degenerate)."""
+    A = np.atleast_2d(_finite("A", A))
+    b = _finite("b", b).ravel()
     if A.shape[0] != b.shape[0]:
         raise PreconditionError("A and b row counts differ")
-    d = A.shape[1]
-    rep = PolytopeRep(A, b)
-    bbox = _polytope_bbox(A, b)
-    dom = Domain(d, rep, bbox)
-    if require_interior:
-        c, r = inscribed_ball(dom)
-        if not r > 0:
-            raise PreconditionError("polytope has empty interior")
-    return dom
+    return Domain(A.shape[1], PolytopeRep(A, b), _polytope_bbox(A, b))
 
 
 def box(lo, hi):
@@ -197,16 +293,18 @@ def box(lo, hi):
 
 
 def ball(center, radius):
-    center = np.asarray(center, dtype=float).ravel()
+    center = _finite("center", center).ravel()
+    radius = _finite("radius", float(radius)).item()
     if radius <= 0:
         raise PreconditionError("ball radius must be positive")
     bbox = np.vstack([center - radius, center + radius])
-    return Domain(center.size, BallRep(center, float(radius)), bbox)
+    return Domain(center.size, BallRep(center, radius), bbox)
 
 
 def cone_body(xi, eps):
     """The capped cone {x: ||x||(1-eps) <= x.xi <= 1} for a unit vector xi."""
-    xi = np.asarray(xi, dtype=float).ravel()
+    xi = _finite("xi", xi).ravel()
+    eps = _finite("eps", float(eps)).item()
     d = xi.size
     if d < 2:
         raise PreconditionError("cone body needs dimension >= 2")
@@ -226,7 +324,7 @@ def cone_body(xi, eps):
         perp = math.sqrt(max(0.0, 1.0 - xi[i] ** 2))
         hi[i] = max(0.0, xi[i] + rim_rho * perp)
         lo[i] = min(0.0, xi[i] - rim_rho * perp)
-    return Domain(d, ConeBodyRep(xi, float(eps)), np.vstack([lo, hi]))
+    return Domain(d, ConeBodyRep(xi, eps), np.vstack([lo, hi]))
 
 
 def union(parts):
@@ -241,18 +339,25 @@ def intersection(parts):
     parts = tuple(parts)
     d = parts[0].dim
     lo = np.max([p.bbox[0] for p in parts], axis=0)
-    hi = np.min([p.bbox[1] for p in parts], axis=0)
+    hi = np.maximum(np.min([p.bbox[1] for p in parts], axis=0), lo)  # empty: flat box
     return Domain(d, IntersectionRep(parts), np.vstack([lo, hi]))
 
 
 def affine_image(base, matrix, shift):
-    matrix = np.asarray(matrix, dtype=float)
-    shift = np.asarray(shift, dtype=float).ravel()
+    matrix = _finite("matrix", matrix)
+    shift = _finite("shift", shift).ravel()
     inv = np.linalg.inv(matrix)
     corners = _bbox_corners(base.bbox)
     img = corners @ matrix.T + shift
     bbox = np.vstack([img.min(axis=0), img.max(axis=0)])
     return Domain(base.dim, AffineImageRep(base, matrix, shift, inv), bbox)
+
+
+def _finite(name, value):
+    arr = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise PreconditionError(f"{name} must be finite")
+    return arr
 
 
 def _bbox_corners(bbox):
@@ -307,23 +412,6 @@ def _polytope_vertices(A, b, tol=1e-9):
 # JSON specs
 # ---------------------------------------------------------------------------
 
-def _rep_spec(rep):
-    if isinstance(rep, PolytopeRep):
-        return {"type": "polytope", "A": rep.A.tolist(), "b": rep.b.tolist()}
-    if isinstance(rep, BallRep):
-        return {"type": "ball", "center": rep.center.tolist(), "radius": rep.radius}
-    if isinstance(rep, ConeBodyRep):
-        return {"type": "cone_body", "xi": rep.xi.tolist(), "eps": rep.eps}
-    if isinstance(rep, UnionRep):
-        return {"type": "union", "parts": [p.spec() for p in rep.parts]}
-    if isinstance(rep, IntersectionRep):
-        return {"type": "intersection", "parts": [p.spec() for p in rep.parts]}
-    if isinstance(rep, AffineImageRep):
-        return {"type": "affine_image", "base": rep.base.spec(),
-                "matrix": rep.matrix.tolist(), "shift": rep.shift.tolist()}
-    raise TypeError(f"unknown rep {type(rep)!r}")
-
-
 def domain_from_spec(spec):
     """Rebuild a Domain from its JSON description."""
     kind = spec.get("type")
@@ -377,7 +465,7 @@ class DirectionSet:
 
 
 def direction_set(vectors):
-    dirs = np.atleast_2d(np.asarray(vectors, dtype=float))
+    dirs = np.atleast_2d(_finite("direction vectors", vectors))
     norms = np.linalg.norm(dirs, axis=1)
     if np.any(norms == 0):
         raise PreconditionError("zero vector in direction set")
@@ -406,9 +494,10 @@ def _spread(dirs):
         vals = np.max(np.abs(cand @ dirs.T), axis=1)
         best = np.argmin(vals)
         lo, hi = theta[best] - math.pi / 4096, theta[best] + math.pi / 4096
-        g = lambda t: f(np.array([math.cos(t), math.sin(t)]))
-        val = _golden_min(g, lo, hi, tol=1e-13)
-        return min(float(vals[best]), val)
+        # minimize by maximizing the negated spread
+        _, neg = golden_max(lambda t: (-f(np.array([math.cos(t), math.sin(t)])),),
+                            lo, hi, tol=1e-13)
+        return min(float(vals[best]), -neg)
 
     rng = np.random.default_rng(12345)
     cand = rng.standard_normal((8192, d))
@@ -423,22 +512,27 @@ def _spread(dirs):
     return best
 
 
-def _golden_min(g, lo, hi, tol=1e-12):
+def golden_max(fn, lo, hi, tol):
+    """Golden-section search for the maximum of ``fn`` on [lo, hi].
+
+    ``fn(u)`` returns a tuple whose first entry is the value to maximize;
+    returns ``(u, *fn(u))`` at the better final probe (the left one on ties).
+    """
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - phi * (b - a)
-    d_ = a + phi * (b - a)
-    fc, fd = g(c), g(d_)
+    d = a + phi * (b - a)
+    fc, fd = fn(c), fn(d)
     while b - a > tol:
-        if fc < fd:
-            b, d_, fd = d_, c, fc
+        if fc[0] > fd[0]:
+            b, d, fd = d, c, fc
             c = b - phi * (b - a)
-            fc = g(c)
+            fc = fn(c)
         else:
-            a, c, fc = c, d_, fd
-            d_ = a + phi * (b - a)
-            fd = g(d_)
-    return min(fc, fd)
+            a, c, fc = c, d, fd
+            d = a + phi * (b - a)
+            fd = fn(d)
+    return (c, *fc) if fc[0] >= fd[0] else (d, *fd)
 
 
 # ---------------------------------------------------------------------------
@@ -507,13 +601,8 @@ def grid_plan(dom, n_per_axis):
 
 
 # ---------------------------------------------------------------------------
-# membership / diameter / inscribed ball / normalize
+# diameter / inscribed ball / normalize
 # ---------------------------------------------------------------------------
-
-def membership(dom, x):
-    """True iff x lies in the represented closed set."""
-    return dom.contains(x)
-
 
 @dataclass(frozen=True)
 class DiameterResult:
@@ -525,28 +614,15 @@ class DiameterResult:
 
 
 def diameter(dom, plan=None):
-    """Largest pairwise distance; exact for polytopes, balls, and cone bodies.
+    """Largest pairwise distance; exact where the representation knows it
+    (polytopes and their affine images, balls and ellipsoids, cone bodies).
 
     For other representations the maximum is taken over plan points and is a
     lower bound, reported with ``approximate=True``.
     """
-    rep = dom.rep
-    if isinstance(rep, PolytopeRep) or (
-        isinstance(rep, AffineImageRep) and isinstance(rep.base.rep, PolytopeRep)
-    ):
-        verts = dom.vertices()
-        if len(verts) == 0:
-            raise PreconditionError("empty domain has no diameter")
-        return DiameterResult(_max_pairwise(verts), False)
-    if isinstance(rep, BallRep):
-        return DiameterResult(2.0 * rep.radius, False)
-    if isinstance(rep, ConeBodyRep):
-        rim_rho = math.sqrt(1.0 / (1.0 - rep.eps) ** 2 - 1.0)
-        slant = 1.0 / (1.0 - rep.eps)
-        return DiameterResult(max(2.0 * rim_rho, slant), False)
-    if isinstance(rep, AffineImageRep) and isinstance(rep.base.rep, BallRep):
-        smax = float(np.linalg.svd(rep.matrix, compute_uv=False)[0])
-        return DiameterResult(2.0 * rep.base.rep.radius * smax, False)
+    exact = dom.rep.diameter()
+    if exact is not None:
+        return DiameterResult(exact, False)
     if plan is None or len(plan) == 0:
         raise PreconditionError("diameter of a sampled domain needs a nonempty plan")
     return DiameterResult(_max_pairwise(plan.points), True)
@@ -576,8 +652,11 @@ def inscribed_ball(dom):
     """
     if not isinstance(dom.rep, PolytopeRep):
         raise PreconditionError("inscribed_ball requires a polytope domain")
-    A, b = dom.rep.A, dom.rep.b
-    m, d = A.shape
+    return _chebyshev_ball(dom.rep.A, dom.rep.b)
+
+
+def _chebyshev_ball(A, b):
+    d = A.shape[1]
     norms = np.linalg.norm(A, axis=1)
     c = np.zeros(d + 1)
     c[d] = -1.0
@@ -615,11 +694,6 @@ class AffineMap:
     matrix: np.ndarray
     shift: np.ndarray
 
-    def apply(self, x):
-        pts, single = _as_points(x, self.matrix.shape[1])
-        out = pts @ self.matrix.T + self.shift
-        return out[0] if single else out
-
     def apply_domain(self, dom):
         return affine_image(dom, self.matrix, self.shift)
 
@@ -656,25 +730,14 @@ def as_polytope(dom):
 # ---------------------------------------------------------------------------
 
 def _boundary_info(dom, x):
-    """(is_boundary, active_normals or None). Tolerance is relative to scale."""
+    """(is_boundary, outward normals at x or None). Tolerance is relative to scale."""
     tol = BOUNDARY_TOL * dom.scale()
-    rep = dom.rep
     x = np.asarray(x, dtype=float).ravel()
     if not dom.contains(x, slack=tol):
         return False, None
-    if isinstance(rep, PolytopeRep):
-        res = rep.A @ x - rep.b
-        norms = np.linalg.norm(rep.A, axis=1)
-        active = np.abs(res) <= tol * np.maximum(norms, 1e-300)
-        return bool(active.any()), rep.A[active]
-    if isinstance(rep, BallRep):
-        return abs(np.linalg.norm(x - rep.center) - rep.radius) <= tol, None
-    if isinstance(rep, ConeBodyRep):
-        proj = float(x @ rep.xi)
-        nrm = float(np.linalg.norm(x))
-        on_cap = abs(proj - 1.0) <= tol
-        on_cone = abs(nrm * (1.0 - rep.eps) - proj) <= tol
-        return on_cap or on_cone, None
+    exact = dom.rep.boundary(x, tol)
+    if exact is not None:
+        return exact
     # generic: member but not strictly interior, probed on a small sphere
     probe = 32 * dom.dim
     rng = np.random.default_rng(0)
@@ -688,19 +751,18 @@ def _boundary_info(dom, x):
 def illuminated(dom, x, e):
     """Whether the open ray from boundary point ``x`` along ``e`` enters the interior.
 
-    Polytopes are decided exactly through the active constraint normals; other
-    representations use sampled points along the ray up to twice the diameter.
+    Where the representation gives the outward normals at x (polytopes, balls)
+    the ray enters iff it points against all of them; otherwise points along
+    the ray up to twice the diameter are sampled.
     """
     x = np.asarray(x, dtype=float).ravel()
     e = np.asarray(e, dtype=float).ravel()
     e = e / np.linalg.norm(e)
-    on_bdry, active = _boundary_info(dom, x)
+    on_bdry, normals = _boundary_info(dom, x)
     if not on_bdry:
         raise PreconditionError("illumination query requires a boundary point")
-    if isinstance(dom.rep, PolytopeRep):
-        return bool(np.all(active @ e < 0.0))
-    if isinstance(dom.rep, BallRep):
-        return bool(e @ (x - dom.rep.center) < 0.0)
+    if normals is not None:
+        return bool(np.all(normals @ e < 0.0))
     try:
         diam = diameter(dom).value
     except PreconditionError:
@@ -726,7 +788,7 @@ def xray_verifies(dom, dirset, boundary_sample):
     return len(witnesses) == 0, witnesses
 
 
-def boundary_points(dom, n=256, seed=0, include_vertices=True):
+def boundary_points(dom, n=256, seed=0):
     """Boundary sample by ray bisection from an interior anchor.
 
     For polytopes the vertex list is always included, as illumination
@@ -736,29 +798,29 @@ def boundary_points(dom, n=256, seed=0, include_vertices=True):
     anchor = _interior_anchor(dom, rng)
     dirs = rng.standard_normal((n, dom.dim))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    hi0 = 2.0 * float(np.linalg.norm(dom.bbox[1] - dom.bbox[0])) + 1.0
-    pts = []
-    for u in dirs:
-        lo, hi = 0.0, hi0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if dom.contains(anchor + mid * u):
-                lo = mid
-            else:
-                hi = mid
-        pts.append(anchor + lo * u)
-    pts = np.array(pts)
-    if include_vertices and isinstance(dom.rep, PolytopeRep):
+    pts = anchor + _ray_exit(dom, anchor, dirs, 60)[:, None] * dirs
+    if isinstance(dom.rep, PolytopeRep):
         pts = np.vstack([dom.vertices(), pts])
     return pts
 
 
+def _ray_exit(dom, anchor, dirs, iters):
+    """Per row u of ``dirs``, the length t at which the ray anchor + t u leaves
+    ``dom``, by ``iters`` bisection steps on membership (all rays at once)."""
+    lo = np.zeros(len(dirs))
+    hi = np.full(len(dirs), 2.0 * float(np.linalg.norm(dom.bbox[1] - dom.bbox[0])) + 1.0)
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        inside = dom.contains(anchor + mid[:, None] * dirs)
+        lo = np.where(inside, mid, lo)
+        hi = np.where(inside, hi, mid)
+    return lo
+
+
 def _interior_anchor(dom, rng):
-    if isinstance(dom.rep, PolytopeRep):
-        c, _ = inscribed_ball(dom)
-        return c
-    if isinstance(dom.rep, BallRep):
-        return dom.rep.center.copy()
+    exact = dom.rep.anchor()
+    if exact is not None:
+        return exact
     lo, hi = dom.bbox
     margin = 1e-7 * dom.scale()
     for _ in range(100_000):
@@ -773,35 +835,16 @@ def _interior_anchor(dom, rng):
 # ---------------------------------------------------------------------------
 
 def signed_boundary_distance(dom, x, anchor=None):
-    """Negative inside, positive outside; exact for polytopes and balls."""
+    """Negative inside, positive outside; exact where the representation has a
+    closed form (polytopes, balls), else by ray bisection from an interior anchor."""
     pts, single = _as_points(x, dom.dim)
-    rep = dom.rep
-    if isinstance(rep, PolytopeRep):
-        norms = np.maximum(np.linalg.norm(rep.A, axis=1), 1e-300)
-        vals = (pts @ rep.A.T - rep.b) / norms
-        out = np.max(vals, axis=1)
-    elif isinstance(rep, BallRep):
-        out = np.linalg.norm(pts - rep.center, axis=1) - rep.radius
-    else:
+    out = dom.rep.signed_distance(pts)
+    if out is None:
         if anchor is None:
             anchor = _interior_anchor(dom, np.random.default_rng(0))
-        out = np.empty(len(pts))
-        hi0 = 2.0 * float(np.linalg.norm(dom.bbox[1] - dom.bbox[0])) + 1.0
-        for i, p in enumerate(pts):
-            v = p - anchor
-            rad = np.linalg.norm(v)
-            if rad < 1e-300:
-                out[i] = -hi0
-                continue
-            u = v / rad
-            lo, hi = 0.0, hi0
-            for _ in range(50):
-                mid = 0.5 * (lo + hi)
-                if dom.contains(anchor + mid * u):
-                    lo = mid
-                else:
-                    hi = mid
-            out[i] = rad - lo
+        v = pts - anchor
+        rad = np.linalg.norm(v, axis=1)
+        out = rad - _ray_exit(dom, anchor, v / np.maximum(rad, 1e-300)[:, None], 50)
     return float(out[0]) if single else out
 
 

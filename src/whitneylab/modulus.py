@@ -4,8 +4,10 @@ The r-th directional modulus at scale t is the supremum over step lengths
 |u| <= t of the L^p quasi-norm of the r-th forward difference along a
 direction, taken over the sampled points whose whole difference stencil stays
 in the domain.  The supremum is discretized on a shift grid (refined for the
-uniform norm), so reported values are certified lower bounds of the exact
-modulus.
+uniform norm).  At p = inf the reported value is a maximum over plan points
+and grid steps, hence a lower bound of the exact modulus; at p < inf the L^p
+norms are Monte Carlo estimates over the plan, so the value is an estimate,
+not a bound.
 """
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import PreconditionError
+from .geometry import golden_max
 from .polyspace import monomial_exponents, monomial_matrix
 
 N_SHIFT_DEFAULT = 64
@@ -87,32 +90,6 @@ def random_polynomial(degree, seed, dim):
     f = PolynomialFunction(exps, rng.standard_normal(len(exps)), dim)
     f._random_spec = {"kind": "random_poly", "degree": int(degree), "seed": int(seed)}
     return f
-
-
-class TableFunction(SampledFunction):
-    """Lookup table keyed by rounded coordinates (lattice data)."""
-
-    def __init__(self, points, values, decimals=9):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        self.dim = pts.shape[1]
-        self.decimals = decimals
-        self.table = {tuple(np.round(p, decimals)): float(v)
-                      for p, v in zip(pts, np.asarray(values, dtype=float).ravel())}
-
-    def __call__(self, x):
-        pts = np.asarray(x, dtype=float)
-        single = pts.ndim == 1
-        pts2 = np.atleast_2d(pts)
-        out = np.empty(len(pts2))
-        for i, p in enumerate(np.round(pts2, self.decimals)):
-            key = tuple(p)
-            if key not in self.table:
-                raise PreconditionError(f"table function has no value at {key}")
-            out[i] = self.table[key]
-        return float(out[0]) if single else out
-
-    def spec(self):
-        return {"kind": "callback_table", "n_points": len(self.table)}
 
 
 class CallbackFunction(SampledFunction):
@@ -232,8 +209,9 @@ def directional_modulus(f, dom, plan, xi, r, t, p, n_shift=N_SHIFT_DEFAULT,
     """Sampled modulus along one direction.
 
     The shift grid is {t k / n_shift}; for the uniform norm the top grid
-    steps are refined by golden-section search to 1e-4 * t.  The result is a
-    lower bound of the exact supremum.
+    steps are refined by golden-section search to 1e-4 * t.  At p = inf the
+    result is a lower bound of the exact supremum; at p < inf it is a Monte
+    Carlo estimate.
     """
     if t <= 0:
         raise PreconditionError("scale t must be positive")
@@ -258,7 +236,7 @@ def directional_modulus(f, dom, plan, xi, r, t, p, n_shift=N_SHIFT_DEFAULT,
         for i in np.argsort(norms)[-3:]:
             lo = max(us[i] - step, 1e-12 * t)
             hi = min(us[i] + step, t)
-            u_ref, val, cnt = _golden_max(
+            u_ref, val, cnt = golden_max(
                 lambda u: _norm_at_shift(f, dom, plan, xi, r, u, p),
                 lo, hi, tol=1e-4 * t)
             if val > best[0]:
@@ -267,25 +245,6 @@ def directional_modulus(f, dom, plan, xi, r, t, p, n_shift=N_SHIFT_DEFAULT,
     value, u_best, n_valid = best
     reliable = n_valid >= MIN_VALID_POINTS and value >= 0.0 and any(counts > 0)
     return ModulusResult(float(value), float(u_best), xi, int(n_valid), bool(reliable))
-
-
-def _golden_max(fn, lo, hi, tol):
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, nc = fn(c)
-    fd, nd = fn(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd, nd = d, c, fc, nc
-            c = b - phi * (b - a)
-            fc, nc = fn(c)
-        else:
-            a, c, fc, nc = c, d, fd, nd
-            d = a + phi * (b - a)
-            fd, nd = fn(d)
-    return (c, fc, nc) if fc >= fd else (d, fd, nd)
 
 
 def set_modulus(f, dom, plan, dirset, r, t, p, n_shift=N_SHIFT_DEFAULT,

@@ -127,10 +127,11 @@ def empirical_whitney_constant(dom, plan, dirset, r, p, family, budget=64,
 
 @dataclass(frozen=True)
 class ChainBound:
-    value: float          # from the link-by-link recursion (primary)
+    value: float          # from the link-by-link recursion (primary); inf past float range
     closed_form: float    # cross-check
     theta: float
     n_links: int
+    log2_value: float     # log2 of ``value``, finite where ``value`` overflows
 
     def __float__(self):
         return self.value
@@ -140,7 +141,10 @@ def chain_upper_bound(chain, w0, p):
     """Certified bound propagated through a verified chain.
 
     Both the link recursion w_k = 1 + 2^r w_{k-1} (in theta-power scale) and
-    its closed form are computed; they must agree to 1e-12 relative.
+    its closed form are computed; they must agree to 1e-12 relative.  Both run
+    on the scaled u_k = w_k / 2^(k r), so long chains do not overflow: the
+    bound is (2^(m r) u_m)^(1/theta), reported as ``inf`` with its finite
+    ``log2_value`` when it leaves the float range.
     """
     if not chain.verified:
         raise PreconditionError("chain must pass verify_chain before certification")
@@ -149,20 +153,23 @@ def chain_upper_bound(chain, w0, p):
     theta = min(p, 1.0)
     r = chain.order
     m = chain.n_pieces - 1
-    wt = w0 ** theta
-    for _ in range(m):
-        wt = 1.0 + (2.0 ** r) * wt
-    closed = (2.0 ** (m * r)) * (w0 ** theta) + ((2.0 ** (m * r)) - 1.0) / ((2.0 ** r) - 1.0)
-    if m > 0 and abs(wt - closed) > 1e-12 * max(abs(wt), abs(closed)):
+    u = w0 ** theta
+    for k in range(1, m + 1):
+        u += 2.0 ** (-k * r)
+    closed = w0 ** theta + (1.0 - 2.0 ** (-m * r)) / (2.0 ** r - 1.0)
+    if abs(u - closed) > 1e-12 * max(abs(u), abs(closed)):
         raise ArithmeticError("chain bound recursion and closed form disagree")
-    if m == 0:
-        wt = closed = w0 ** theta
-    return ChainBound(wt ** (1.0 / theta), closed ** (1.0 / theta), theta, m)
+    log2_value = (m * r + math.log2(u)) / theta if u > 0 else -math.inf
+    return ChainBound(_unscale(u, m * r, theta), _unscale(closed, m * r, theta),
+                      theta, m, log2_value)
 
 
-def counterexample_body(d, xi, eps):
-    """The narrow capped cone along xi with opening parameter eps."""
-    return geo.cone_body(xi, eps)
+def _unscale(u, e, theta):
+    """(u 2^e)^(1/theta), inf when out of float range."""
+    try:
+        return math.ldexp(u, e) ** (1.0 / theta)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -201,9 +208,6 @@ class CertificateResult:
     margin_delta: float
     modulus_bounded: bool  # every modulus within 2^(r-1) ln rho(delta, eps)
 
-    def table(self):
-        return [(row.n, row.modulus, row.floor, row.numeric_er) for row in self.rows]
-
 
 def counterexample_certificate(d, xi, eps, dirset, r, n_list, density=8192,
                                seed=0):
@@ -231,7 +235,7 @@ def counterexample_certificate(d, xi, eps, dirset, r, n_list, density=8192,
     if margin <= eps:
         raise PreconditionError(
             f"direction margin delta={margin:.6g} must exceed eps={eps:.6g}")
-    K = counterexample_body(d, xi, eps)
+    K = geo.cone_body(xi, eps)
     dr = d * r
     stencil = np.array([j * xi / dr for j in range(dr + 1)])
     plan = geo.sample_plan(K, n_points=density, seed=seed, extra_points=stencil)

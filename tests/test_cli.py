@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -195,3 +199,82 @@ class TestDecomposeCommand:
         assert payload["verified"] is True
         back = w.chain_from_spec(payload["chain"])
         assert back.n_pieces == payload["n_pieces"]
+
+
+class TestChainPipeline:
+    """decompose --out writes the chain under "chain"; the chain readers take
+    that file as it is."""
+
+    @pytest.mark.parametrize("domain", [
+        {"type": "polytope", "A": [[1, 0], [-1, 0], [0, 1], [0, -1]], "b": [1, 0, 1, 0]},
+        {"type": "ball", "center": [0, 0], "radius": 1.5},
+    ], ids=["unit_square", "disk"])
+    def test_decompose_verify_bound_report(self, domain, files, tmp_path, capsys):
+        dom = tmp_path / "dom.json"
+        dom.write_text(json.dumps(domain))
+        chain = tmp_path / "chain.json"
+        assert run(["decompose", "--domain", str(dom), "--method", "planar",
+                    "--order", "1", "--out", str(chain)]) == 0
+        n_pieces = json.loads(chain.read_text())["n_pieces"]
+
+        verify = tmp_path / "verify.json"
+        assert run(["verify-chain", "--chain", str(chain), "--density", "500",
+                    "--out", str(verify)]) == 0
+        assert json.loads(verify.read_text())["ok"] is True
+
+        bound = tmp_path / "bound.json"
+        assert run(["chain-bound", "--chain", str(chain), "--w0", "1", "--p", "1",
+                    "--density", "500", "--out", str(bound)]) == 0
+        payload = json.loads(bound.read_text())
+        m = n_pieces - 1
+        assert payload["n_links"] == m
+        assert payload["value"] == pytest.approx(2.0 ** (m + 1) - 1.0, rel=1e-12)
+        assert payload["log2_value"] == pytest.approx(math.log2(payload["value"]), rel=1e-12)
+
+        report = tmp_path / "report.csv"
+        assert run(["report", "--domain", str(dom), "--dirs", str(files["axes"]),
+                    "--r-list", "1", "--p-list", "1", "--budget", "2",
+                    "--density", "256", "--chain", str(chain), "--w0", "1",
+                    "--out", str(report)]) == 0
+        row = report.read_text().splitlines()[1].split(",")
+        assert float(row[5]) == pytest.approx(payload["value"], rel=1e-12)
+
+    def test_file_without_chain_exit1(self, tmp_path, capsys):
+        path = tmp_path / "nochain.json"
+        path.write_text(json.dumps({"meta": {}, "n_pieces": 3}))
+        assert run(["verify-chain", "--chain", str(path)]) == 1
+        assert str(path) in capsys.readouterr().err
+
+
+class TestSpecErrors:
+    def test_ball_without_radius_exit1(self, files, tmp_path, capsys):
+        dom = tmp_path / "noradius.json"
+        dom.write_text(json.dumps({"type": "ball", "center": [0, 0]}))
+        assert run(["xray-check", "--domain", str(dom), "--dirs", str(files["axes"])]) == 1
+        err = capsys.readouterr().err
+        assert str(dom) in err and "'radius'" in err
+
+    def test_nan_radius_names_the_field(self, files, tmp_path, capsys):
+        dom = tmp_path / "nan.json"
+        dom.write_text('{"type": "ball", "center": [0, 0], "radius": NaN}')
+        assert run(["xray-check", "--domain", str(dom), "--dirs", str(files["axes"])]) == 2
+        assert "radius must be finite" in capsys.readouterr().err
+
+    def test_direction_dimension_mismatch_exit1(self, files, tmp_path, capsys):
+        dirs = tmp_path / "dirs3.json"
+        dirs.write_text(json.dumps({"dirs": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}))
+        assert run(["xray-check", "--domain", str(files["square"]),
+                    "--dirs", str(dirs)]) == 1
+        assert str(dirs) in capsys.readouterr().err
+
+
+def test_thread_cap_applied_before_numpy_loads():
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["WHITNEY_LAB_THREADS"] = "1"
+    src = str(Path(w.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    code = ("import sys, os, whitneylab; "
+            "print(os.environ.get('OPENBLAS_NUM_THREADS'), os.environ.get('OMP_NUM_THREADS'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.split() == ["1", "1"]

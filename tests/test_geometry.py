@@ -275,3 +275,51 @@ class TestSpecRoundTrip:
         for dom in doms:
             back = w.domain_from_spec(dom.spec())
             assert np.array_equal(dom.contains(pts), back.contains(pts))
+
+
+REP_DOMAINS = {
+    "polytope": lambda: w.box([0, 0], [1, 2]),
+    "ball": lambda: w.ball([1, -1], 0.5),
+    "cone_body": lambda: w.cone_body([0, 1], 0.1),
+    "union": lambda: w.union([w.ball([0, 0], 1.0), w.box([0, 0], [1, 1])]),
+    "intersection": lambda: w.intersection([w.ball([0, 0], 1.0), w.box([0, 0], [1, 1])]),
+    "affine_image": lambda: w.affine_image(w.cone_body([0, 1], 0.2), [[2, 0.5], [0, 1]],
+                                           [0.1, -0.3]),
+}
+
+
+class TestRepProtocol:
+    @pytest.mark.parametrize("kind", sorted(REP_DOMAINS))
+    def test_violation_vanishes_exactly_on_members(self, kind):
+        dom = REP_DOMAINS[kind]()
+        pts = np.random.default_rng(1).uniform(-2.5, 2.5, size=(2000, 2))
+        inside = dom.contains(pts)
+        viol = dom.rep.violation(pts)
+        assert inside.any() and not inside.all()
+        assert np.all(viol[inside] <= 1e-9)
+        assert np.all(viol[~inside] > 0.0)
+
+    @pytest.mark.parametrize("kind", sorted(REP_DOMAINS))
+    def test_signed_distance_sign_matches_membership(self, kind):
+        dom = REP_DOMAINS[kind]()
+        pts = np.random.default_rng(2).uniform(-2.5, 2.5, size=(64, 2))
+        sd = w.geometry.signed_boundary_distance(dom, pts)
+        inside = dom.contains(pts)
+        assert np.all(sd[inside] <= 1e-9) and np.all(sd[~inside] > -1e-9)
+
+
+class TestNonFiniteSpecs:
+    @pytest.mark.parametrize("build,field", [
+        (lambda: w.ball([0.0, math.nan], 1.0), "center"),
+        (lambda: w.ball([0.0, 0.0], math.inf), "radius"),
+        (lambda: w.polytope([[1.0, math.nan], [-1.0, 0.0]], [1.0, 1.0]), "A"),
+        (lambda: w.polytope([[1.0, 0.0], [-1.0, 0.0]], [1.0, -math.inf]), "b"),
+        (lambda: w.cone_body([0.0, math.nan], 0.1), "xi"),
+        (lambda: w.cone_body([0.0, 1.0], math.nan), "eps"),
+        (lambda: w.direction_set([[1.0, 0.0], [math.inf, 1.0]]), "direction vectors"),
+        (lambda: w.affine_image(w.ball([0, 0], 1.0), [[1.0, 0.0], [0.0, math.nan]],
+                                [0.0, 0.0]), "matrix"),
+    ])
+    def test_rejected_at_construction(self, build, field):
+        with pytest.raises(PreconditionError, match=f"^{field} must be finite"):
+            build()

@@ -1,4 +1,5 @@
 """Property-based checks of the numerical invariants."""
+import copy
 import math
 
 import numpy as np
@@ -198,3 +199,97 @@ class TestGeometryProperties:
         ch.verified = True
         b = w.chain_upper_bound(ch, w0, p)
         assert b.value == pytest.approx(b.closed_form, rel=1e-12)
+
+
+# -- malformed configuration files ----------------------------------------------
+
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(min_value=-3, max_value=3),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=3),
+    st.lists(st.integers(min_value=-1, max_value=1), max_size=3))
+finite = st.floats(min_value=-2, max_value=2)
+pairs = st.lists(finite, min_size=2, max_size=2)
+
+
+def _domain_specs():
+    """Well-formed planar domain specs (some unbounded, empty or singular)."""
+    leaves = st.one_of(
+        st.fixed_dictionaries({"type": st.just("polytope"),
+                               "A": st.just([[1, 0], [-1, 0], [0, 1], [0, -1]]),
+                               "b": st.lists(st.floats(0.2, 2), min_size=4, max_size=4)}),
+        st.fixed_dictionaries({"type": st.just("polytope"),
+                               "A": st.lists(pairs, min_size=1, max_size=5),
+                               "b": st.lists(finite, min_size=1, max_size=5)}),
+        st.fixed_dictionaries({"type": st.just("ball"), "center": pairs,
+                               "radius": st.floats(0.1, 2)}),
+        st.fixed_dictionaries({"type": st.just("cone_body"),
+                               "xi": st.sampled_from([[0.0, 1.0], [1.0, 0.0]]),
+                               "eps": st.floats(0.05, 0.9)}))
+
+    def extend(children):
+        return st.one_of(
+            st.fixed_dictionaries({"type": st.sampled_from(["union", "intersection"]),
+                                   "parts": st.lists(children, min_size=1, max_size=3)}),
+            st.fixed_dictionaries({"type": st.just("affine_image"), "base": children,
+                                   "matrix": st.lists(pairs, min_size=2, max_size=2),
+                                   "shift": pairs}))
+    return st.recursive(leaves, extend, max_leaves=4)
+
+
+FUNCTION_SPECS = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("polynomial"),
+                           "exponents": st.lists(st.lists(st.integers(0, 3), min_size=2,
+                                                          max_size=2), min_size=1, max_size=4),
+                           "coeffs": st.lists(finite, min_size=1, max_size=4)}),
+    st.fixed_dictionaries({"kind": st.just("ridge_log"), "n": st.integers(0, 8),
+                           "xi": pairs}),
+    st.fixed_dictionaries({"kind": st.just("random_poly"), "degree": st.integers(0, 3),
+                           "seed": st.integers(0, 9)}))
+DIRS_SPECS = st.fixed_dictionaries({"dirs": st.lists(pairs, min_size=1, max_size=3)})
+
+
+def _slots(node):
+    """Every (container, key) inside a JSON value."""
+    keys = node.keys() if isinstance(node, dict) else range(len(node)) \
+        if isinstance(node, list) else ()
+    for key in keys:
+        yield node, key
+        yield from _slots(node[key])
+
+
+@st.composite
+def malformed(draw, specs):
+    """A spec, kept, or with one entry at any depth dropped or replaced by a
+    stray JSON value (wrong type, non-finite, wrong shape), or a stray value."""
+    spec = copy.deepcopy(draw(specs))  # st.just values are shared between draws
+    action = draw(st.sampled_from(["keep", "drop", "retype", "stray"]))
+    if action == "stray":
+        return draw(json_scalars)
+    slots = list(_slots(spec))
+    if action != "keep" and slots:
+        node, key = draw(st.sampled_from(slots))
+        if action == "drop" and isinstance(node, dict):
+            del node[key]
+        else:
+            node[key] = draw(json_scalars)
+    return spec
+
+
+class TestSpecRobustness:
+    @given(malformed(_domain_specs()), malformed(DIRS_SPECS), malformed(FUNCTION_SPECS))
+    @settings(max_examples=150, deadline=None)
+    def test_cli_never_raises_on_spec_files(self, domain, dirs, function):
+        import json
+        import tempfile
+        from pathlib import Path
+        from whitneylab.cli import run
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {}
+            for name, spec in (("domain", domain), ("dirs", dirs), ("function", function)):
+                paths[name] = Path(tmp) / f"{name}.json"
+                paths[name].write_text(json.dumps(spec))
+            code = run(["modulus", "--function", str(paths["function"]),
+                        "--domain", str(paths["domain"]), "--dirs", str(paths["dirs"]),
+                        "--order", "1", "--t", "0.5", "--density", "16",
+                        "--out", str(Path(tmp) / "out.json")])
+        assert code in (0, 1, 2, 3)

@@ -82,7 +82,7 @@ class TestEmpirical:
         # family range
         ang = math.radians(80.0)
         E = w.direction_set([[1.0, 0.0], [math.cos(ang), math.sin(ang)]])
-        K = w.counterexample_body(2, [0.0, 1.0], 0.01)
+        K = w.cone_body([0.0, 1.0], 0.01)
         plan = w.sample_plan(K, 1024, seed=0,
                              extra_points=[[0.0, 0.0], [0.0, 0.5], [0.0, 1.0]])
         small = w.empirical_whitney_constant(
@@ -130,6 +130,26 @@ class TestChainUpperBound:
         assert b.value == pytest.approx(wt ** 2, rel=1e-12)
         assert b.closed_form == pytest.approx(b.value, rel=1e-12)
 
+    def test_long_chain_reports_log2_past_float_range(self):
+        # 1400 links at r=1: 2^1400 w0 + 2^1400 - 1 is far beyond float range
+        b = w.chain_upper_bound(self._chain(1400, 1), 1.0, 1.0)
+        assert b.value == math.inf and b.closed_form == math.inf
+        assert b.log2_value == pytest.approx(1401.0, rel=1e-15)
+        b = w.chain_upper_bound(self._chain(1400, 1), 1.0, 0.5)
+        assert b.value == math.inf and b.log2_value == pytest.approx(2802.0, rel=1e-15)
+
+    @pytest.mark.parametrize("m,r,w0,p", [(1000, 1, 1.0, 1.0), (300, 3, 2.0, 1.0),
+                                          (500, 1, 0.0, 0.5), (7, 2, 3.0, 0.25)])
+    def test_finite_values_match_exact_closed_form(self, m, r, w0, p):
+        from fractions import Fraction
+        theta = min(p, 1.0)
+        exact = (2 ** (m * r)) * Fraction(w0 ** theta) + Fraction(2 ** (m * r) - 1, 2 ** r - 1)
+        want = float(exact) ** (1.0 / theta)
+        b = w.chain_upper_bound(self._chain(m, r), w0, p)
+        assert b.value == pytest.approx(want, rel=1e-12)
+        assert b.closed_form == pytest.approx(want, rel=1e-12)
+        assert b.log2_value == pytest.approx(math.log2(want), rel=1e-12)
+
     def test_unverified_chain_rejected(self):
         ch = self._chain(1, 1)
         ch.verified = False
@@ -139,14 +159,14 @@ class TestChainUpperBound:
 
 class TestCounterexample:
     def test_body_membership(self):
-        K = w.counterexample_body(2, [0, 1], 0.25)
+        K = w.cone_body([0, 1], 0.25)
         xi = np.array([0, 1.0])
         assert K.contains(xi / 2)
         assert not K.contains(2 * xi)
 
     def test_body_bbox_tight_vs_extreme_oracle(self):
         eps = 0.2
-        K = w.counterexample_body(2, [0, 1], eps)
+        K = w.cone_body([0, 1], eps)
         rim_rho = math.sqrt(1 / (1 - eps) ** 2 - 1)
         plan = w.sample_plan(K, 8192, seed=0)
         lo, hi = K.bbox
