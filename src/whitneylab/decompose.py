@@ -70,8 +70,9 @@ class DecompositionChain:
 
 
 def chain_from_spec(spec):
-    pieces = [domain_from_spec(s) for s in spec["pieces"]]
-    target = domain_from_spec(spec["target"]) if spec.get("target") else None
+    boxes = {}  # pieces often repeat the target's polytopes: one LP solve each
+    pieces = [domain_from_spec(s, boxes) for s in spec["pieces"]]
+    target = domain_from_spec(spec["target"], boxes) if spec.get("target") else None
     return DecompositionChain(pieces, np.asarray(spec["shifts"], dtype=float),
                               int(spec["r"]), direction_set(spec["dirs"]),
                               spec.get("provenance", "unknown"), target)

@@ -41,7 +41,9 @@ def _as_points(x, dim):
 # Each answers member(pts, slack), violation(pts) (a lower bound of the
 # distance to the set, 0 on members) and spec(), and where it has exact answers
 # vertices, diameter(), signed_distance(pts), boundary(x, tol) -> (flag,
-# outward normals or None) and anchor() (an interior point); None means none.
+# outward normals or None), anchor() (an interior point) and, for convex sets,
+# exit_distance(pts, xi, slack): per member point x, the largest u >= 0 with
+# x + u xi a member within ``slack``; None means none.
 
 class _Rep:
     vertices = None
@@ -62,8 +64,21 @@ class _Rep:
     def anchor(self):
         return None
 
+    def exit_distance(self, pts, xi, slack):
+        return None
+
     def violation(self, pts):
         return np.maximum(self.signed_distance(pts), 0.0)
+
+
+def _exit_root(a, beta, gamma):
+    """(sqrt(beta^2 - a gamma) - beta) / a, in the form that does not cancel: the
+    root of a u^2 + 2 beta u + gamma where a member (gamma <= 0) leaves the set
+    {q <= 0}, the larger root for a > 0 and the smaller for a < 0. Where
+    a <= 0 the caller screens negative, infinite and NaN results."""
+    disc = np.sqrt(np.maximum(beta * beta - a * gamma, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(beta > 0.0, -gamma / (beta + disc), (disc - beta) / a)
 
 
 @dataclass(eq=False)
@@ -97,6 +112,14 @@ class PolytopeRep(_Rep):
     def anchor(self):
         return _chebyshev_ball(self.A, self.b)[0]
 
+    def exit_distance(self, pts, xi, slack):
+        rate = self.A @ xi
+        ahead = rate > 0  # the rows a . xi <= 0 never bind for a member
+        if not ahead.any():
+            return np.full(len(pts), np.inf)
+        room = self.b[ahead] + slack - pts @ self.A[ahead].T
+        return np.min(room / rate[ahead], axis=1)
+
 
 @dataclass(eq=False)
 class BallRep(_Rep):
@@ -121,6 +144,11 @@ class BallRep(_Rep):
 
     def anchor(self):
         return self.center.copy()
+
+    def exit_distance(self, pts, xi, slack):
+        rel = pts - self.center
+        return _exit_root(float(xi @ xi), rel @ xi,
+                          np.einsum("ij,ij->i", rel, rel) - (self.radius + slack) ** 2)
 
 
 @dataclass(eq=False)
@@ -152,6 +180,27 @@ class ConeBodyRep(_Rep):
         proj = float(x @ self.xi)
         on_cone = abs(float(np.linalg.norm(x)) * (1.0 - self.eps) - proj) <= tol
         return abs(proj - 1.0) <= tol or on_cone, None
+
+    def exit_distance(self, pts, xi, slack):
+        # along y = x + u xi, with s = xi . axis: the cap binds when s > 0; the
+        # lateral constraint k ||y|| <= y . axis + slack, squared, is a quadratic
+        # in u; it never binds when xi lies in the opening (s >= k |xi|), and
+        # for s < 0 it is violated once y . axis + slack < 0
+        k2 = (1.0 - self.eps) ** 2
+        proj = pts @ self.xi
+        s = float(xi @ self.xi)
+        ee = float(xi @ xi)
+        out = np.full(len(pts), np.inf)
+        if s > 0.0:
+            out = (1.0 + slack - proj) / s
+        if s * s < k2 * ee or s < 0.0:
+            lift = proj + slack
+            root = _exit_root(k2 * ee - s * s, k2 * (pts @ xi) - lift * s,
+                              k2 * np.einsum("ij,ij->i", pts, pts) - lift * lift)
+            if s < 0.0:
+                root = np.minimum(np.where(root >= 0.0, root, np.inf), lift / -s)
+            out = np.minimum(out, root)
+        return out
 
 
 @dataclass(eq=False)
@@ -192,6 +241,10 @@ class IntersectionRep(_Rep):
 
     def spec(self):
         return {"type": "intersection", "parts": [p.spec() for p in self.parts]}
+
+    def exit_distance(self, pts, xi, slack):
+        dists = [p.rep.exit_distance(pts, xi, slack) for p in self.parts]
+        return None if any(d is None for d in dists) else np.min(dists, axis=0)
 
 
 @dataclass(eq=False)
@@ -248,6 +301,15 @@ class Domain:
         out = self.rep.member(pts, self._slack() if slack is None else slack)
         return bool(out[0]) if single else out
 
+    def exit_distance(self, x, xi):
+        """Per member point x, the largest u >= 0 with x + u xi in the domain
+        (within the membership slack), or None where the representation has
+        no closed form.  For a convex domain the points x + j u xi, j = 1..r,
+        all belong to it iff r u <= exit_distance."""
+        pts, _ = _as_points(x, self.dim)
+        return self.rep.exit_distance(pts, np.asarray(xi, dtype=float).ravel(),
+                                      self._slack())
+
     def strictly_inside(self, x, margin=None):
         return self.contains(x, slack=-(margin if margin is not None else 1e-9 * self.scale()))
 
@@ -273,13 +335,22 @@ class Domain:
 # constructors
 # ---------------------------------------------------------------------------
 
-def polytope(A, b):
-    """Bounded half-space polytope {x : A x <= b} (possibly degenerate)."""
+def polytope(A, b, boxes=None):
+    """Bounded half-space polytope {x : A x <= b} (possibly degenerate).
+
+    ``boxes``, a dict, keeps the bounding box of each distinct (A, b) across
+    calls, so equal polytopes solve their bounding-box LPs once.
+    """
     A = np.atleast_2d(_finite("A", A))
     b = _finite("b", b).ravel()
     if A.shape[0] != b.shape[0]:
         raise PreconditionError("A and b row counts differ")
-    return Domain(A.shape[1], PolytopeRep(A, b), _polytope_bbox(A, b))
+    if boxes is None:
+        return Domain(A.shape[1], PolytopeRep(A, b), _polytope_bbox(A, b))
+    key = (A.shape, A.tobytes(), b.tobytes())
+    if key not in boxes:
+        boxes[key] = _polytope_bbox(A, b)
+    return Domain(A.shape[1], PolytopeRep(A, b), boxes[key].copy())
 
 
 def box(lo, hi):
@@ -412,22 +483,25 @@ def _polytope_vertices(A, b, tol=1e-9):
 # JSON specs
 # ---------------------------------------------------------------------------
 
-def domain_from_spec(spec):
-    """Rebuild a Domain from its JSON description."""
+def domain_from_spec(spec, boxes=None):
+    """Rebuild a Domain from its JSON description; ``boxes`` as in `polytope`.
+
+    An unknown ``type`` is a malformed spec (ValueError)."""
     kind = spec.get("type")
     if kind == "polytope":
-        return polytope(spec["A"], spec["b"])
+        return polytope(spec["A"], spec["b"], boxes)
     if kind == "ball":
         return ball(spec["center"], spec["radius"])
     if kind == "cone_body":
         return cone_body(spec["xi"], spec["eps"])
     if kind == "union":
-        return union([domain_from_spec(s) for s in spec["parts"]])
+        return union([domain_from_spec(s, boxes) for s in spec["parts"]])
     if kind == "intersection":
-        return intersection([domain_from_spec(s) for s in spec["parts"]])
+        return intersection([domain_from_spec(s, boxes) for s in spec["parts"]])
     if kind == "affine_image":
-        return affine_image(domain_from_spec(spec["base"]), spec["matrix"], spec["shift"])
-    raise PreconditionError(f"unknown domain type {kind!r}")
+        return affine_image(domain_from_spec(spec["base"], boxes), spec["matrix"],
+                            spec["shift"])
+    raise ValueError(f"unknown domain type {kind!r}")
 
 
 # ---------------------------------------------------------------------------

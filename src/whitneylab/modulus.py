@@ -8,10 +8,28 @@ uniform norm).  At p = inf the reported value is a maximum over plan points
 and grid steps, hence a lower bound of the exact modulus; at p < inf the L^p
 norms are Monte Carlo estimates over the plan, so the value is an estimate,
 not a bound.
+
+One grid step u is evaluated algebraically where it can be.  On a convex
+domain with a closed-form exit distance u_max(x) along xi (polytopes, balls,
+cone bodies and their intersections) the stencil of x is valid iff
+r u <= u_max(x), so validity costs one comparison per step instead of r
+membership tests.  For a polynomial, the Taylor coefficients
+c_k(x) = (D_xi^k f)(x) / k! are computed once per direction on the plan, over
+the monomials that divide a term of f, and
+
+    Delta^r_{u xi} f(x) = r! sum_{k >= r} S(k, r) c_k(x) u^k
+
+with S(k, r) the Stirling numbers of the second kind, so a step costs one
+small matrix-vector product.  Other functions, other domains, and sparse
+polynomials whose table would cost more than the stencil (TAYLOR_WORK_RATIO)
+evaluate the stencil (`finite_difference`, `shift_domain`).  The shift grid
+and its refinement are the same on every path, so the p = inf value stays a
+lower bound.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -19,10 +37,17 @@ import numpy as np
 
 from .errors import PreconditionError
 from .geometry import golden_max
-from .polyspace import monomial_exponents, monomial_matrix
+from .polyspace import _exponent_index, monomial_exponents, monomial_matrix
 
 N_SHIFT_DEFAULT = 64
 MIN_VALID_POINTS = 8
+# For a polynomial with E exponents, the Taylor table has M frame monomials
+# and deg f + 1 coefficients per plan point, computed once per direction; the
+# stencil evaluates the E monomials r + 1 times per grid step.  With
+# W = M (deg f + 1) / E (deg f + 1 for a dense polynomial), the Taylor form was
+# measured faster at every W <= 512 and the stencil from W of about 600-2500
+# on (n = 2048 and 8192 plan points, r = 1..3, p = 1, 2, inf; see CHANGES.md)
+TAYLOR_WORK_RATIO = 512
 
 
 # ---------------------------------------------------------------------------
@@ -39,6 +64,11 @@ class SampledFunction:
 
     def spec(self):
         raise NotImplementedError
+
+    def taylor(self, points, xi):
+        """(n, deg + 1) matrix of c_k(x) = (D_xi^k f)(x) / k!, or None where
+        there is no closed form or the stencil is cheaper."""
+        return None
 
 
 class PolynomialFunction(SampledFunction):
@@ -59,14 +89,65 @@ class PolynomialFunction(SampledFunction):
         return {"kind": "polynomial", "exponents": self.exponents.tolist(),
                 "coeffs": self.coeffs.tolist()}
 
+    def taylor(self, points, xi):
+        # on the exponents below those of f: the smallest frame closed under
+        # differentiation (the exponent list itself need not be closed)
+        exps = self.exponents
+        if exps.size and exps.min() < 0:
+            return None
+        deg = int(exps.sum(axis=1).max(initial=0))
+        frame = _derivative_closure(exps, TAYLOR_WORK_RATIO * len(exps) // (deg + 1))
+        if frame is None:
+            return None
+        row = _exponent_index(frame.tolist())
+        coeffs = np.zeros((len(frame), deg + 1))
+        np.add.at(coeffs[:, 0], [row[tuple(a)] for a in exps.tolist()], self.coeffs)
+        # D_xi takes each frame row to the rows one exponent lower, so
+        # c_k = D_xi c_{k-1} / k needs no dense matrix
+        lowerings = []
+        for axis, x in enumerate(np.asarray(xi, dtype=float).ravel()):
+            src = np.flatnonzero(frame[:, axis] > 0)
+            if x == 0.0 or src.size == 0:
+                continue
+            lowered = frame[src]
+            lowered[:, axis] -= 1
+            lowerings.append((src, [row[tuple(a)] for a in lowered.tolist()],
+                              x * frame[src, axis]))
+        for k in range(1, deg + 1):
+            for src, dst, scale in lowerings:
+                coeffs[dst, k] += scale * coeffs[src, k - 1] / k
+        return monomial_matrix(frame, points) @ coeffs
+
+
+def _derivative_closure(exponents, cap):
+    """The multi-indices b <= a (componentwise) for some a in ``exponents``,
+    by total degree; None once there are more than ``cap``."""
+    d = exponents.shape[1]
+    degree = exponents.sum(axis=1)
+    layer = np.empty((0, d), dtype=int)
+    layers = []
+    size = 0
+    for k in range(int(degree.max(initial=0)), -1, -1):
+        down = (layer[:, None, :] - np.eye(d, dtype=int)).reshape(-1, d)
+        layer = np.unique(np.vstack([exponents[degree == k], down[(down >= 0).all(axis=1)]]),
+                          axis=0)
+        size += len(layer)
+        if size > cap:
+            return None
+        layers.append(layer)
+    return np.vstack(layers[::-1])
+
 
 class RidgeLog(SampledFunction):
     """max(-n, log(x . xi)) with value -n at and below x . xi = exp(-n)."""
 
     def __init__(self, n, xi):
         self.n = int(n)
-        self.xi = np.asarray(xi, dtype=float).ravel()
-        self.xi = self.xi / np.linalg.norm(self.xi)
+        xi = np.asarray(xi, dtype=float).ravel()
+        nrm = float(np.linalg.norm(xi))
+        if not (math.isfinite(nrm) and nrm > 0.0):
+            raise PreconditionError("xi must be a nonzero finite vector")
+        self.xi = xi / nrm
         self.dim = self.xi.size
 
     def __call__(self, x):
@@ -110,6 +191,8 @@ class CallbackFunction(SampledFunction):
 
 
 def function_from_spec(spec, dim=None):
+    """Build a function from its JSON description; an unknown ``kind`` is a
+    malformed spec (ValueError)."""
     kind = spec.get("kind")
     if kind == "polynomial":
         return PolynomialFunction(spec["exponents"], spec["coeffs"])
@@ -119,7 +202,7 @@ def function_from_spec(spec, dim=None):
         if dim is None:
             raise PreconditionError("random_poly spec needs an ambient dimension")
         return random_polynomial(spec["degree"], spec["seed"], dim)
-    raise PreconditionError(f"unknown function kind {kind!r}")
+    raise ValueError(f"unknown function kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +212,29 @@ def function_from_spec(spec, dim=None):
 @lru_cache(maxsize=None)
 def _binomial_row(r):
     return tuple(math.comb(r, j) for j in range(r + 1))
+
+
+def stirling2(k, r):
+    """Stirling number of the second kind S(k, r), an exact integer; r! S(k, r)
+    = sum_j (-1)^(r-j) C(r, j) j^k is the r-th difference of t^k at 0, step 1."""
+    if r == 0:
+        return int(k == 0)
+    return _stirling_column(r, k)[-1] if k >= r else 0
+
+
+@lru_cache(maxsize=None)
+def _stirling_column(r, top):
+    """(S(r, r), S(r + 1, r), ..., S(top, r)) for r >= 1, by the recurrence
+    S(k, j) = j S(k - 1, j) + S(k - 1, j - 1); empty when top < r."""
+    row = [1] + [0] * r
+    out = []
+    for k in range(1, top + 1):
+        for j in range(min(k, r), 0, -1):
+            row[j] = j * row[j] + row[j - 1]
+        row[0] = 0
+        if k >= r:
+            out.append(row[r])
+    return tuple(out)
 
 
 def finite_difference(f, x, h, r):
@@ -196,12 +302,38 @@ class ModulusResult:
         return self.value
 
 
-def _norm_at_shift(f, dom, plan, xi, r, u, p):
-    idx = shift_domain(dom, plan, u * xi, r)
-    if idx.size == 0:
-        return 0.0, 0
-    vals = finite_difference(f, plan.points[idx], u * xi, r)
-    return lp_norm(vals, plan.weights[idx], p), int(idx.size)
+def _step_norm(f, dom, plan, xi, r, p):
+    """u -> (L^p norm of Delta^r_{u xi} f over the valid plan points, their count).
+
+    The exit distances and the Taylor coefficients along xi are computed here
+    once; each call then costs a comparison and a matrix-vector product, or the
+    stencil evaluation where either has no closed form.
+    """
+    u_max = dom.exit_distance(plan.points, xi)
+    taylor = f.taylor(plan.points, xi)
+    if taylor is not None:
+        # r! S(k, r) grows with k; past the float range the stencil is used
+        weights = [math.factorial(r) * s for s in _stirling_column(r, taylor.shape[1] - 1)]
+        if weights and weights[-1] > sys.float_info.max:
+            taylor = None
+    if taylor is not None:
+        high = np.ascontiguousarray(taylor[:, r:])
+        powers = np.arange(r, taylor.shape[1])
+        factor = np.array(weights, dtype=float)
+
+    def norm(u):
+        if u_max is None:
+            idx = shift_domain(dom, plan, u * xi, r)
+        else:
+            idx = np.flatnonzero(r * u <= u_max)
+        if idx.size == 0:
+            return 0.0, 0
+        if taylor is None:
+            vals = finite_difference(f, plan.points[idx], u * xi, r)
+        else:
+            vals = high[idx] @ (factor * u ** powers)
+        return lp_norm(vals, plan.weights[idx], p), int(idx.size)
+    return norm
 
 
 def directional_modulus(f, dom, plan, xi, r, t, p, n_shift=N_SHIFT_DEFAULT,
@@ -211,22 +343,28 @@ def directional_modulus(f, dom, plan, xi, r, t, p, n_shift=N_SHIFT_DEFAULT,
     The shift grid is {t k / n_shift}; for the uniform norm the top grid
     steps are refined by golden-section search to 1e-4 * t.  At p = inf the
     result is a lower bound of the exact supremum; at p < inf it is a Monte
-    Carlo estimate.
+    Carlo estimate.  Every plan point must belong to ``dom``: the stencil of
+    x starts at x, and only x + j u xi, j = 1..r, are tested.
     """
     if t <= 0:
         raise PreconditionError("scale t must be positive")
+    if r < 1:
+        raise PreconditionError("difference order must be >= 1")
     if len(plan) == 0:
         raise PreconditionError("empty sample plan")
+    if not np.all(dom.contains(plan.points)):
+        raise PreconditionError("plan points must belong to the domain")
     xi = np.asarray(xi, dtype=float).ravel()
     xi = xi / np.linalg.norm(xi)
     if refine is None:
         refine = math.isinf(p)
 
+    norm_at = _step_norm(f, dom, plan, xi, r, p)
     us = t * np.arange(1, n_shift + 1) / n_shift
     norms = np.empty(n_shift)
     counts = np.empty(n_shift, dtype=int)
     for i, u in enumerate(us):
-        norms[i], counts[i] = _norm_at_shift(f, dom, plan, xi, r, u, p)
+        norms[i], counts[i] = norm_at(u)
 
     best_i = int(np.argmax(norms))
     best = (norms[best_i], us[best_i], counts[best_i])
@@ -236,9 +374,7 @@ def directional_modulus(f, dom, plan, xi, r, t, p, n_shift=N_SHIFT_DEFAULT,
         for i in np.argsort(norms)[-3:]:
             lo = max(us[i] - step, 1e-12 * t)
             hi = min(us[i] + step, t)
-            u_ref, val, cnt = golden_max(
-                lambda u: _norm_at_shift(f, dom, plan, xi, r, u, p),
-                lo, hi, tol=1e-4 * t)
+            u_ref, val, cnt = golden_max(norm_at, lo, hi, tol=1e-4 * t)
             if val > best[0]:
                 best = (val, u_ref, cnt)
 
@@ -249,7 +385,8 @@ def directional_modulus(f, dom, plan, xi, r, t, p, n_shift=N_SHIFT_DEFAULT,
 
 def set_modulus(f, dom, plan, dirset, r, t, p, n_shift=N_SHIFT_DEFAULT,
                 refine=None):
-    """Max of the directional modulus over a direction set (first-index ties)."""
+    """Max of the directional modulus over a direction set (first-index ties);
+    every plan point must belong to ``dom``."""
     if len(dirset) == 0:
         raise PreconditionError("empty direction set")
     best = None

@@ -146,17 +146,22 @@ def basis_from_spec(spec):
 
 
 def monomial_matrix(exponents, points):
-    """(n_points, n_mono) matrix of monomial values."""
+    """(n_points, n_mono) matrix of monomial values for integer exponents.
+
+    Each axis contributes a power table x_a ** (lo..max) per point, indexed by
+    the exponent column, so the products are those of ``prod(x ** a)``.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    exps = np.asarray(exponents)
-    n = pts.shape[0]
-    chunk = max(1, 4_000_000 // max(1, exps.size))
-    if n <= chunk:
-        return np.prod(pts[:, None, :] ** exps[None, :, :], axis=2)
-    out = np.empty((n, len(exps)))
-    for i in range(0, n, chunk):
-        out[i:i + chunk] = np.prod(pts[i:i + chunk, None, :] ** exps[None, :, :],
-                                   axis=2)
+    exps = np.asarray(exponents, dtype=int)
+    out = np.ones((pts.shape[0], len(exps)))
+    if exps.size == 0:
+        return out
+    for axis in range(exps.shape[1]):
+        e = exps[:, axis]
+        x = pts[:, axis:axis + 1]
+        lo, hi = min(0, int(e.min())), int(e.max())
+        # a table wider than the column would cost more than the powers themselves
+        out *= (x ** np.arange(lo, hi + 1))[:, e - lo] if hi - lo < len(e) else x ** e
     return out
 
 

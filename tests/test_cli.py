@@ -260,6 +260,28 @@ class TestSpecErrors:
         assert run(["xray-check", "--domain", str(dom), "--dirs", str(files["axes"])]) == 2
         assert "radius must be finite" in capsys.readouterr().err
 
+    def test_unknown_domain_type_exit1(self, files, tmp_path, capsys):
+        dom = tmp_path / "blob.json"
+        dom.write_text(json.dumps({"type": "blob"}))
+        assert run(["xray-check", "--domain", str(dom), "--dirs", str(files["axes"])]) == 1
+        err = capsys.readouterr().err
+        assert f"{dom}: malformed spec" in err and "'blob'" in err
+
+    def test_unknown_function_kind_exit1(self, files, tmp_path, capsys):
+        fn = tmp_path / "spline.json"
+        fn.write_text(json.dumps({"kind": "spline"}))
+        assert run(["modulus", "--function", str(fn), "--domain", str(files["square"]),
+                    "--dirs", str(files["axes"]), "--order", "1"]) == 1
+        err = capsys.readouterr().err
+        assert f"{fn}: malformed spec" in err and "'spline'" in err
+
+    def test_ridge_log_zero_xi_exit2(self, files, tmp_path, capsys):
+        fn = tmp_path / "ridge.json"
+        fn.write_text(json.dumps({"kind": "ridge_log", "n": 3, "xi": [0, 0]}))
+        assert run(["modulus", "--function", str(fn), "--domain", str(files["square"]),
+                    "--dirs", str(files["axes"]), "--order", "1"]) == 2
+        assert "xi must be a nonzero finite vector" in capsys.readouterr().err
+
     def test_direction_dimension_mismatch_exit1(self, files, tmp_path, capsys):
         dirs = tmp_path / "dirs3.json"
         dirs.write_text(json.dumps({"dirs": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}))

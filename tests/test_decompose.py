@@ -169,6 +169,22 @@ class TestXray:
 
 
 class TestChainSpec:
+    def test_bounding_box_solved_once_per_distinct_polytope(self, monkeypatch):
+        square, slab = w.box([0, 0], [1, 1]), w.box([1, 0], [1.5, 1])
+        chain = DecompositionChain([square, slab, w.intersection([square, slab])],
+                                   [[0.5, 0.0], [0.5, 0.0]], 1,
+                                   w.direction_set([[1.0, 0.0]]), "test", target=square)
+        solved = []
+        solve = w.geometry._polytope_bbox
+        monkeypatch.setattr(w.geometry, "_polytope_bbox",
+                            lambda A, b: solved.append(1) or solve(A, b))
+        back = w.chain_from_spec(chain.spec())
+        assert len(solved) == 2
+        for got, want in zip(back.pieces + [back.target], chain.pieces + [chain.target]):
+            assert np.array_equal(got.bbox, want.bbox)
+        w.chain_from_spec(chain.spec())
+        assert len(solved) == 4  # nothing is kept between loads
+
     def test_round_trip(self):
         chain, _ = w.planar_two_direction_chain(w.ball([0, 0], 1.5), r=1)
         back = w.chain_from_spec(chain.spec())

@@ -308,6 +308,52 @@ class TestRepProtocol:
         assert np.all(sd[inside] <= 1e-9) and np.all(sd[~inside] > -1e-9)
 
 
+CONVEX_DOMAINS = {
+    "unit_square": lambda: w.box([0, 0], [1, 1]),
+    "heptagon": lambda: random_convex_polygon(4, normalized=False),
+    "cube": lambda: w.box([-1, -1, -1], [1, 1, 1]),
+    "disk": lambda: w.ball([0.3, -0.2], 1.3),
+    "ball3": lambda: w.ball([0, 0, 0], 1.0),
+    "cone_narrow": lambda: w.cone_body([0, 1], 0.01),
+    "cone_wide": lambda: w.cone_body([0, 1], 0.4),
+    "cone3": lambda: w.cone_body([0, 0, 1], 0.05),
+    "intersection": lambda: w.intersection([w.ball([0, 0], 1.0), w.box([-0.5, -2], [2, 0.7])]),
+}
+
+
+class TestExitDistance:
+    @pytest.mark.parametrize("kind", sorted(CONVEX_DOMAINS))
+    def test_picks_the_shift_domain_points(self, kind):
+        dom = CONVEX_DOMAINS[kind]()
+        rng = np.random.default_rng(3)
+        plan = w.sample_plan(dom, 600, seed=1)
+        dirs = rng.standard_normal((8, dom.dim))
+        if isinstance(dom.rep, w.geometry.ConeBodyRep):
+            # the axis points (apex and cap included), and directions inside,
+            # along and against the opening
+            axis = dom.rep.xi
+            plan = w.SamplePlan(np.vstack([plan.points, np.outer(np.linspace(0, 1, 5), axis)]),
+                                np.ones(len(plan) + 5), 0, 1.0)
+            dirs = np.vstack([dirs, axis, -axis, axis + 0.05 * dirs[0], -axis + 0.3 * dirs[1]])
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        band = 1e-9 * dom.scale()
+        n_compared = 0
+        for xi in dirs:
+            u_max = dom.exit_distance(plan.points, xi)
+            for r in (1, 2, 3):
+                for u in rng.uniform(0.0, 1.2 * dom.scale(), 4):
+                    want = np.zeros(len(plan), dtype=bool)
+                    want[w.shift_domain(dom, plan, u * xi, r)] = True
+                    keep = np.abs(r * u - u_max) > band
+                    assert np.array_equal((r * u <= u_max)[keep], want[keep]), (xi, r, u)
+                    n_compared += int(keep.sum())
+        assert n_compared >= 0.99 * len(dirs) * 12 * len(plan)
+
+    @pytest.mark.parametrize("kind", ["union", "affine_image"])
+    def test_no_closed_form(self, kind):
+        assert REP_DOMAINS[kind]().exit_distance(np.zeros((1, 2)), [1.0, 0.0]) is None
+
+
 class TestNonFiniteSpecs:
     @pytest.mark.parametrize("build,field", [
         (lambda: w.ball([0.0, math.nan], 1.0), "center"),

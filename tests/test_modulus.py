@@ -1,10 +1,14 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
 import whitneylab as w
 from whitneylab.errors import PreconditionError
+from whitneylab.modulus import stirling2
+
+from conftest import random_convex_polygon
 
 
 def poly1d(fn):
@@ -101,6 +105,11 @@ class TestRidgeLog:
         assert f(np.array([0.0, 0.0])) == pytest.approx(-3.0)
         assert f(np.array([0.5, math.exp(-4)])) == pytest.approx(-3.0)
         assert f(np.array([0.0, 0.5])) == pytest.approx(math.log(0.5))
+
+    @pytest.mark.parametrize("xi", [[0, 0], [math.nan, 1.0], [math.inf, 0.0]])
+    def test_degenerate_direction_rejected(self, xi):
+        with pytest.raises(PreconditionError, match="xi must be a nonzero finite vector"):
+            w.RidgeLog(3, xi)
 
 
 class TestDirectionalModulus:
@@ -222,3 +231,114 @@ class TestPairInequality:
                 + 2 ** r * w.lp_norm([F[c] for c in sorted(K)],
                                      np.ones(len(K)), p) ** theta
             assert lhs <= rhs + 1e-12
+
+
+class TestStirling:
+    def test_difference_of_powers_identity(self):
+        # sum_j (-1)^(r-j) C(r, j) j^k = r! S(k, r), in exact integers
+        for r in range(7):
+            for k in range(13):
+                lhs = sum((-1) ** (r - j) * math.comb(r, j) * j ** k for j in range(r + 1))
+                assert lhs == math.factorial(r) * stirling2(k, r), (k, r)
+
+
+ALGEBRAIC_DOMAINS = {
+    "unit_square": lambda: w.box([0.0, 0.0], [1.0, 1.0]),
+    "heptagon": lambda: random_convex_polygon(11, normalized=False),
+    "disk": lambda: w.ball([0.2, -0.1], 1.0),
+    "cone_body": lambda: w.cone_body([0.0, 1.0], 0.3),
+}
+
+
+class TestAlgebraicPath:
+    """The Taylor form on exit-distance stencils against the stencil evaluation
+    of the same polynomial, wrapped so that it has no Taylor form."""
+
+    @staticmethod
+    def _both(f, dom, r, p, seed):
+        plan = w.sample_plan(dom, 256, seed=seed)
+        dirs = w.direction_set([[1.0, 0.0], [0.6, 0.8]])
+        t = w.diameter(dom).value
+        algebraic = w.set_modulus(f, dom, plan, dirs, r, t, p)
+        stencil = w.set_modulus(w.CallbackFunction(f, 2), dom, plan, dirs, r, t, p)
+        return algebraic, stencil
+
+    @pytest.mark.parametrize("name", sorted(ALGEBRAIC_DOMAINS))
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_matches_stencil_evaluation(self, name, r):
+        dom = ALGEBRAIC_DOMAINS[name]()
+        f = w.random_polynomial(4, 50 + r, 2)
+        for p in (0.5, 1.0, 2.0, math.inf):
+            a, b = self._both(f, dom, r, p, seed=r)
+            assert a.value > 0.0
+            assert a.value == pytest.approx(b.value, rel=1e-12, abs=0.0), p
+            assert a.argmax_u == pytest.approx(b.argmax_u, rel=1e-12, abs=0.0), p
+            assert a.n_valid_points == b.n_valid_points, p
+
+    @pytest.mark.parametrize("name", sorted(ALGEBRAIC_DOMAINS))
+    def test_sparse_exponents_and_low_degree(self, name):
+        # x^2 alone: its exponent list is not closed under differentiation
+        dom = ALGEBRAIC_DOMAINS[name]()
+        f = w.PolynomialFunction([[2, 0]], [1.5])
+        for p in (0.5, 1.0, 2.0, math.inf):
+            for r in (1, 2):
+                a, b = self._both(f, dom, r, p, seed=7)
+                assert a.value == pytest.approx(b.value, rel=1e-12, abs=0.0), (r, p)
+                assert a.argmax_u == pytest.approx(b.argmax_u, rel=1e-12, abs=0.0), (r, p)
+                assert a.n_valid_points == b.n_valid_points, (r, p)
+            # deg f < r: the Taylor form vanishes exactly, the stencil to rounding
+            a, b = self._both(f, dom, 3, p, seed=7)
+            assert a.value == 0.0
+            assert b.value <= 1e-12 * 1.5 * dom.scale() ** 2
+
+    def test_sparse_frame_is_the_derivative_closure(self):
+        # x^20 in the plane tabulates x^0..x^20, not the 231 monomials of the
+        # graded frame; x^3 y + y^2 needs the monomials below each of its terms
+        frame = w.modulus._derivative_closure(np.array([[20, 0]]), 10**6)
+        assert frame.tolist() == [[k, 0] for k in range(21)]
+        frame = w.modulus._derivative_closure(np.array([[3, 1], [0, 2]]), 10**6)
+        assert sorted(frame.tolist()) == sorted(
+            [[a, b] for a in range(4) for b in range(2)] + [[0, 2]])
+        assert w.modulus._derivative_closure(np.array([[10**9, 0]]), 100) is None
+        dom = ALGEBRAIC_DOMAINS["unit_square"]()
+        f = w.PolynomialFunction([[20, 0]], [1.0])
+        assert f.taylor(np.zeros((1, 2)), [1.0, 0.0]).shape == (1, 21)
+        a, b = self._both(f, dom, 2, math.inf, seed=3)
+        assert a.value == pytest.approx(b.value, rel=1e-12, abs=0.0)
+        assert a.n_valid_points == b.n_valid_points
+
+    def test_large_frame_evaluates_the_stencil(self):
+        # x^30 y^30: 961 frame monomials with 61 coefficients each for one
+        # exponent, past TAYLOR_WORK_RATIO, so the stencil is evaluated
+        dom = ALGEBRAIC_DOMAINS["unit_square"]()
+        f = w.PolynomialFunction([[30, 30]], [1.0])
+        assert 961 * 61 > w.modulus.TAYLOR_WORK_RATIO
+        assert f.taylor(np.zeros((1, 2)), [1.0, 0.0]) is None
+        a, b = self._both(f, dom, 2, math.inf, seed=3)
+        assert a.value == b.value and a.argmax_u == b.argmax_u
+
+    def test_weights_past_the_float_range_evaluate_the_stencil(self):
+        # a dense degree-300 polynomial on an interval has a Taylor table, but
+        # 150! S(300, 150) is not a float, so r = 150 keeps the stencil
+        assert math.factorial(150) * stirling2(300, 150) > sys.float_info.max
+        dom = w.box([0.0], [1.0])
+        plan = w.sample_plan(dom, 64, seed=2)
+        f = w.PolynomialFunction([[k] for k in range(301)], np.full(301, 1e-3))
+        assert f.taylor(plan.points, [1.0]) is not None
+        a = w.directional_modulus(f, dom, plan, [1.0], 150, 1.0, 1.0, n_shift=8)
+        b = w.directional_modulus(w.CallbackFunction(f, 1), dom, plan, [1.0], 150, 1.0,
+                                  1.0, n_shift=8)
+        assert a == b
+
+    @pytest.mark.parametrize("name", ["unit_square", "cone_body"])
+    def test_plan_points_outside_the_domain_rejected(self, name):
+        dom = ALGEBRAIC_DOMAINS[name]()
+        plan = w.sample_plan(dom, 64, seed=1)
+        outside = w.SamplePlan(np.vstack([plan.points, [[-5.0, -5.0]]]),
+                               np.ones(len(plan) + 1), 0, 1.0)
+        f = w.PolynomialFunction([[2, 0]], [1.0])
+        with pytest.raises(PreconditionError, match="plan points must belong"):
+            w.directional_modulus(f, dom, outside, [1.0, 1.0], 2, 1.0, math.inf)
+        with pytest.raises(PreconditionError, match="plan points must belong"):
+            w.set_modulus(f, w.union([dom, w.ball([3.0, 3.0], 0.5)]), outside,
+                          w.direction_set([[1.0, 0.0]]), 2, 1.0, 1.0)

@@ -128,6 +128,37 @@ class TestMembershipResidual:
             w.membership_residual(basis, np.ones(3))
 
 
+class TestMonomialMatrix:
+    @staticmethod
+    def _prod_form(exponents, points):
+        return np.prod(points[:, None, :] ** exponents[None, :, :], axis=2)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_bitwise_equal_to_prod_of_powers(self, d):
+        rng = np.random.default_rng(d)
+        pts = rng.uniform(-2.0, 2.0, size=(500, d))
+        pts[:20] = 0.0
+        pts[20:40, 0] = -1.5
+        for degree in (0, 1, 3, 6):
+            exps = monomial_exponents(d, degree)
+            exps = exps[rng.permutation(len(exps))]
+            got = monomial_matrix(exps, pts)
+            assert got.shape == (500, len(exps))
+            assert np.array_equal(got, self._prod_form(exps, pts))
+        # exponents far apart, and negative ones, are outside the table's range
+        exps = np.array([[0] * d, [30] + [2] * (d - 1), [3] * (d - 1) + [-2]])
+        nonzero = np.all(pts != 0.0, axis=1)
+        assert np.array_equal(monomial_matrix(exps, pts[nonzero]),
+                              self._prod_form(exps, pts[nonzero]))
+
+    def test_empty_exponent_list(self):
+        pts = np.random.default_rng(0).uniform(-1, 1, size=(7, 2))
+        exps = np.zeros((0, 2), dtype=int)
+        got = monomial_matrix(exps, pts)
+        assert got.shape == (7, 0)
+        assert np.array_equal(got, self._prod_form(exps, pts))
+
+
 class TestStructure:
     def test_direction_superset_shrinks_space(self, axes2):
         big = w.direction_set([[1, 0], [0, 1], [0.6, 0.8]])
