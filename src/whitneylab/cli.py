@@ -41,6 +41,45 @@ def _parse_p(text):
     return p
 
 
+# argparse ``type=`` functions: an ArgumentTypeError names the option (exit 1)
+
+def _parse_ints(text):
+    try:
+        return [int(s) for s in text.split(",") if s.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+
+
+def _positive_int(text):
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return n
+
+
+def _parse_p_list(text):
+    """Comma-separated p values, each with its text as the report prints it."""
+    try:
+        return [(s, _parse_p(s)) for s in text.split(",") if s.strip()]
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _parse_vector(text):
+    try:
+        v = np.asarray(json.loads(text), dtype=float)
+    except (ValueError, TypeError):
+        v = None
+    if v is None or v.ndim != 1 or not np.all(np.isfinite(v)) or not v.any():
+        raise argparse.ArgumentTypeError(
+            f"expected a JSON list of finite numbers, not all zero, got {text!r}")
+    return v.tolist()
+
+
 def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -123,7 +162,7 @@ def _build_parser():
 
     def common(p):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--density", type=int, default=4096)
+        p.add_argument("--density", type=_positive_int, default=4096)
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=["json", "csv"], default="json")
 
@@ -176,7 +215,8 @@ def _build_parser():
     p.add_argument("--order", type=int, default=1)
     p.add_argument("--n0", type=int, default=1)
     p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--eps", type=float, default=0.125)
+    p.add_argument("--eps", type=float, default=0.125,
+                   help="accepted for compatibility; has no effect")
     common(p)
 
     p = sub.add_parser("verify-chain", help="verify the shift condition by sampling")
@@ -187,8 +227,9 @@ def _build_parser():
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--n", required=True, help="comma-separated n values")
-    p.add_argument("--xi", default=None, help="JSON list; default last axis")
+    p.add_argument("--n", required=True, type=_parse_ints, help="comma-separated n values")
+    p.add_argument("--xi", default=None, type=_parse_vector,
+                   help="JSON list of --dim numbers; default last axis")
     p.add_argument("--dirs", default=None,
                    help="direction-set JSON file; default margin-safe pair")
     common(p)
@@ -203,8 +244,8 @@ def _build_parser():
     p = sub.add_parser("report", help="lower/upper bound table over (r, p) grids")
     p.add_argument("--domain", required=True)
     p.add_argument("--dirs", required=True)
-    p.add_argument("--r-list", default="1,2")
-    p.add_argument("--p-list", default="1,inf")
+    p.add_argument("--r-list", default="1,2", type=_parse_ints)
+    p.add_argument("--p-list", default="1,inf", type=_parse_p_list)
     p.add_argument("--budget", type=int, default=32)
     p.add_argument("--chain", default=None)
     p.add_argument("--w0", type=float, default=None)
@@ -330,8 +371,7 @@ def _dispatch(args):
         elif args.method == "lip2":
             if dirs is None or args.delta is None:
                 raise ConfigError("lip2 needs --dirs and --delta")
-            chain = decompose.lip2_ball_chain(dom, dirs, args.delta, args.eps,
-                                              r=args.order, seed=seed)
+            chain = decompose.lip2_ball_chain(dom, dirs, args.delta, r=args.order, seed=seed)
         else:
             if dirs is None:
                 raise ConfigError("xray needs --dirs")
@@ -361,15 +401,17 @@ def _dispatch(args):
 
     if cmd == "counterexample":
         d = args.dim
-        xi = np.asarray(json.loads(args.xi), dtype=float) if args.xi else \
-            np.eye(d)[-1]
+        if d < 2:
+            raise ConfigError(f"--dim must be at least 2, got {d}")
+        xi = np.eye(d)[-1] if args.xi is None else np.asarray(args.xi)
+        if xi.size != d:
+            raise ConfigError(f"--xi has {xi.size} entries, --dim is {d}")
         if args.dirs:
             dirs = _load_spec(args.dirs, geo.direction_set_from_spec, d)
         else:
             dirs = _default_margin_dirs(d)
-        n_list = [int(s) for s in str(args.n).split(",") if s.strip()]
         cert = whitney.counterexample_certificate(
-            d, xi, args.eps, dirs, args.order, n_list,
+            d, xi, args.eps, dirs, args.order, args.n,
             density=args.density, seed=seed)
         payload = {"meta": meta, "margin_delta": cert.margin_delta,
                    "modulus_bounded": cert.modulus_bounded,
@@ -403,9 +445,8 @@ def _dispatch(args):
             if not vres.ok:
                 raise PreconditionError("chain failed verification")
         rows = []
-        for r in [int(s) for s in args.r_list.split(",") if s.strip()]:
-            for p_text in [s for s in args.p_list.split(",") if s.strip()]:
-                p = _parse_p(p_text)
+        for r in args.r_list:
+            for p_text, p in args.p_list:
                 est = whitney.empirical_whitney_constant(
                     dom, plan, dirs, r, p, {"kind": "random_poly"},
                     budget=args.budget, seed=seed)

@@ -4,7 +4,8 @@ Every construction here outputs a ``DecompositionChain``: an ordered list of
 pieces (E_0, ..., E_m) with one shift vector per later piece such that each
 piece, translated backwards by 1..r multiples of its shift, lands inside the
 union of the earlier pieces.  ``verify_chain`` checks that condition (and
-coverage of a target domain) by rejection sampling.
+coverage of a target domain) by rejection sampling.  The geometry is
+geometry.py's: its one rejection sampler, union test, intersection and ray march.
 """
 from __future__ import annotations
 
@@ -90,34 +91,9 @@ class VerifyResult:
 
 def _sample_in(dom, n, seed, max_factor=60):
     """Up to n uniform points of ``dom``; empty result means an empty piece."""
-    rng = np.random.default_rng(seed)
-    lo, hi = dom.bbox
-    if np.any(hi <= lo):
+    if np.any(dom.bbox[1] <= dom.bbox[0]):
         return np.zeros((0, dom.dim))
-    got = []
-    n_got = 0
-    n_prop = 0
-    batch = max(2 * n, 512)
-    while n_got < n and n_prop < max_factor * n + 4096:
-        pts = rng.uniform(lo, hi, size=(batch, dom.dim))
-        mask = dom.contains(pts)
-        got.append(pts[mask])
-        n_got += int(mask.sum())
-        n_prop += batch
-    if n_got == 0:
-        return np.zeros((0, dom.dim))
-    return np.vstack(got)[:n]
-
-
-def _union_contains(pieces, pts, order_hint):
-    out = np.zeros(len(pts), dtype=bool)
-    for idx in order_hint:
-        rem = ~out
-        if not rem.any():
-            break
-        sub = rem.nonzero()[0]
-        out[sub] = pieces[idx].contains(pts[sub])
-    return out
+    return geo.rejection_sample(dom, n, seed, max(2 * n, 512), max_factor * n + 4096)[0]
 
 
 def _candidate_order(k, r):
@@ -137,6 +113,7 @@ def verify_chain(chain, samples_per_piece=VERIFY_SAMPLES, seed=0, tol_rel=1e-9,
     scale = chain.target.scale() if chain.target is not None else \
         max(p.scale() for p in chain.pieces)
     tol = tol_rel * scale
+    slack = geo.MEMBERSHIP_SLACK * max(1.0, scale)
     r = chain.order
     worst = 0.0
     witnesses = []
@@ -146,15 +123,13 @@ def verify_chain(chain, samples_per_piece=VERIFY_SAMPLES, seed=0, tol_rel=1e-9,
         if len(pts) == 0:
             continue
         n_sampled += len(pts)
-        order = _candidate_order(k, r)
-        prior = chain.pieces[:k]
+        prior = UnionRep(tuple(chain.pieces[i] for i in _candidate_order(k, r)))
         h = chain.shifts[k - 1]
         for j in range(1, r + 1):
             shifted = pts - j * h
-            inside = _union_contains(prior, shifted, order)
+            inside = prior.member(shifted, slack)
             if not inside.all():
-                bad = shifted[~inside]
-                dists = UnionRep(tuple(prior)).violation(bad)
+                dists = prior.violation(shifted[~inside])
                 real = dists > tol
                 if real.any():
                     worst = max(worst, float(dists.max()))
@@ -163,13 +138,11 @@ def verify_chain(chain, samples_per_piece=VERIFY_SAMPLES, seed=0, tol_rel=1e-9,
                             witnesses.append({"piece": k, "j": j,
                                               "point": x.tolist(),
                                               "violation": float(dval)})
-    cov_ok = None
-    miss_rate = None
+    cov_ok = miss_rate = None
     if check_coverage and chain.target is not None:
         tpts = _sample_in(chain.target, coverage_samples, seed + 9999)
         if len(tpts):
-            order = list(range(chain.n_pieces - 1, -1, -1))
-            inside = _union_contains(chain.pieces, tpts, order)
+            inside = UnionRep(tuple(chain.pieces[::-1])).member(tpts, slack)
             miss_rate = float(1.0 - inside.mean())
             cov_ok = miss_rate <= COVERAGE_MISS_MAX
     ok = len(witnesses) == 0
@@ -186,23 +159,13 @@ def _polytope_with_bbox(A, b, bbox):
                   np.asarray(bbox, float))
 
 
-def _clip(piece, dom):
-    lo = np.maximum(piece.bbox[0], dom.bbox[0])
-    hi = np.minimum(piece.bbox[1], dom.bbox[1])
-    out = intersection((piece, dom))
-    out.bbox = np.vstack([lo, hi])
-    return out
-
-
 def _stack_with_polytope(A, b, bbox, dom):
     """Intersect a raw half-space system with ``dom`` (flattened if polytope)."""
+    clipped = intersection((_polytope_with_bbox(A, b, bbox), dom))
     if isinstance(dom.rep, PolytopeRep):
-        AA = np.vstack([A, dom.rep.A])
-        bb = np.concatenate([b, dom.rep.b])
-        lo = np.maximum(bbox[0], dom.bbox[0])
-        hi = np.minimum(bbox[1], dom.bbox[1])
-        return _polytope_with_bbox(AA, bb, np.vstack([lo, hi]))
-    return _clip(_polytope_with_bbox(A, b, bbox), dom)
+        return _polytope_with_bbox(np.vstack([A, dom.rep.A]),
+                                   np.concatenate([b, dom.rep.b]), clipped.bbox)
+    return clipped
 
 
 def _piece_nonempty(piece, seed=0, n_probe=512):
@@ -510,7 +473,7 @@ def _slice_pieces(center, rho, symdirs, eps0, r, clip_to=None, drop_empty=True):
                                   affine_image(cone, sigma * rho * np.eye(len(center)),
                                                np.asarray(center, float))))
         if clip_to is not None:
-            slice_dom = _clip(slice_dom, clip_to)
+            slice_dom = intersection((slice_dom, clip_to))
         if drop_empty and not _piece_nonempty(slice_dom, seed=7):
             continue
         pieces.append(slice_dom)
@@ -558,7 +521,7 @@ def _ball_inside(dom, centers, delta, n_probe=128):
     return ok
 
 
-def lip2_ball_chain(dom, dirset, delta, eps, r=1, seed=0):
+def lip2_ball_chain(dom, dirset, delta, r=1, seed=0):
     """Ball-cover chain for a domain whose every point sits in an inner ball.
 
     Checks the inner-ball property by sampling (failure names a witness
@@ -572,7 +535,6 @@ def lip2_ball_chain(dom, dirset, delta, eps, r=1, seed=0):
     d = dom.dim
     sym = dirset.symmetrized()
     sigma = 1.0 + eps0 * eps0 / (4.0 * r)
-    eps_eff = min(eps, sigma - 1.0)
 
     # feasible centers are tested at a slightly shrunken work radius: the
     # inner-ball property is tight (boundary points touch with zero slack)
@@ -663,12 +625,15 @@ def lip2_ball_chain(dom, dirset, delta, eps, r=1, seed=0):
                                                      corners.max(axis=0)]))
     pieces.append(seedp)
 
+    def add_slices(center, rho):
+        ps, ss, _ = _slice_pieces(center, rho, sym, eps0, r, clip_to=dom)
+        pieces.extend(ps)
+        shifts.extend(ss)
+
     def grow(center, rho_from, rho_to):
         rho = rho_from
         while rho < rho_to - 1e-12 * delta:
-            ps, ss, _ = _slice_pieces(center, rho, sym, eps0, r, clip_to=dom)
-            pieces.extend(ps)
-            shifts.extend(ss)
+            add_slices(center, rho)
             rho = min(sigma * rho, rho_to)
 
     def walk_ball(c_from, c_to, rho):
@@ -678,17 +643,13 @@ def lip2_ball_chain(dom, dirset, delta, eps, r=1, seed=0):
         n_steps = int(math.ceil(dist / step)) if dist > 0 else 0
         m = c_from
         for i in range(1, n_steps + 1):
-            ps, ss, _ = _slice_pieces(m, rho, sym, eps0, r, clip_to=dom)
-            pieces.extend(ps)
-            shifts.extend(ss)
+            add_slices(m, rho)
             m = c_from + vec * min(i * step / dist, 1.0)
         return m
 
     # grow the seed ball to the full shell at the first center
     grow(c0, eps0 * delta / d, delta)
-    ps, ss, _ = _slice_pieces(c0, delta, sym, eps0, r, clip_to=dom)
-    pieces.extend(ps)
-    shifts.extend(ss)
+    add_slices(c0, delta)
 
     covered = {walk[0]}
     for prev, nxt in zip(walk[:-1], walk[1:]):
@@ -702,14 +663,10 @@ def lip2_ball_chain(dom, dirset, delta, eps, r=1, seed=0):
         m = 0.5 * (c_prev + c_next)
         m = walk_ball(m, c_next, rho0)
         grow(c_next, rho0, delta)
-        ps, ss, _ = _slice_pieces(c_next, delta, sym, eps0, r, clip_to=dom)
-        pieces.extend(ps)
-        shifts.extend(ss)
+        add_slices(c_next, delta)
         covered.add(nxt)
 
-    chain = DecompositionChain(pieces, np.array(shifts), r, sym, "lip2", target=dom)
-    chain.shell = eps_eff
-    return chain
+    return DecompositionChain(pieces, np.array(shifts), r, sym, "lip2", target=dom)
 
 
 def _independent_subset(dirs, d):
@@ -730,17 +687,18 @@ def _independent_subset(dirs, d):
 # x-ray slab decomposition
 # ---------------------------------------------------------------------------
 
-def _ray_reaches(dom_inner, pts, e, t_hi, n_t=512):
-    """Whether the ray p + t e (t >= 0) meets the inner body, per point."""
-    ts = np.linspace(0.0, t_hi, n_t + 1)[1:]
-    ok = np.zeros(len(pts), dtype=bool)
-    for t in ts:
-        rem = ~ok
-        if not rem.any():
-            break
-        sub = rem.nonzero()[0]
-        ok[sub] = dom_inner.contains(pts[sub] + t * e)
-    return ok
+def _slab_thickness(dom, c0, c1, r, diam):
+    """Largest delta in [0, diam] with c0 dom + B(r delta) inside c1 dom (to 1e-15):
+    min_i (c1 b_i - c0 h_i) / (r |a_i|) over the facets a_i . x <= b_i, with
+    h_i = max_v a_i . v over the vertices; (c1 - c0)(rho - |c|) / r for a ball."""
+    if isinstance(dom.rep, PolytopeRep):
+        A, b = dom.rep.A, dom.rep.b
+        h = np.max(dom.vertices() @ A.T, axis=0)
+        room = np.min((c1 * b + 1e-15 - c0 * h) / (r * np.linalg.norm(A, axis=1)))
+    else:
+        c, rho = dom.rep.center, dom.rep.radius
+        room = (c1 * rho + 1e-15 - (c1 - c0) * np.linalg.norm(c) - c0 * rho) / r
+    return float(np.clip(room, 0.0, diam))
 
 
 def _minkowski_segment(base, e, t1, t2, clip_dom):
@@ -771,7 +729,7 @@ def _minkowski_segment(base, e, t1, t2, clip_dom):
         else:
             for t in np.linspace(t1, t2, 33):
                 parts.append(ball(c - t * e, rho))
-        return _clip(union(parts), clip_dom)
+        return intersection((union(parts), clip_dom))
     raise PreconditionError("x-ray slabs support polytope and ball domains")
 
 
@@ -798,47 +756,27 @@ def xray_slab_decomposition(dom, dirset, n0=1, r=1, n0_cap=12, seed=0):
     diam = geo.diameter(dom).value
     plan_pts = _sample_in(dom, 2048, seed + 3)
 
-    chosen_n = None
     for n in range(n0, n0_cap + 1):
         inner = _dilate(dom, 1.0 - 1.0 / (n + 2.0))
         reached = np.zeros(len(plan_pts), dtype=bool)
         for e in sym.dirs:
-            rem = ~reached
-            if not rem.any():
+            sub = (~reached).nonzero()[0]
+            if sub.size == 0:
                 break
-            sub = rem.nonzero()[0]
-            reached[sub] = _ray_reaches(inner, plan_pts[sub], e, 2.0 * diam)
+            reached[sub] = geo.ray_march(inner, plan_pts[sub], e, 2.0 * diam, 512)
         if reached.all():
-            chosen_n = n
             break
-    if chosen_n is None:
+    else:
         raise PreconditionError(f"no shrink index up to {n0_cap} gives a ray cover")
 
-    c0 = 1.0 - 1.0 / (chosen_n + 2.0)
-    c1 = 1.0 - 1.0 / (chosen_n + 4.0)
+    c0 = 1.0 - 1.0 / (n + 2.0)
+    c1 = 1.0 - 1.0 / (n + 4.0)
     S0 = _dilate(dom, c0)
     S1 = _dilate(dom, c1)
 
-    # largest delta with S0 + B(r delta) inside S1, by bisection
-    def fits(dlt):
-        if isinstance(dom.rep, PolytopeRep):
-            A, b = dom.rep.A, dom.rep.b
-            h0 = c0 * np.max(dom.vertices() @ A.T, axis=0)
-            return bool(np.all(h0 + r * dlt * np.linalg.norm(A, axis=1)
-                               <= c1 * b + 1e-15))
-        c, rho = dom.rep.center, dom.rep.radius
-        return (c1 - c0) * np.linalg.norm(c) + c0 * rho + r * dlt <= c1 * rho + 1e-15
-
-    lo, hi = 0.0, diam
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if fits(mid):
-            lo = mid
-        else:
-            hi = mid
-    delta = 0.999 * lo
+    delta = 0.999 * _slab_thickness(dom, c0, c1, r, diam)
     if delta <= 0:
-        raise PreconditionError("slab thickness search collapsed to zero")
+        raise PreconditionError("slab thickness collapsed to zero")
 
     pieces = [S1]
     shifts = []
@@ -852,5 +790,4 @@ def xray_slab_decomposition(dom, dirset, n0=1, r=1, n0_cap=12, seed=0):
                 break
             pieces.append(piece)
             shifts.append(-delta * e)
-    chain = DecompositionChain(pieces, np.array(shifts), r, sym, "xray", target=dom)
-    return chain
+    return DecompositionChain(pieces, np.array(shifts), r, sym, "xray", target=dom)

@@ -3,7 +3,8 @@
 Domains are immutable descriptions (half-space polytopes, balls, capped norm
 cones, unions, intersections, affine images) paired with a bounding box.  All
 membership queries accept a single point ``(d,)`` or a batch ``(n, d)`` and
-are deterministic.
+are deterministic.  ``rejection_sample`` is the one rejection sampler (sample
+plans and every chain sample) and ``ray_march`` the one sampled ray march.
 """
 from __future__ import annotations
 
@@ -210,8 +211,8 @@ class UnionRep(_Rep):
     def member(self, pts, slack):
         out = np.zeros(len(pts), dtype=bool)
         for part in self.parts:
-            rem = ~out
-            if not rem.any():
+            rem = (~out).nonzero()[0]
+            if rem.size == 0:
                 break
             out[rem] = part.rep.member(pts[rem], slack)
         return out
@@ -625,6 +626,22 @@ class SamplePlan:
         return self.points.shape[0]
 
 
+def rejection_sample(dom, n, seed, batch, limit):
+    """The first n members of ``dom`` among uniform bounding-box proposals from
+    ``default_rng(seed)``, drawn ``batch`` at a time until n are accepted or
+    ``limit`` are proposed; returns (points, accepted, proposed)."""
+    rng = np.random.default_rng(seed)
+    lo, hi = dom.bbox
+    accepted = [np.zeros((0, dom.dim))]
+    n_acc = n_prop = 0
+    while n_acc < n and n_prop < limit:
+        pts = rng.uniform(lo, hi, size=(batch, dom.dim))
+        accepted.append(pts[dom.contains(pts)])
+        n_acc += len(accepted[-1])
+        n_prop += batch
+    return np.vstack(accepted)[:n], n_acc, n_prop
+
+
 def sample_plan(dom, n_points=4096, seed=0, extra_points=None):
     """Uniform rejection-sampled plan over ``dom``.
 
@@ -632,32 +649,19 @@ def sample_plan(dom, n_points=4096, seed=0, extra_points=None):
     Carlo volume estimate.  ``extra_points`` are appended (they must be
     members) and share the same weight.
     """
-    rng = np.random.default_rng(seed)
-    lo, hi = dom.bbox
-    bbox_vol = float(np.prod(hi - lo))
-    accepted = []
-    n_acc = 0
-    n_prop = 0
-    batch = max(4 * n_points, 1024)
-    while n_acc < n_points:
-        pts = rng.uniform(lo, hi, size=(batch, dom.dim))
-        mask = dom.contains(pts)
-        n_prop += batch
-        got = pts[mask]
-        accepted.append(got)
-        n_acc += len(got)
-        if n_prop > 1000 * n_points + 100_000:
-            raise PreconditionError("rejection sampling acceptance rate too low")
-    pts = np.vstack(accepted)[:n_points]
-    vol_est = bbox_vol * (n_acc / n_prop)
+    cap = 1000 * n_points + 100_000  # proposals allowed before giving up
+    pts, n_acc, n_prop = rejection_sample(dom, n_points, seed, max(4 * n_points, 1024),
+                                          cap + 1)
+    if n_prop > cap:
+        raise PreconditionError("rejection sampling acceptance rate too low")
+    vol_est = float(np.prod(dom.bbox[1] - dom.bbox[0])) * (n_acc / n_prop)
     if extra_points is not None:
         extra = np.atleast_2d(np.asarray(extra_points, dtype=float))
         if not np.all(dom.contains(extra)):
             raise PreconditionError("extra plan points must belong to the domain")
         pts = np.vstack([pts, extra])
     w = np.full(len(pts), vol_est / len(pts))
-    vol_ref = max(vol_est, 1e-300)
-    return SamplePlan(pts, w, seed, len(pts) / vol_ref)
+    return SamplePlan(pts, w, seed, len(pts) / max(vol_est, 1e-300))
 
 
 def grid_plan(dom, n_per_axis):
@@ -841,9 +845,25 @@ def illuminated(dom, x, e):
         diam = diameter(dom).value
     except PreconditionError:
         diam = float(np.linalg.norm(dom.bbox[1] - dom.bbox[0]))
-    ts = np.linspace(0.0, 2.0 * diam, RAY_SAMPLES + 1)[1:]
-    pts = x[None, :] + ts[:, None] * e[None, :]
-    return bool(np.any(dom.strictly_inside(pts)))
+    return bool(ray_march(dom, x[None, :], e, 2.0 * diam, RAY_SAMPLES,
+                          slack=-1e-9 * dom.scale())[0])
+
+
+def ray_march(dom, pts, e, t_hi, n_t, slack=None):
+    """Per row p of ``pts``, whether some p + t e with t = t_hi k / n_t
+    (k = 1..n_t) belongs to ``dom`` within ``slack``; rays that have met the
+    domain are dropped, a few thousand probe points per membership call."""
+    ts = np.linspace(0.0, t_hi, n_t + 1)[1:]
+    hit = np.zeros(len(pts), dtype=bool)
+    per_call = max(1, 4096 // max(len(pts), 1))
+    for k in range(0, n_t, per_call):
+        rem = (~hit).nonzero()[0]
+        if rem.size == 0:
+            break
+        probes = pts[rem, None, :] + ts[None, k:k + per_call, None] * e
+        inside = dom.contains(probes.reshape(-1, dom.dim), slack)
+        hit[rem] = inside.reshape(len(rem), -1).any(axis=1)
+    return hit
 
 
 def xray_verifies(dom, dirset, boundary_sample):

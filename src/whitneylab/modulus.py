@@ -73,7 +73,10 @@ class SampledFunction:
 
 class PolynomialFunction(SampledFunction):
     def __init__(self, exponents, coeffs, dim=None):
-        self.exponents = np.asarray(exponents, dtype=int)
+        raw = np.asarray(exponents, dtype=float)
+        if not np.all(np.isfinite(raw) & (raw >= 0) & (raw == np.floor(raw))):
+            raise ValueError("polynomial exponents must be nonnegative integers")
+        self.exponents = raw.astype(int)
         self.coeffs = np.asarray(coeffs, dtype=float).ravel()
         self.dim = self.exponents.shape[1] if dim is None else dim
         if self.exponents.shape[0] != self.coeffs.size:
@@ -93,8 +96,6 @@ class PolynomialFunction(SampledFunction):
         # on the exponents below those of f: the smallest frame closed under
         # differentiation (the exponent list itself need not be closed)
         exps = self.exponents
-        if exps.size and exps.min() < 0:
-            return None
         deg = int(exps.sum(axis=1).max(initial=0))
         frame = _derivative_closure(exps, TAYLOR_WORK_RATIO * len(exps) // (deg + 1))
         if frame is None:

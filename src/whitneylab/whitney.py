@@ -228,6 +228,8 @@ def counterexample_certificate(d, xi, eps, dirset, r, n_list, density=8192,
     for every direction.
     `modulus_bounded` reports whether every sampled row respects that bound.
     """
+    if r < 1:
+        raise PreconditionError(f"order r must be at least 1, got {r}")
     xi = np.asarray(xi, dtype=float).ravel()
     xi = xi / np.linalg.norm(xi)
     sym = dirset.symmetrized()

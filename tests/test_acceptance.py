@@ -322,7 +322,7 @@ def test_criterion_7_decomposition_verification(polygons, planar_chains):
 
     E2 = w.direction_set(np.eye(2))
     for name, dom in [("ball", w.ball([0, 0], 2.0)), ("stadium", stadium_domain())]:
-        chain = w.lip2_ball_chain(dom, E2, delta=1.0, eps=0.25, r=1, seed=0)
+        chain = w.lip2_ball_chain(dom, E2, delta=1.0, r=1, seed=0)
         res = verify_chain(chain, samples_per_piece=10_000, seed=1)
         assert res.ok and res.worst_violation == 0.0, (name, res.witnesses[:2])
         assert res.coverage_ok, (name, res.coverage_miss_rate)

@@ -290,6 +290,66 @@ class TestSpecErrors:
         assert str(dirs) in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("exponents", [[[1.7, 0]], [[-1, 0]]], ids=["fractional", "negative"])
+    def test_polynomial_exponents_must_be_nonnegative_integers(self, files, tmp_path, capsys,
+                                                               exponents):
+        fn = tmp_path / "poly.json"
+        fn.write_text(json.dumps({"kind": "polynomial", "exponents": exponents, "coeffs": [1]}))
+        assert run(["modulus", "--function", str(fn), "--domain", str(files["square"]),
+                    "--dirs", str(files["axes"]), "--order", "1"]) == 1
+        err = capsys.readouterr().err
+        assert f"{fn}: malformed spec" in err and "nonnegative integers" in err
+
+
+class TestOptionErrors:
+    """Malformed list and vector options end in exit 1 naming the option."""
+
+    CERT = ["counterexample", "--dim", "2", "--order", "1", "--eps", "0.01",
+            "--density", "256"]
+
+    @pytest.mark.parametrize("extra, option", [
+        (["--n", "1,a"], "--n"),
+        (["--n", "4", "--xi", "[1,"], "--xi"),
+        (["--n", "4", "--xi", "[0, 0]"], "--xi"),
+        (["--n", "4", "--xi", "[1, NaN]"], "--xi"),
+        (["--n", "4", "--xi", "[1, 0, 0]"], "--xi"),
+    ], ids=["n", "xi-json", "xi-zero", "xi-nan", "xi-length"])
+    def test_counterexample(self, extra, option, capsys):
+        assert run(self.CERT + extra) == 1
+        assert option in capsys.readouterr().err
+
+    def test_counterexample_dim_below_two(self, capsys):
+        argv = ["counterexample", "--dim", "1", "--order", "1", "--eps", "0.01", "--n", "4"]
+        assert run(argv) == 1
+        assert "--dim" in capsys.readouterr().err
+
+    def test_counterexample_order_zero_exit2(self, capsys):
+        argv = self.CERT + ["--n", "4"]
+        argv[argv.index("--order") + 1] = "0"
+        assert run(argv) == 2
+        assert "order r must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option, value", [("--r-list", "x"), ("--r-list", "1,2.5"),
+                                               ("--p-list", "1,foo"), ("--p-list", "-1")])
+    def test_report(self, files, option, value, capsys):
+        assert run(["report", "--domain", str(files["square"]), "--dirs", str(files["axes"]),
+                    option, value]) == 1
+        assert option in capsys.readouterr().err
+
+    @pytest.mark.parametrize("density", ["0", "-5", "1.5"])
+    def test_density_must_be_positive(self, files, density, capsys):
+        assert run(["modulus", "--function", str(files["fn"]), "--domain", str(files["square"]),
+                    "--dirs", str(files["axes"]), "--order", "1", "--density", density]) == 1
+        assert "--density" in capsys.readouterr().err
+
+    def test_report_p_list_keeps_its_text(self, files, capsys):
+        assert run(["report", "--domain", str(files["square"]), "--dirs", str(files["axes"]),
+                    "--r-list", "1", "--p-list", "1, inf", "--budget", "2",
+                    "--density", "256", "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [row["p"] for row in rows] == ["1", " inf"]
+
+
 def test_thread_cap_applied_before_numpy_loads():
     env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
     env["WHITNEY_LAB_THREADS"] = "1"

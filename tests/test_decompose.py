@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import whitneylab as w
+from whitneylab import decompose as dc
 from whitneylab.decompose import DecompositionChain, verify_chain
 from whitneylab.errors import PreconditionError, SpanDeficiencyError
 
@@ -127,15 +128,13 @@ class TestBallSlices:
 
 class TestLip2:
     def test_ball(self):
-        chain = w.lip2_ball_chain(w.ball([0, 0], 2.0), E2, delta=1.0, eps=0.25,
-                                  r=1, seed=0)
+        chain = w.lip2_ball_chain(w.ball([0, 0], 2.0), E2, delta=1.0, r=1, seed=0)
         res = verify_chain(chain, samples_per_piece=1000, seed=0)
         assert res.ok, res.witnesses[:2]
         assert res.coverage_ok
 
     def test_stadium(self):
-        chain = w.lip2_ball_chain(stadium_domain(), E2, delta=1.0, eps=0.25,
-                                  r=1, seed=0)
+        chain = w.lip2_ball_chain(stadium_domain(), E2, delta=1.0, r=1, seed=0)
         res = verify_chain(chain, samples_per_piece=1000, seed=0)
         assert res.ok, res.witnesses[:2]
         assert res.coverage_ok
@@ -143,7 +142,7 @@ class TestLip2:
     def test_cusp_rejected(self):
         cusp = w.union([w.ball([-1, 0], 1.0), w.ball([1, 0], 1.0)])
         with pytest.raises(PreconditionError):
-            w.lip2_ball_chain(cusp, E2, delta=0.5, eps=0.25, r=1, seed=0)
+            w.lip2_ball_chain(cusp, E2, delta=0.5, r=1, seed=0)
 
 
 class TestXray:
@@ -192,3 +191,86 @@ class TestChainSpec:
         assert np.allclose(back.shifts, chain.shifts)
         res = verify_chain(back, samples_per_piece=500, seed=0)
         assert res.ok
+
+
+def _chain_recipe(dom, n, seed, max_factor=60):
+    """The chain sampler's documented stream, written out: uniform batches of
+    max(2n, 512) bounding-box points until n members or max_factor n + 4096
+    proposals, the first n members kept; a flat box is an empty piece."""
+    lo, hi = dom.bbox
+    if np.any(hi <= lo):
+        return np.zeros((0, dom.dim))
+    rng = np.random.default_rng(seed)
+    got, n_got, n_prop = [], 0, 0
+    while n_got < n and n_prop < max_factor * n + 4096:
+        pts = rng.uniform(lo, hi, size=(max(2 * n, 512), dom.dim))
+        mask = dom.contains(pts)
+        got.append(pts[mask])
+        n_got += int(mask.sum())
+        n_prop += len(pts)
+    return np.vstack(got)[:n] if n_got else np.zeros((0, dom.dim))
+
+
+class TestChainSampler:
+    @pytest.mark.parametrize("dom, n, seed", [
+        (w.ball([0.3, -0.2], 1.0), 100, 0),
+        (random_convex_polygon(3), 700, 5),
+        (stadium_domain(), 1500, 7),
+        (w.cone_body([0.0, 0.0, 1.0], 0.3), 2000, 2),
+        # about 300 members within the proposal cap: a partial sample
+        (w.union([w.ball([0, 0], 0.03), w.ball([1, 1], 0.03)]), 1000, 1),
+    ])
+    def test_matches_the_documented_stream(self, dom, n, seed):
+        pts = dc._sample_in(dom, n, seed)
+        assert np.array_equal(pts, _chain_recipe(dom, n, seed))
+        assert 0 < len(pts) <= n and np.all(dom.contains(pts))
+
+    @pytest.mark.parametrize("radius, found", [(0.01, 1), (1e-4, 0)])
+    def test_emptiness_probe(self, radius, found):
+        # one point, at most 512 + 4096 proposals: at seed 1 the first member
+        # of the r = 0.01 pair comes in the fifth batch of 512
+        pair = w.union([w.ball([0, 0], radius), w.ball([1, 1], radius)])
+        pts = dc._sample_in(pair, 1, 1, max_factor=512)
+        assert len(pts) == found
+        assert np.array_equal(pts, _chain_recipe(pair, 1, 1, max_factor=512))
+
+    @pytest.mark.parametrize("dom", [
+        w.intersection([w.box([0, 0], [1, 1]), w.box([2, 0], [3, 1])]),  # disjoint
+        w.polytope([[0, 1], [0, -1], [1, 0], [-1, 0]], [0, 0, 1, 1]),      # a segment
+    ])
+    def test_flat_box_is_empty(self, dom):
+        assert dc._sample_in(dom, 10, 0).shape == (0, 2)
+
+
+def _slab_inequality(dom, c0, c1, r, delta):
+    """Whether c0 dom + B(r delta) lies in c1 dom, as the slab chain needs it."""
+    if isinstance(dom.rep, w.geometry.PolytopeRep):
+        A, b = dom.rep.A, dom.rep.b
+        h = np.max(dom.vertices() @ A.T, axis=0)
+        return bool(np.all(c0 * h + r * delta * np.linalg.norm(A, axis=1) <= c1 * b + 1e-15))
+    c, rho = dom.rep.center, dom.rep.radius
+    return (c1 - c0) * np.linalg.norm(c) + c0 * rho + r * delta <= c1 * rho + 1e-15
+
+
+class TestSlabThickness:
+    @pytest.mark.parametrize("dom", [random_convex_polygon(4), w.box([-1] * 3, [1] * 3),
+                                     w.ball([0.3, -0.2, 0.1], 1.5)],
+                             ids=["polygon", "cube", "off-centre ball"])
+    @pytest.mark.parametrize("n, r", [(1, 1), (3, 2)])
+    def test_closed_form(self, dom, n, r):
+        c0, c1 = 1.0 - 1.0 / (n + 2.0), 1.0 - 1.0 / (n + 4.0)
+        diam = w.diameter(dom).value
+        delta = dc._slab_thickness(dom, c0, c1, r, diam)
+        assert 0.0 < delta < diam
+        # the largest thickness, to 1e-9
+        assert _slab_inequality(dom, c0, c1, r, delta)
+        assert not _slab_inequality(dom, c0, c1, r, delta * (1.0 + 1e-9))
+        lo, hi = 0.0, diam
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if _slab_inequality(dom, c0, c1, r, mid) else (lo, mid)
+        assert delta == pytest.approx(lo, rel=1e-12)
+
+    def test_origin_outside_the_shrink_gives_zero(self):
+        off = w.box([0.5, 0.5], [1.5, 1.5])
+        assert dc._slab_thickness(off, 2 / 3, 0.8, 1, 2.0) == 0.0

@@ -141,6 +141,15 @@ class TestIllumination:
         x = np.array([0.6, 0.8, 0.0])
         assert w.illuminated(B, x, -x)
 
+    def test_ray_march_matches_a_per_step_loop(self):
+        cone = w.cone_body([0.0, 1.0], 0.2)
+        pts = np.random.default_rng(1).uniform(-2, 2, size=(300, 2))
+        e = np.array([0.6, 0.8])
+        ts = np.linspace(0.0, 3.0, 65)[1:]
+        want = np.array([cone.contains(p + ts[:, None] * e).any() for p in pts])
+        assert 0 < want.sum() < len(pts)
+        assert np.array_equal(w.geometry.ray_march(cone, pts, e, 3.0, 64), want)
+
     def test_not_on_boundary_errors(self, unit_square):
         with pytest.raises(PreconditionError):
             w.illuminated(unit_square, [0.5, 0.5], [1, 0])
@@ -232,6 +241,22 @@ class TestSamplePlan:
     def test_extra_points_must_be_members(self, unit_square):
         with pytest.raises(PreconditionError):
             w.sample_plan(unit_square, 64, seed=0, extra_points=[[2.0, 2.0]])
+
+    @pytest.mark.parametrize("n, seed", [(100, 0), (3000, 4)])
+    def test_documented_stream(self, n, seed):
+        # batches of max(4n, 1024) bounding-box points, the first n members kept
+        dom = w.ball([0.2, 0.1], 0.8)
+        rng = np.random.default_rng(seed)
+        got = np.zeros((0, 2))
+        n_prop = 0
+        while len(got) < n:
+            pts = rng.uniform(dom.bbox[0], dom.bbox[1], size=(max(4 * n, 1024), 2))
+            got = np.vstack([got, pts[dom.contains(pts)]])
+            n_prop += len(pts)
+        plan = w.sample_plan(dom, n, seed=seed)
+        assert np.array_equal(plan.points, got[:n])
+        area = float(np.prod(dom.bbox[1] - dom.bbox[0]))
+        assert plan.weights.sum() == pytest.approx(area * len(got) / n_prop, rel=1e-12)
 
 
 class TestHexagon:
