@@ -341,6 +341,7 @@ def _dispatch(args):
 
     if cmd == "chain-bound":
         chain = _load_chain(args.chain)
+        verification = "skipped" if args.skip_verify else "sampled"
         if args.skip_verify:
             chain.verified = True
         else:
@@ -352,11 +353,11 @@ def _dispatch(args):
         bound = whitney.chain_upper_bound(chain, args.w0, _parse_p(args.p))
         payload = {"meta": meta, "value": bound.value, "log2_value": bound.log2_value,
                    "closed_form": bound.closed_form, "theta": bound.theta,
-                   "n_links": bound.n_links, "w0": args.w0}
+                   "n_links": bound.n_links, "w0": args.w0, "verification": verification}
         if args.out or args.format == "csv":
             _emit(payload, args.out, args.format,
-                  csv_rows=[[bound.value, bound.closed_form, args.w0]],
-                  csv_header=["value", "closed_form", "w0"])
+                  csv_rows=[[bound.value, bound.closed_form, args.w0, verification]],
+                  csv_header=["value", "closed_form", "w0", "verification"])
         else:
             print(_fmt(bound.value))
         return 0

@@ -3,7 +3,11 @@
 Domains are immutable descriptions (half-space polytopes, balls, capped norm
 cones, unions, intersections, affine images) paired with a bounding box.  All
 membership queries accept a single point ``(d,)`` or a batch ``(n, d)`` and
-are deterministic.  ``rejection_sample`` is the one rejection sampler (sample
+are deterministic.  The membership kernels run along the long point axis
+(one row of ``A @ pts.T`` per half-space, norms summed column by column) and
+give the same bits as the row-wise formulas; an intersection tests its
+flattened leaves on every point and gathers survivors only for its unions,
+which it tests last.  ``rejection_sample`` is the one rejection sampler (sample
 plans and every chain sample) and ``ray_march`` the one sampled ray march.
 """
 from __future__ import annotations
@@ -44,7 +48,21 @@ def _as_points(x, dim):
 # vertices, diameter(), signed_distance(pts), boundary(x, tol) -> (flag,
 # outward normals or None), anchor() (an interior point) and, for convex sets,
 # exit_distance(pts, xi, slack): per member point x, the largest u >= 0 with
-# x + u xi a member within ``slack``; None means none.
+# x + u xi a member within ``slack``; None means none.  member is
+# coordinate-major: a polytope ANDs the rows of A @ pts.T, balls and cones take
+# _row_norms, and IntersectionRep ANDs its flattened leaves over all points
+# (unions last, on the survivors); each gives the bits of the row-wise form.
+
+def _row_norms(v):
+    """np.linalg.norm(v, axis=1), summed column by column; the same bits up to
+    d = 7, past which numpy sums pairwise and is called instead."""
+    if v.shape[1] >= 8:
+        return np.linalg.norm(v, axis=1)
+    sq = v[:, 0] * v[:, 0]
+    for i in range(1, v.shape[1]):
+        sq += v[:, i] * v[:, i]
+    return np.sqrt(sq)
+
 
 class _Rep:
     vertices = None
@@ -91,7 +109,7 @@ class PolytopeRep(_Rep):
     def member(self, pts, slack):
         if self.A.shape[0] == 0:
             return np.zeros(len(pts), dtype=bool)
-        return np.all(pts @ self.A.T <= self.b + slack, axis=1)
+        return np.logical_and.reduce(self.A @ pts.T <= (self.b + slack)[:, None], axis=0)
 
     def spec(self):
         return {"type": "polytope", "A": self.A.tolist(), "b": self.b.tolist()}
@@ -128,7 +146,7 @@ class BallRep(_Rep):
     radius: float
 
     def member(self, pts, slack):
-        return np.linalg.norm(pts - self.center, axis=1) <= self.radius + slack
+        return _row_norms(pts - self.center) <= self.radius + slack
 
     def spec(self):
         return {"type": "ball", "center": self.center.tolist(), "radius": self.radius}
@@ -137,7 +155,7 @@ class BallRep(_Rep):
         return 2.0 * self.radius
 
     def signed_distance(self, pts):
-        return np.linalg.norm(pts - self.center, axis=1) - self.radius
+        return _row_norms(pts - self.center) - self.radius
 
     def boundary(self, x, tol):
         return (abs(np.linalg.norm(x - self.center) - self.radius) <= tol,
@@ -160,7 +178,7 @@ class ConeBodyRep(_Rep):
 
     def member(self, pts, slack):
         proj = pts @ self.xi
-        nrm = np.linalg.norm(pts, axis=1)
+        nrm = _row_norms(pts)
         return (nrm * (1.0 - self.eps) <= proj + slack) & (proj <= 1.0 + slack)
 
     def spec(self):
@@ -173,7 +191,7 @@ class ConeBodyRep(_Rep):
 
     def violation(self, pts):
         proj = pts @ self.xi
-        nrm = np.linalg.norm(pts, axis=1)
+        nrm = _row_norms(pts)
         excess = np.maximum(nrm * (1.0 - self.eps) - proj, 0.0) / 2.0
         return np.maximum(np.maximum(excess, proj - 1.0), 0.0)
 
@@ -228,13 +246,30 @@ class UnionRep(_Rep):
 class IntersectionRep(_Rep):
     parts: tuple
 
-    def member(self, pts, slack):
-        out = np.ones(len(pts), dtype=bool)
+    @cached_property
+    def _leaves(self):
+        """(plain, unions): the reps of the parts, nested intersections
+        flattened, with the unions apart in order."""
+        flat = []
         for part in self.parts:
+            rep = part.rep
+            if isinstance(rep, IntersectionRep):
+                flat.extend(rep._leaves[0] + rep._leaves[1])
+            else:
+                flat.append(rep)
+        unions = tuple(rep for rep in flat if isinstance(rep, UnionRep))
+        return tuple(rep for rep in flat if not isinstance(rep, UnionRep)), unions
+
+    def member(self, pts, slack):
+        plain, unions = self._leaves
+        out = np.ones(len(pts), dtype=bool)
+        for rep in plain:
+            out &= rep.member(pts, slack)
+        for rep in unions:
             rem = out.nonzero()[0]
             if rem.size == 0:
                 break
-            out[rem] = part.rep.member(pts[rem], slack)
+            out[rem] = rep.member(pts[rem], slack)
         return out
 
     def violation(self, pts):

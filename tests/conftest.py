@@ -32,6 +32,14 @@ def stadium_domain():
                     w.box([0, -1], [1, 1])])
 
 
+def thin_band_chain():
+    """The unit square, then the band |x - y| <= 5e-8 over x in [5, 7]: far
+    from the square, and too thin for any bounding-box proposal to land in."""
+    band = w.polytope([[1, 0], [-1, 0], [1, -1], [-1, 1]], [7, -5, 5e-8, 5e-8])
+    return w.DecompositionChain([w.box([0, 0], [1, 1]), band], np.array([[0.1, 0.0]]), 1,
+                                w.direction_set([[1.0, 0.0], [0.0, 1.0]]), "test")
+
+
 @pytest.fixture(scope="session")
 def unit_square():
     return w.box([0.0, 0.0], [1.0, 1.0])

@@ -12,6 +12,8 @@ import whitneylab as w
 from whitneylab.cli import run
 from whitneylab.decompose import DecompositionChain
 
+from conftest import thin_band_chain
+
 
 @pytest.fixture()
 def files(tmp_path):
@@ -66,6 +68,27 @@ class TestChainBound:
         code = run(["chain-bound", "--chain", str(files["badchain"]),
                     "--w0", "0", "--p", "1", "--density", "500"])
         assert code == 2
+
+    def test_unsampled_piece_fails_verification(self, tmp_path):
+        path = tmp_path / "band.json"
+        path.write_text(json.dumps(thin_band_chain().spec()))
+        assert run(["chain-bound", "--chain", str(path), "--w0", "0", "--p", "1",
+                    "--density", "500"]) == 2
+
+    @pytest.mark.parametrize("skip,label", [(True, "skipped"), (False, "sampled")])
+    def test_reports_verification(self, files, skip, label):
+        out = files["tmp"] / "bound.json"
+        argv = ["chain-bound", "--chain", str(files["chain"]), "--w0", "0", "--p", "inf",
+                "--density", "500", "--out", str(out)]
+        assert run(argv + (["--skip-verify"] if skip else [])) == 0
+        payload = json.loads(out.read_text())
+        assert payload["verification"] == label and payload["value"] == 5.0
+        csv_out = files["tmp"] / "bound.csv"
+        assert run(argv[:-1] + [str(csv_out), "--format", "csv"]
+                   + (["--skip-verify"] if skip else [])) == 0
+        header, row = csv_out.read_text().splitlines()
+        assert header == "value,closed_form,w0,verification"
+        assert row.split(",")[-1] == label
 
 
 class TestCounterexampleCommand:

@@ -8,7 +8,7 @@ from whitneylab import decompose as dc
 from whitneylab.decompose import DecompositionChain, verify_chain
 from whitneylab.errors import PreconditionError, SpanDeficiencyError
 
-from conftest import random_convex_polygon, stadium_domain
+from conftest import random_convex_polygon, stadium_domain, thin_band_chain
 
 E2 = w.direction_set([[1.0, 0.0], [0.0, 1.0]])
 
@@ -31,6 +31,8 @@ class TestVerifyChain:
         assert not res.ok
         assert res.worst_violation > 0.1
         assert any(wit["point"][0] > 1.0 for wit in res.witnesses)
+        quiet = verify_chain(chain, samples_per_piece=2000, seed=0, max_witnesses=0)
+        assert not quiet.ok and not chain.verified and quiet.witnesses == []
 
     def test_shift_direction_must_be_declared(self):
         K = w.box([0, 0], [1, 1])
@@ -44,6 +46,22 @@ class TestVerifyChain:
         res = verify_chain(chain, samples_per_piece=100, seed=0)
         assert res.ok  # condition trivially holds
         assert res.coverage_ok is False and res.coverage_miss_rate > 0.4
+
+    def test_unsampled_piece_fails(self):
+        chain = thin_band_chain()
+        res = verify_chain(chain, samples_per_piece=2000, seed=0)
+        assert not res.ok and not chain.verified
+        assert res.n_sampled == 0
+        assert res.witnesses == [{"piece": 1, "reason": "not sampled: no member found "
+                                  "and its bounding box is not flat"}]
+
+    def test_flat_box_piece_is_proven_empty(self):
+        K = w.box([0, 0], [1, 1])
+        empty = w.intersection([w.box([1, 0], [2, 1]), w.box([3, 0], [4, 1])])
+        assert empty.bbox[1][0] == empty.bbox[0][0]
+        chain = DecompositionChain([K, empty], np.array([[1.0, 0.0]]), 1, E2, "test")
+        res = verify_chain(chain, samples_per_piece=500, seed=0)
+        assert res.ok and chain.verified and res.n_sampled == 0
 
 
 class TestStarShaped:

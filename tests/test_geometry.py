@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -394,3 +395,145 @@ class TestNonFiniteSpecs:
     def test_rejected_at_construction(self, build, field):
         with pytest.raises(PreconditionError, match=f"^{field} must be finite"):
             build()
+
+
+# -- coordinate-major kernels against the row-wise formulas they replaced ------
+
+def _member_by_levels(dom, pts, slack):
+    """Membership as it was computed before the kernels went coordinate-major:
+    row-wise leaf formulas, and a survivor gather at every nesting level."""
+    rep = dom.rep
+    geo = w.geometry
+    if isinstance(rep, geo.PolytopeRep):
+        if rep.A.shape[0] == 0:
+            return np.zeros(len(pts), dtype=bool)
+        return np.all(pts @ rep.A.T <= rep.b + slack, axis=1)
+    if isinstance(rep, geo.BallRep):
+        return np.linalg.norm(pts - rep.center, axis=1) <= rep.radius + slack
+    if isinstance(rep, geo.ConeBodyRep):
+        proj = pts @ rep.xi
+        nrm = np.linalg.norm(pts, axis=1)
+        return (nrm * (1.0 - rep.eps) <= proj + slack) & (proj <= 1.0 + slack)
+    if isinstance(rep, geo.AffineImageRep):
+        back = (pts - rep.shift) @ rep.inverse.T
+        sv = np.linalg.svd(rep.matrix, compute_uv=False)
+        return _member_by_levels(rep.base, back, slack / max(1.0, float(sv[0])))
+    is_union = isinstance(rep, geo.UnionRep)
+    out = np.full(len(pts), not is_union)
+    for part in rep.parts:
+        rem = (~out if is_union else out).nonzero()[0]
+        if rem.size == 0:
+            break
+        out[rem] = _member_by_levels(part, pts[rem], slack)
+    return out
+
+
+def _facet_points(A, b, rng, slack):
+    """Points on every facet of {A x <= b}, on the facets moved out and in by
+    the slack, and the last bit either side of each."""
+    d = A.shape[1]
+    pts = []
+    for a, bi in zip(A, b):
+        for level in (bi, bi + slack, bi - slack):
+            x = rng.uniform(-1.0, 1.0, size=(8, d))
+            x += np.outer((level - x @ a) / (a @ a), a)
+            pts += [x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf)]
+    return np.vstack(pts)
+
+
+class TestCoordinateMajorKernels:
+    SLACK = 1e-12
+
+    @pytest.mark.parametrize("d", range(1, 10))
+    def test_row_norms_bits(self, d):
+        rng = np.random.default_rng(d)
+        for scale in (1e-150, 1e-3, 1.0, 1e150):
+            v = rng.standard_normal((20_000, d)) * scale
+            assert np.array_equal(w.geometry._row_norms(v), np.linalg.norm(v, axis=1))
+
+    @pytest.mark.parametrize("rows", [0, 4, 30])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_polytope_on_facets(self, rows, d):
+        rng = np.random.default_rng(10 * rows + d)
+        A = rng.standard_normal((rows, d))
+        b = rng.uniform(0.5, 2.0, rows)
+        rep = w.geometry.PolytopeRep(A, b)
+        pts = _facet_points(A, b, rng, self.SLACK) if rows else rng.standard_normal((50, d))
+        pts = np.vstack([pts, rng.uniform(-2.0, 2.0, size=(500, d))])
+        for slack in (0.0, self.SLACK, -self.SLACK):
+            got = rep.member(pts, slack)
+            want = (np.all(pts @ A.T <= b + slack, axis=1) if rows
+                    else np.zeros(len(pts), dtype=bool))
+            assert np.array_equal(got, want)
+        if rows == 30:
+            assert 0 < got.sum() < len(pts)
+
+    @pytest.mark.parametrize("d", [2, 3, 9])
+    def test_ball_on_its_sphere(self, d):
+        rng = np.random.default_rng(d)
+        center, radius = rng.standard_normal(d), 1.7
+        u = rng.standard_normal((3000, d))
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        on = center + radius * u
+        pts = np.vstack([on, np.nextafter(on, np.inf), np.nextafter(on, -np.inf)])
+        dom = w.ball(center, radius)
+        for slack in (0.0, self.SLACK, -self.SLACK):
+            assert np.array_equal(dom.rep.member(pts, slack),
+                                  _member_by_levels(dom, pts, slack))
+        assert np.array_equal(dom.rep.signed_distance(pts),
+                              np.linalg.norm(pts - center, axis=1) - radius)
+
+    @pytest.mark.parametrize("d", [2, 3, 9])
+    def test_cone_body_on_its_surface(self, d):
+        rng = np.random.default_rng(d)
+        xi = rng.standard_normal(d)
+        xi /= np.linalg.norm(xi)
+        eps = 0.15
+        dom = w.cone_body(xi, eps)
+        # lateral surface: angle arccos(1 - eps) to the axis; then the cap
+        perp = rng.standard_normal((2000, d))
+        perp -= np.outer(perp @ xi, xi)
+        perp /= np.linalg.norm(perp, axis=1)[:, None]
+        c = 1.0 - eps
+        t = rng.uniform(0.0, 1.0, 2000)[:, None]
+        side = t * (c * xi + math.sqrt(1.0 - c * c) * perp) / c
+        cap = xi + rng.uniform(0.0, math.sqrt(1.0 / c ** 2 - 1.0), 2000)[:, None] * perp
+        base = np.vstack([side, cap])
+        pts = np.vstack([base, np.nextafter(base, np.inf), np.nextafter(base, -np.inf),
+                         rng.uniform(*dom.bbox, size=(2000, d))])
+        for slack in (0.0, self.SLACK, -self.SLACK):
+            got = dom.rep.member(pts, slack)
+            assert np.array_equal(got, _member_by_levels(dom, pts, slack))
+        assert 0 < got.sum() < len(pts)
+
+    def test_nested_intersection_and_union(self):
+        inner = w.intersection([w.ball([0.2, 0.0], 1.4),
+                                w.affine_image(w.cone_body([0.6, 0.8], 0.3),
+                                               [[1.5, 0.2], [0.0, 1.5]], [-0.1, -0.2])])
+        stadium = w.union([w.ball([0, 0], 1.0), w.ball([1, 0], 1.0), w.box([0, -1], [1, 1])])
+        dom = w.intersection([inner, w.box([-1, -1], [2, 0.9]), stadium])
+        spec = json.dumps(dom.spec())
+        pts = np.random.default_rng(5).uniform(-2.0, 2.5, size=(20_000, 2))
+        for slack in (0.0, 1e-12, -1e-9):
+            got = dom.contains(pts, slack)
+            assert np.array_equal(got, _member_by_levels(dom, pts, slack))
+        assert 0 < got.sum() < len(pts)
+        assert json.dumps(dom.spec()) == spec  # flattening leaves the parts alone
+        plain, unions = dom.rep._leaves
+        assert [type(r).__name__ for r in plain] == ["BallRep", "AffineImageRep", "PolytopeRep"]
+        assert unions == (stadium.rep,)
+
+    def test_lip2_stadium_slices(self):
+        stadium = w.union([w.ball([0, 0], 1.0), w.ball([1, 0], 1.0), w.box([0, -1], [1, 1])])
+        chain = w.lip2_ball_chain(stadium, w.direction_set([[1.0, 0.0], [0.0, 1.0]]),
+                                  delta=1.0, r=1, seed=0)
+        rng = np.random.default_rng(6)
+        slack = w.geometry.MEMBERSHIP_SLACK * stadium.scale()
+        n_in = 0
+        for piece in chain.pieces:
+            lo, hi = piece.bbox
+            pts = rng.uniform(lo - 0.1, hi + 0.1, size=(400, 2))
+            got = piece.contains(pts, slack)
+            assert np.array_equal(got, _member_by_levels(piece, pts, slack))
+            n_in += int(got.sum())
+        assert 0 < n_in < 400 * chain.n_pieces
