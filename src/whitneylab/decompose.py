@@ -136,7 +136,7 @@ def verify_chain(chain, samples_per_piece=VERIFY_SAMPLES, seed=0, tol_rel=1e-9,
         prior = UnionRep(tuple(chain.pieces[i] for i in _candidate_order(k, r)))
         h = chain.shifts[k - 1]
         for j in range(1, r + 1):
-            shifted = pts - j * h
+            shifted = geo._translate(pts, -j * h)
             inside = prior.member(shifted, slack)
             if not inside.all():
                 dists = prior.violation(shifted[~inside])
@@ -152,7 +152,10 @@ def verify_chain(chain, samples_per_piece=VERIFY_SAMPLES, seed=0, tol_rel=1e-9,
     if check_coverage and chain.target is not None:
         tpts = _sample_in(chain.target, coverage_samples, seed + 9999)
         if len(tpts):
-            inside = UnionRep(tuple(chain.pieces[::-1])).member(tpts, slack)
+            cover = UnionRep(tuple(chain.pieces[::-1]))
+            block = 2 * VERIFY_SAMPLES  # bounds the per-part temporaries
+            inside = np.concatenate([cover.member(tpts[i:i + block], slack)
+                                     for i in range(0, len(tpts), block)])
             miss_rate = float(1.0 - inside.mean())
             cov_ok = miss_rate <= COVERAGE_MISS_MAX
     ok = worst == 0.0 and not unsampled  # witnesses are capped, failures are not
@@ -527,8 +530,18 @@ def _ball_inside(dom, centers, delta, n_probe=128):
         idx = ok.nonzero()[0]
         if idx.size == 0:
             break
-        ok[idx] = dom.contains(centers[idx] + delta * u)
+        ok[idx] = dom.contains(geo._translate(np.take(centers, idx, axis=0), delta * u))
     return ok
+
+
+def _nearest_dist(pts, centers):
+    """Per row of ``pts``, the distance to the nearest row of ``centers``,
+    64 rows at a time so the pairwise temporary stays small."""
+    out = np.empty(len(pts))
+    for i in range(0, len(pts), 64):
+        out[i:i + 64] = np.min(np.linalg.norm(pts[i:i + 64, None, :]
+                                              - centers[None, :, :], axis=2), axis=1)
+    return out
 
 
 def lip2_ball_chain(dom, dirset, delta, r=1, seed=0):
@@ -563,7 +576,7 @@ def lip2_ball_chain(dom, dirset, delta, r=1, seed=0):
     if len(feas) == 0:
         raise PreconditionError("no inner ball of the requested radius fits",
                                 witnesses=[check_pts[0].tolist()] if len(check_pts) else [])
-    dists = np.min(np.linalg.norm(check_pts[:, None, :] - feas[None, :, :], axis=2), axis=1)
+    dists = _nearest_dist(check_pts, feas)
     bad = dists > (1.0 + margin / 4.0) * delta
     if bad.any():
         raise PreconditionError(
@@ -578,7 +591,7 @@ def lip2_ball_chain(dom, dirset, delta, r=1, seed=0):
         if np.min(np.linalg.norm(np.array(chosen) - c, axis=1)) > spacing:
             chosen.append(c)
     centers = np.array(chosen)
-    cover_d = np.min(np.linalg.norm(check_pts[:, None, :] - centers[None, :, :], axis=2), axis=1)
+    cover_d = _nearest_dist(check_pts, centers)
     for i in np.nonzero(cover_d > delta)[0]:
         j = int(np.argmin(np.linalg.norm(feas - check_pts[i], axis=1)))
         if np.linalg.norm(centers - feas[j], axis=1).min() > 1e-9 * delta:

@@ -3,12 +3,25 @@
 Domains are immutable descriptions (half-space polytopes, balls, capped norm
 cones, unions, intersections, affine images) paired with a bounding box.  All
 membership queries accept a single point ``(d,)`` or a batch ``(n, d)`` and
-are deterministic.  The membership kernels run along the long point axis
-(one row of ``A @ pts.T`` per half-space, norms summed column by column) and
-give the same bits as the row-wise formulas; an intersection tests its
-flattened leaves on every point and gathers survivors only for its unions,
-which it tests last.  ``rejection_sample`` is the one rejection sampler (sample
-plans and every chain sample) and ``ray_march`` the one sampled ray march.
+are deterministic.
+
+The sampling and membership kernels run along the long point axis, never
+along the short coordinate axis, and give the same bits as the row-wise
+formulas they replace:
+
+- a polytope ANDs one row of ``A @ pts.T`` per half-space;
+- balls and cone bodies subtract the center and sum the squared norms
+  column by column (``_row_norms``);
+- an affine image maps points back column by column (``_translate``), and a
+  diagonal inverse (every image the constructions build is one) scales the
+  columns in place instead of a matmul;
+- an intersection tests its flattened leaves on every point and its unions
+  last; unions and intersections gather survivors with ``np.take``;
+- ``rejection_sample`` (the one rejection sampler: sample plans and every
+  chain sample) maps ``rng.random`` columns in place to the bits of
+  ``rng.uniform(lo, hi)`` and keeps members with ``np.compress``;
+- ``ray_march`` (the one sampled ray march) builds its probes coordinate by
+  coordinate.
 """
 from __future__ import annotations
 
@@ -49,19 +62,35 @@ def _as_points(x, dim):
 # outward normals or None), anchor() (an interior point) and, for convex sets,
 # exit_distance(pts, xi, slack): per member point x, the largest u >= 0 with
 # x + u xi a member within ``slack``; None means none.  member is
-# coordinate-major: a polytope ANDs the rows of A @ pts.T, balls and cones take
-# _row_norms, and IntersectionRep ANDs its flattened leaves over all points
-# (unions last, on the survivors); each gives the bits of the row-wise form.
+# coordinate-major, as the module docstring says.
 
-def _row_norms(v):
-    """np.linalg.norm(v, axis=1), summed column by column; the same bits up to
+def _translate(pts, v):
+    """pts + v for an (n, d) batch and a (d,) offset, column by column: the
+    bits of the broadcast, without numpy's inner loop over the short axis."""
+    out = np.empty_like(pts)
+    for i in range(pts.shape[1]):
+        np.add(pts[:, i], v[i], out=out[:, i])
+    return out
+
+
+def _row_norms(v, center=None):
+    """np.linalg.norm(v - center, axis=1) (center 0 when None), with the
+    difference and the squares summed column by column; the same bits up to
     d = 7, past which numpy sums pairwise and is called instead."""
     if v.shape[1] >= 8:
-        return np.linalg.norm(v, axis=1)
-    sq = v[:, 0] * v[:, 0]
+        return np.linalg.norm(v if center is None else v - center, axis=1)
+    if center is None:
+        sq = v[:, 0] * v[:, 0]
+        for i in range(1, v.shape[1]):
+            sq += v[:, i] * v[:, i]
+        return np.sqrt(sq)
+    col = v[:, 0] - center[0]  # one buffer for every column's difference
+    sq = col * col
     for i in range(1, v.shape[1]):
-        sq += v[:, i] * v[:, i]
-    return np.sqrt(sq)
+        np.subtract(v[:, i], center[i], out=col)
+        col *= col
+        sq += col
+    return np.sqrt(sq, out=sq)
 
 
 class _Rep:
@@ -146,7 +175,7 @@ class BallRep(_Rep):
     radius: float
 
     def member(self, pts, slack):
-        return _row_norms(pts - self.center) <= self.radius + slack
+        return _row_norms(pts, self.center) <= self.radius + slack
 
     def spec(self):
         return {"type": "ball", "center": self.center.tolist(), "radius": self.radius}
@@ -155,7 +184,7 @@ class BallRep(_Rep):
         return 2.0 * self.radius
 
     def signed_distance(self, pts):
-        return _row_norms(pts - self.center) - self.radius
+        return _row_norms(pts, self.center) - self.radius
 
     def boundary(self, x, tol):
         return (abs(np.linalg.norm(x - self.center) - self.radius) <= tol,
@@ -232,7 +261,7 @@ class UnionRep(_Rep):
             rem = (~out).nonzero()[0]
             if rem.size == 0:
                 break
-            out[rem] = part.rep.member(pts[rem], slack)
+            out[rem] = part.rep.member(np.take(pts, rem, axis=0), slack)
         return out
 
     def violation(self, pts):
@@ -269,7 +298,7 @@ class IntersectionRep(_Rep):
             rem = out.nonzero()[0]
             if rem.size == 0:
                 break
-            out[rem] = rep.member(pts[rem], slack)
+            out[rem] = rep.member(np.take(pts, rem, axis=0), slack)
         return out
 
     def violation(self, pts):
@@ -295,8 +324,24 @@ class AffineImageRep(_Rep):
     def _singular_values(self):
         return np.linalg.svd(self.matrix, compute_uv=False)
 
+    @cached_property
+    def _inverse_diagonal(self):
+        """The diagonal of ``inverse`` if it has no other nonzero entry, else None."""
+        diag = np.diagonal(self.inverse).copy()
+        return diag if np.count_nonzero(self.inverse) == np.count_nonzero(diag) else None
+
     def _back(self, pts):
-        return (pts - self.shift) @ self.inverse.T
+        """(pts - shift) @ inverse.T with the difference taken column by column.
+        A diagonal inverse scales the columns in place: the matmul's other
+        products are exact zeros, so the bits are the same (an exact zero may
+        differ in sign, which no comparison or norm sees)."""
+        back = _translate(pts, -self.shift)
+        diag = self._inverse_diagonal
+        if diag is None:
+            return back @ self.inverse.T
+        for i in range(back.shape[1]):
+            back[:, i] *= diag[i]
+        return back
 
     def member(self, pts, slack):
         return self.base.rep.member(self._back(pts),
@@ -664,14 +709,23 @@ class SamplePlan:
 def rejection_sample(dom, n, seed, batch, limit):
     """The first n members of ``dom`` among uniform bounding-box proposals from
     ``default_rng(seed)``, drawn ``batch`` at a time until n are accepted or
-    ``limit`` are proposed; returns (points, accepted, proposed)."""
+    ``limit`` are proposed; returns (points, accepted, proposed).
+
+    A batch is ``rng.random((batch, d))`` mapped in place, column by column,
+    to lo + (hi - lo) u: the stream and the bits of ``rng.uniform(lo, hi)``.
+    Each batch is one ``dom.contains`` call."""
     rng = np.random.default_rng(seed)
     lo, hi = dom.bbox
+    ext = hi - lo
     accepted = [np.zeros((0, dom.dim))]
     n_acc = n_prop = 0
     while n_acc < n and n_prop < limit:
-        pts = rng.uniform(lo, hi, size=(batch, dom.dim))
-        accepted.append(pts[dom.contains(pts)])
+        pts = rng.random((batch, dom.dim))
+        for i in range(dom.dim):
+            col = pts[:, i]
+            col *= ext[i]
+            col += lo[i]
+        accepted.append(np.compress(dom.contains(pts), pts, axis=0))
         n_acc += len(accepted[-1])
         n_prop += batch
     return np.vstack(accepted)[:n], n_acc, n_prop
@@ -682,8 +736,14 @@ def sample_plan(dom, n_points=4096, seed=0, extra_points=None):
 
     Weight per point is vol_estimate / n so the weights sum to the Monte
     Carlo volume estimate.  ``extra_points`` are appended (they must be
-    members) and share the same weight.
+    members) and share the same weight.  A bounding box with a non-positive
+    extent (a flat domain) has no volume to sample.
     """
+    ext = dom.bbox[1] - dom.bbox[0]
+    flat = np.flatnonzero(~(ext > 0.0))
+    if flat.size:
+        raise PreconditionError(f"domain is flat: its bounding box has extent "
+                                f"{float(ext[flat[0]])} along axis {int(flat[0])}")
     cap = 1000 * n_points + 100_000  # proposals allowed before giving up
     pts, n_acc, n_prop = rejection_sample(dom, n_points, seed, max(4 * n_points, 1024),
                                           cap + 1)
@@ -895,7 +955,10 @@ def ray_march(dom, pts, e, t_hi, n_t, slack=None):
         rem = (~hit).nonzero()[0]
         if rem.size == 0:
             break
-        probes = pts[rem, None, :] + ts[None, k:k + per_call, None] * e
+        step = ts[k:k + per_call]
+        probes = np.empty((rem.size, step.size, dom.dim))
+        for i in range(dom.dim):  # p + t e, coordinate by coordinate
+            np.add(np.take(pts[:, i], rem)[:, None], step * e[i], out=probes[:, :, i])
         inside = dom.contains(probes.reshape(-1, dom.dim), slack)
         hit[rem] = inside.reshape(len(rem), -1).any(axis=1)
     return hit

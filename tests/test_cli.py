@@ -64,6 +64,15 @@ class TestChainBound:
         assert code == 0
         assert capsys.readouterr().out.strip() == "5"
 
+    @pytest.mark.parametrize("skip", [True, False])
+    def test_skipped_verification_is_said_on_stderr(self, files, capsys, skip):
+        argv = ["chain-bound", "--chain", str(files["chain"]), "--w0", "0", "--p", "inf",
+                "--density", "500"]
+        assert run(argv + (["--skip-verify"] if skip else [])) == 0
+        out, err = capsys.readouterr()
+        assert out == "5\n"
+        assert ("verification: skipped" in err) == skip
+
     def test_verifies_by_default(self, files, capsys):
         code = run(["chain-bound", "--chain", str(files["badchain"]),
                     "--w0", "0", "--p", "1", "--density", "500"])
@@ -304,6 +313,16 @@ class TestSpecErrors:
         assert run(["modulus", "--function", str(fn), "--domain", str(files["square"]),
                     "--dirs", str(files["axes"]), "--order", "1"]) == 2
         assert "xi must be a nonzero finite vector" in capsys.readouterr().err
+
+    def test_flat_domain_exit2(self, files, tmp_path, capsys):
+        # a segment: its bounding box has extent -0.0 along y
+        seg = tmp_path / "segment.json"
+        seg.write_text(json.dumps({"type": "polytope", "A": [[1, 0], [-1, 0], [0, 1], [0, -1]],
+                                   "b": [1, 0, 0, 0]}))
+        assert run(["whitney-estimate", "--domain", str(seg), "--dirs", str(files["axes"]),
+                    "--order", "1", "--density", "64"]) == 2
+        err = capsys.readouterr().err
+        assert "domain is flat" in err and "along axis 1" in err
 
     def test_direction_dimension_mismatch_exit1(self, files, tmp_path, capsys):
         dirs = tmp_path / "dirs3.json"

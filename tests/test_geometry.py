@@ -243,6 +243,11 @@ class TestSamplePlan:
         with pytest.raises(PreconditionError):
             w.sample_plan(unit_square, 64, seed=0, extra_points=[[2.0, 2.0]])
 
+    def test_flat_domain_names_the_axis(self):
+        apart = w.intersection([w.box([0, 0], [1, 1]), w.box([0, 2], [1, 3])])
+        with pytest.raises(PreconditionError, match="extent 0.0 along axis 1"):
+            w.sample_plan(apart, 64)
+
     @pytest.mark.parametrize("n, seed", [(100, 0), (3000, 4)])
     def test_documented_stream(self, n, seed):
         # batches of max(4n, 1024) bounding-box points, the first n members kept
@@ -537,3 +542,56 @@ class TestCoordinateMajorKernels:
             assert np.array_equal(got, _member_by_levels(piece, pts, slack))
             n_in += int(got.sum())
         assert 0 < n_in < 400 * chain.n_pieces
+
+    @pytest.mark.parametrize("d", range(1, 5))
+    def test_rejection_sample_is_the_uniform_stream(self, d):
+        # the old proposals: rng.uniform(lo, hi) batches, boolean-masked
+        rng = np.random.default_rng(40 + d)
+        for dom in (w.ball(rng.uniform(-3.0, 1.0, d), 0.9),
+                    w.box(-1.5 - rng.random(d), -0.5 + rng.random(d))):
+            got, n_acc, n_prop = w.geometry.rejection_sample(dom, 3000, 7, 1024, 10 ** 6)
+            old = np.random.default_rng(7)
+            want = []
+            while sum(map(len, want)) < 3000:
+                pts = old.uniform(dom.bbox[0], dom.bbox[1], size=(1024, d))
+                want.append(pts[dom.contains(pts)])
+            assert (n_acc, n_prop) == (sum(map(len, want)), 1024 * len(want))
+            assert np.array_equal(got.view(np.uint64), np.vstack(want)[:3000].view(np.uint64))
+            assert np.any(dom.bbox[0] < 0.0)
+
+    @pytest.mark.parametrize("d", range(1, 10))
+    def test_row_norms_about_a_center_bits(self, d):
+        rng = np.random.default_rng(50 + d)
+        c = rng.standard_normal(d)
+        for scale in (1e-150, 1e-3, 1.0, 1e150):
+            v = rng.standard_normal((20_000, d)) * scale + c
+            v[:50] = c  # exact zeros
+            assert np.array_equal(w.geometry._row_norms(v, c), np.linalg.norm(v - c, axis=1))
+
+    @pytest.mark.parametrize("matrix, diagonal", [
+        (1.7 * np.eye(2), True), (np.diag([2.0, -0.5, 3.0]), True),
+        ([[1.5, 0.2], [0.0, 1.5]], False), ([[0.3, -1.0, 0.0], [1.1, 0.4, 0.2],
+                                             [0.0, 0.5, 2.0]], False)])
+    def test_affine_back_map_bits(self, matrix, diagonal):
+        matrix = np.asarray(matrix, dtype=float)
+        d = len(matrix)
+        rng = np.random.default_rng(d)
+        shift = rng.standard_normal(d)
+        rep = w.affine_image(w.ball(np.zeros(d), 1.0), matrix, shift).rep
+        assert (rep._inverse_diagonal is not None) == diagonal
+        pts = np.vstack([rng.standard_normal((20_000, d)) * 3.0, shift, shift + 1e-300])
+        assert np.array_equal(rep._back(pts), (pts - rep.shift) @ rep.inverse.T)
+
+    def test_chunked_coverage_matches_one_call(self):
+        # the slabs cover [0, 1.5] x [0, 1] of the target [0, 2] x [0, 1]
+        chain = w.DecompositionChain(
+            [w.box([0, 0], [1, 1]), w.box([1.0, 0], [1.25, 1]), w.box([1.25, 0], [1.5, 1])],
+            np.array([[0.25, 0], [0.25, 0]]), 2, w.direction_set([[1.0, 0.0]]), "test",
+            target=w.box([0, 0], [2, 1]))
+        n = 4 * w.decompose.VERIFY_SAMPLES + 123  # a ragged last block
+        res = w.verify_chain(chain, samples_per_piece=200, seed=3, coverage_samples=n)
+        tpts = w.decompose._sample_in(chain.target, n, 3 + 9999)
+        slack = w.geometry.MEMBERSHIP_SLACK * chain.target.scale()
+        inside = w.geometry.UnionRep(tuple(chain.pieces[::-1])).member(tpts, slack)
+        assert len(tpts) == n and 0.0 < res.coverage_miss_rate < 1.0
+        assert res.coverage_miss_rate == float(1.0 - inside.mean())
