@@ -93,7 +93,8 @@ def _sample_in(dom, n, seed, max_factor=60):
     """Up to n uniform points of ``dom``; empty result means an empty piece."""
     if np.any(dom.bbox[1] <= dom.bbox[0]):
         return np.zeros((0, dom.dim))
-    return geo.rejection_sample(dom, n, seed, max(2 * n, 512), max_factor * n + 4096)[0]
+    return geo.rejection_sample(dom, n, seed, max(2 * n, 512), max_factor * n + 4096,
+                                stop_at_n=True)[0]
 
 
 def _candidate_order(k, r):

@@ -19,7 +19,12 @@ formulas they replace:
   last; unions and intersections gather survivors with ``np.take``;
 - ``rejection_sample`` (the one rejection sampler: sample plans and every
   chain sample) maps ``rng.random`` columns in place to the bits of
-  ``rng.uniform(lo, hi)`` and keeps members with ``np.compress``;
+  ``rng.uniform(lo, hi)`` and keeps members with ``np.compress``.  It has two
+  stopping rules.  ``sample_plan`` tests whole batches, because its volume
+  estimate is accepted / proposed over whole batches.  The chain samples
+  (``stop_at_n``) test each batch in chunks sized from the acceptance seen
+  so far and stop at the n-th member; the stream continues across chunks,
+  so the points are the bits of the whole-batch sample;
 - ``ray_march`` (the one sampled ray march) builds its probes coordinate by
   coordinate.
 """
@@ -591,13 +596,17 @@ def domain_from_spec(spec, boxes=None):
 
 @dataclass(eq=False)
 class DirectionSet:
-    """Finite set of unit directions with cached spread.
+    """Finite set of unit directions.
 
     ``spread`` is the minimum over unit x of max_i |dirs_i . x|; it is
-    positive exactly when the directions span R^d.
+    positive exactly when the directions span R^d.  It is computed on first
+    read and cached (for d >= 3 it is a handful of Nelder-Mead runs).
     """
     dirs: np.ndarray  # (k, d), unit rows
-    spread: float
+
+    @cached_property
+    def spread(self):
+        return _spread(self.dirs)
 
     @property
     def dim(self):
@@ -625,7 +634,7 @@ def direction_set(vectors):
     if np.any(norms == 0):
         raise PreconditionError("zero vector in direction set")
     dirs = dirs / norms[:, None]
-    return DirectionSet(dirs, _spread(dirs))
+    return DirectionSet(dirs)
 
 
 def direction_set_from_spec(spec):
@@ -706,29 +715,54 @@ class SamplePlan:
         return self.points.shape[0]
 
 
-def rejection_sample(dom, n, seed, batch, limit):
+def rejection_sample(dom, n, seed, batch, limit, stop_at_n=False):
     """The first n members of ``dom`` among uniform bounding-box proposals from
     ``default_rng(seed)``, drawn ``batch`` at a time until n are accepted or
-    ``limit`` are proposed; returns (points, accepted, proposed).
+    ``limit`` are proposed; returns (points, accepted, proposed), where
+    accepted and proposed count the proposals tested.
 
     A batch is ``rng.random((batch, d))`` mapped in place, column by column,
     to lo + (hi - lo) u: the stream and the bits of ``rng.uniform(lo, hi)``.
-    Each batch is one ``dom.contains`` call."""
+    By default each batch is tested whole, one ``dom.contains`` call, so that
+    accepted / proposed is a volume estimate over whole batches.  With
+    ``stop_at_n`` each batch is drawn and tested in chunks, sized from the
+    acceptance seen so far, and testing stops at the n-th member.  Successive
+    draws continue one stream, so the points are the same bits; a sample
+    tests at most the proposals of the whole batches, and exactly those when
+    it never reaches n."""
     rng = np.random.default_rng(seed)
     lo, hi = dom.bbox
     ext = hi - lo
     accepted = [np.zeros((0, dom.dim))]
     n_acc = n_prop = 0
-    while n_acc < n and n_prop < limit:
-        pts = rng.random((batch, dom.dim))
+    cap = -(-limit // batch) * batch  # the whole batches that reach limit
+    size = min(n, batch) if stop_at_n else batch
+    while n_acc < n and n_prop < cap:
+        # no chunk crosses the end of a batch, so a sample never tests more
+        # proposals than whole batches would
+        m = min(size, batch - n_prop % batch)
+        pts = rng.random((m, dom.dim))
         for i in range(dom.dim):
             col = pts[:, i]
             col *= ext[i]
             col += lo[i]
         accepted.append(np.compress(dom.contains(pts), pts, axis=0))
         n_acc += len(accepted[-1])
-        n_prop += batch
+        n_prop += m
+        if stop_at_n:
+            size = (min(2 * size, batch) if n_acc == 0 else
+                    math.ceil(1.1 * (n - n_acc) * n_prop / n_acc) + 64)
     return np.vstack(accepted)[:n], n_acc, n_prop
+
+
+def _require_volume(dom):
+    """Raise when the bounding box has a non-positive extent: a flat domain
+    has no volume to sample and no interior point."""
+    ext = dom.bbox[1] - dom.bbox[0]
+    flat = np.flatnonzero(~(ext > 0.0))
+    if flat.size:
+        raise PreconditionError(f"domain is flat: its bounding box has extent "
+                                f"{float(ext[flat[0]])} along axis {int(flat[0])}")
 
 
 def sample_plan(dom, n_points=4096, seed=0, extra_points=None):
@@ -739,11 +773,7 @@ def sample_plan(dom, n_points=4096, seed=0, extra_points=None):
     members) and share the same weight.  A bounding box with a non-positive
     extent (a flat domain) has no volume to sample.
     """
-    ext = dom.bbox[1] - dom.bbox[0]
-    flat = np.flatnonzero(~(ext > 0.0))
-    if flat.size:
-        raise PreconditionError(f"domain is flat: its bounding box has extent "
-                                f"{float(ext[flat[0]])} along axis {int(flat[0])}")
+    _require_volume(dom)
     cap = 1000 * n_points + 100_000  # proposals allowed before giving up
     pts, n_acc, n_prop = rejection_sample(dom, n_points, seed, max(4 * n_points, 1024),
                                           cap + 1)
@@ -1010,15 +1040,26 @@ def _ray_exit(dom, anchor, dirs, iters):
 
 
 def _interior_anchor(dom, rng):
+    """The representation's exact interior point, else the first of 100 000
+    proposals ``rng.uniform(lo, hi)`` strictly inside ``dom``.  Proposals are
+    drawn and tested in growing blocks (the same bits as single draws), and
+    ``rng`` is left just past the proposal returned, as single draws leave it."""
     exact = dom.rep.anchor()
     if exact is not None:
         return exact
+    _require_volume(dom)
     lo, hi = dom.bbox
     margin = 1e-7 * dom.scale()
-    for _ in range(100_000):
-        x = rng.uniform(lo, hi)
-        if dom.strictly_inside(x, margin):
-            return x
+    tries, tried, m = 100_000, 0, 16
+    while tried < tries:
+        m = min(m, tries - tried)
+        state = rng.bit_generator.state
+        hit = np.flatnonzero(dom.strictly_inside(rng.uniform(lo, hi, (m, dom.dim)), margin))
+        if hit.size:
+            rng.bit_generator.state = state
+            return rng.uniform(lo, hi, (hit[0] + 1, dom.dim))[-1]
+        tried += m
+        m = min(2 * m, 4096)
     raise PreconditionError("could not find an interior point")
 
 

@@ -324,6 +324,17 @@ class TestSpecErrors:
         err = capsys.readouterr().err
         assert "domain is flat" in err and "along axis 1" in err
 
+    def test_disjoint_intersection_xray_exit2(self, files, tmp_path, capsys):
+        # disjoint unit disks: the intersection's bounding box has extent 0 along x,
+        # so the interior-point search stops at once instead of 100 000 proposals
+        lens = tmp_path / "lens.json"
+        lens.write_text(json.dumps({"type": "intersection", "parts": [
+            {"type": "ball", "center": [0, 0], "radius": 1},
+            {"type": "ball", "center": [3, 0], "radius": 1}]}))
+        assert run(["xray-check", "--domain", str(lens), "--dirs", str(files["axes"])]) == 2
+        err = capsys.readouterr().err
+        assert "domain is flat" in err and "along axis 0" in err
+
     def test_direction_dimension_mismatch_exit1(self, files, tmp_path, capsys):
         dirs = tmp_path / "dirs3.json"
         dirs.write_text(json.dumps({"dirs": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}))

@@ -229,6 +229,45 @@ def _chain_recipe(dom, n, seed, max_factor=60):
     return np.vstack(got)[:n] if n_got else np.zeros((0, dom.dim))
 
 
+def _sampled_against_recipe(monkeypatch, dom, n, seed, max_factor=60):
+    """The early-stopping chain sample of ``dom`` checked bit for bit against
+    the whole-batch recipe; returns (points, rows per ``dom.contains`` call,
+    rows the recipe tests)."""
+    rows = []
+    contains = w.Domain.contains
+
+    def counting(self, x, slack=None):
+        if self is dom:
+            rows.append(len(x))
+        return contains(self, x, slack)
+
+    with monkeypatch.context() as m:
+        m.setattr(w.Domain, "contains", counting)
+        want = _chain_recipe(dom, n, seed, max_factor)
+        whole = sum(rows)
+        rows.clear()
+        got = dc._sample_in(dom, n, seed, max_factor)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert sum(rows) <= whole and max(rows) <= max(2 * n, 512)
+    return got, rows, whole
+
+
+@pytest.fixture(scope="module")
+def sampled_chains():
+    """The pieces verify_chain samples in the benchmark's lip2 stadium chain
+    (every 20th slice) and x-ray cube and disk chains (every piece), with
+    their seeds."""
+    lip2 = w.lip2_ball_chain(stadium_domain(), E2, delta=1.0, r=1, seed=0)
+    diag = w.direction_set(np.array([[1, 1, 1], [1, 1, -1], [1, -1, 1], [1, -1, -1]])
+                           / math.sqrt(3.0))
+    cube = w.xray_slab_decomposition(w.box([-1] * 3, [1] * 3), diag, r=1, seed=1)
+    disk = w.xray_slab_decomposition(w.ball([0, 0], 1.0), E2, r=1, seed=1)
+    return {"lip2": [(lip2.pieces[k], 17 * k) for k in range(1, lip2.n_pieces, 20)],
+            "xray_cube": [(piece, 1 + 17 * k) for k, piece in enumerate(cube.pieces)],
+            "xray_disk": [(piece, 1 + 17 * k) for k, piece in enumerate(disk.pieces)]}
+
+
 class TestChainSampler:
     @pytest.mark.parametrize("dom, n, seed", [
         (w.ball([0.3, -0.2], 1.0), 100, 0),
@@ -238,19 +277,32 @@ class TestChainSampler:
         # about 300 members within the proposal cap: a partial sample
         (w.union([w.ball([0, 0], 0.03), w.ball([1, 1], 0.03)]), 1000, 1),
     ])
-    def test_matches_the_documented_stream(self, dom, n, seed):
-        pts = dc._sample_in(dom, n, seed)
-        assert np.array_equal(pts, _chain_recipe(dom, n, seed))
+    def test_matches_the_documented_stream(self, monkeypatch, dom, n, seed):
+        pts, rows, whole = _sampled_against_recipe(monkeypatch, dom, n, seed)
         assert 0 < len(pts) <= n and np.all(dom.contains(pts))
+        if len(pts) < n:  # a partial sample tests exactly the whole batches
+            assert sum(rows) == whole
 
     @pytest.mark.parametrize("radius, found", [(0.01, 1), (1e-4, 0)])
-    def test_emptiness_probe(self, radius, found):
+    def test_emptiness_probe(self, monkeypatch, radius, found):
         # one point, at most 512 + 4096 proposals: at seed 1 the first member
         # of the r = 0.01 pair comes in the fifth batch of 512
         pair = w.union([w.ball([0, 0], radius), w.ball([1, 1], radius)])
-        pts = dc._sample_in(pair, 1, 1, max_factor=512)
+        pts, rows, whole = _sampled_against_recipe(monkeypatch, pair, 1, 1, max_factor=512)
         assert len(pts) == found
-        assert np.array_equal(pts, _chain_recipe(pair, 1, 1, max_factor=512))
+        if not found:  # a piece that never reaches n tests exactly the whole batches
+            assert sum(rows) == whole == 512 + 4096
+
+    # the disk's slabs accept about a quarter: their n-th member often sits
+    # just inside the second batch, which a chunk must not overrun
+    @pytest.mark.parametrize("name", ["lip2", "xray_cube", "xray_disk"])
+    def test_verify_pieces_stop_at_n(self, monkeypatch, sampled_chains, name):
+        n = dc.VERIFY_SAMPLES
+        for piece, seed in sampled_chains[name]:
+            pts, rows, whole = _sampled_against_recipe(monkeypatch, piece, n, seed)
+            assert len(pts) == n
+            if name == "xray_cube":  # 99.9% acceptance: the recipe's second batch is waste
+                assert sum(rows) < whole
 
     @pytest.mark.parametrize("dom", [
         w.intersection([w.box([0, 0], [1, 1]), w.box([2, 0], [3, 1])]),  # disjoint

@@ -9,6 +9,8 @@ from whitneylab.errors import PreconditionError
 
 from conftest import random_convex_polygon
 
+CUBE_DIAGONALS = np.array([[1, 1, 1], [1, 1, -1], [1, -1, 1], [1, -1, -1]]) / math.sqrt(3.0)
+
 
 class TestMembership:
     def test_ball_center(self):
@@ -226,6 +228,25 @@ class TestDirectionSet:
         sym = E.symmetrized()
         assert len(sym) == 4
         assert len(sym.symmetrized()) == 4
+
+    def test_spread_is_computed_on_first_read(self, monkeypatch):
+        calls = []
+        spread = w.geometry._spread
+        monkeypatch.setattr(w.geometry, "_spread", lambda dirs: calls.append(1) or spread(dirs))
+        E = w.direction_set(CUBE_DIAGONALS)
+        sym = E.symmetrized()
+        assert calls == []
+        value = E.spread
+        assert E.spread == value and len(calls) == 1
+        assert sym.spread == value and sym.spread == value and len(calls) == 2
+
+    @pytest.mark.parametrize("dirs", [np.eye(2), [[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]],
+                                      [[1.0, 0.0], [math.cos(math.radians(80.0)),
+                                                    math.sin(math.radians(80.0))]],
+                                      CUBE_DIAGONALS], ids=["axes", "E3", "pair80", "diagonals"])
+    def test_symmetrized_keeps_the_spread(self, dirs):
+        E = w.direction_set(dirs)
+        assert E.symmetrized().spread == E.spread > 0.0
 
 
 class TestSamplePlan:
@@ -558,6 +579,29 @@ class TestCoordinateMajorKernels:
             assert (n_acc, n_prop) == (sum(map(len, want)), 1024 * len(want))
             assert np.array_equal(got.view(np.uint64), np.vstack(want)[:3000].view(np.uint64))
             assert np.any(dom.bbox[0] < 0.0)
+
+    @pytest.mark.parametrize("dom", [
+        w.union([w.ball([0, 0], 1.0), w.ball([1, 0], 1.0)]),
+        w.cone_body([0.0, 0.0, 1.0], 0.3),
+        w.intersection([w.ball([0, 0], 1.0), w.ball([1.9, 0], 1.0)]),
+        w.union([w.ball([0, 0], 0.01), w.ball([1, 1], 0.01)]),  # after 1200-2500 draws
+    ])
+    def test_interior_anchor_is_the_single_draw_stream(self, dom):
+        # the old search: one rng.uniform(lo, hi) point per strictly_inside call
+        for seed in range(4):
+            old, new = np.random.default_rng(seed), np.random.default_rng(seed)
+            margin = 1e-7 * dom.scale()
+            want = old.uniform(*dom.bbox)
+            while not dom.strictly_inside(want, margin):
+                want = old.uniform(*dom.bbox)
+            got = w.geometry._interior_anchor(dom, new)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert np.array_equal(new.random(4), old.random(4))  # the stream goes on alike
+
+    def test_interior_anchor_of_a_flat_box_raises(self):
+        lens = w.intersection([w.ball([0, 0], 1.0), w.ball([3, 0], 1.0)])
+        with pytest.raises(PreconditionError, match="along axis 0"):
+            w.geometry._interior_anchor(lens, np.random.default_rng(0))
 
     @pytest.mark.parametrize("d", range(1, 10))
     def test_row_norms_about_a_center_bits(self, d):
