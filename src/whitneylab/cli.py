@@ -16,7 +16,8 @@ import sys
 
 import numpy as np
 
-from . import __version__
+from . import __version__, approx, decompose, modulus, polyspace, whitney
+from . import geometry as geo
 from .errors import ConvergenceError, PreconditionError
 
 
@@ -111,13 +112,11 @@ def _load_spec(path, build, dim=None):
 
 def _load_chain(path):
     """A chain spec file, or the file ``decompose --out`` writes (chain under "chain")."""
-    from .decompose import chain_from_spec
-
     def build(spec):
         chain = spec if "pieces" in spec else spec.get("chain")
         if not isinstance(chain, dict):
             raise ConfigError(f"{path}: no chain (no 'pieces' and no 'chain' entry)")
-        return chain_from_spec(chain)
+        return decompose.chain_from_spec(chain)
     return _load_spec(path, build)
 
 
@@ -155,103 +154,250 @@ def _emit(payload, out, fmt, csv_rows=None, csv_header=None):
         sys.stdout.write(text)
 
 
+def _domain_dirs(args):
+    dom = _load_spec(args.domain, geo.domain_from_spec)
+    return dom, _load_spec(args.dirs, geo.direction_set_from_spec, dom.dim)
+
+
+def _function(args, dim):
+    return _load_spec(args.function, lambda s: modulus.function_from_spec(s, dim), dim)
+
+
+def _plan(args, dom):
+    return geo.sample_plan(dom, n_points=args.density, seed=args.seed)
+
+
+def _verified_chain(path, seed, **kw):
+    """The chain at ``path`` once it passes ``verify_chain`` (without coverage);
+    a failing chain is a precondition failure that carries the witnesses."""
+    chain = _load_chain(path)
+    res = decompose.verify_chain(chain, seed=seed, check_coverage=False, **kw)
+    if not res.ok:
+        raise PreconditionError("chain failed verification", witnesses=res.witnesses)
+    return chain
+
+
+# One function per subcommand: each returns (exit code, payload fields, CSV
+# header, CSV rows); ``run`` adds the meta block and writes the output.
+
+def _cmd_basis(args):
+    dirs = _load_spec(args.dirs, geo.direction_set_from_spec, args.dim)
+    basis = polyspace.build_basis(args.dim, args.order, dirs)
+    return (0, {"n_basis": basis.n_basis, **basis.spec()},
+            ["d", "r", "n_basis"], [[args.dim, args.order, basis.n_basis]])
+
+
+def _cmd_modulus(args):
+    dom, dirs = _domain_dirs(args)
+    f = _function(args, dom.dim)
+    plan = _plan(args, dom)
+    t = args.t if args.t is not None else geo.diameter(dom, plan).value
+    res = modulus.set_modulus(f, dom, plan, dirs, args.order, t, _parse_p(args.p))
+    return (0, {"value": res.value, "argmax_u": res.argmax_u,
+                "argmax_xi": res.argmax_xi.tolist(),
+                "n_valid_points": res.n_valid_points, "reliable": res.reliable},
+            ["value", "argmax_u", "n_valid_points"],
+            [[res.value, res.argmax_u, res.n_valid_points]])
+
+
+def _cmd_approx(args):
+    dom, dirs = _domain_dirs(args)
+    f = _function(args, dom.dim)
+    plan = _plan(args, dom)
+    basis = polyspace.build_basis(dom.dim, args.order, dirs)
+    res = approx.best_approx(f, dom, plan, basis, _parse_p(args.p), seed=args.seed)
+    return (3 if res.status == "max_iter" else 0, res.spec(),
+            ["error", "status", "iterations"], [[res.error, res.status, res.iterations]])
+
+
+def _cmd_whitney_estimate(args):
+    dom, dirs = _domain_dirs(args)
+    est = whitney.empirical_whitney_constant(
+        dom, _plan(args, dom), dirs, args.order, _parse_p(args.p), {"kind": args.family},
+        budget=args.budget, seed=args.seed)
+    return (0, est.spec(), ["lower_bound", "n_defined"], [[est.lower_bound, est.n_defined]])
+
+
+def _cmd_chain_bound(args):
+    if args.skip_verify:
+        chain = _load_chain(args.chain)
+        chain.verified = True
+    else:
+        chain = _verified_chain(args.chain, args.seed, samples_per_piece=args.density)
+    verification = "skipped" if args.skip_verify else "sampled"
+    bound = whitney.chain_upper_bound(chain, args.w0, _parse_p(args.p))
+    if not args.out and args.format == "json":  # the bare value, and no payload
+        if args.skip_verify:  # the bare value alone would read as verified
+            print("verification: skipped", file=sys.stderr)
+        print(_fmt(bound.value))
+        return 0, None, None, None
+    return (0, {"value": bound.value, "log2_value": bound.log2_value,
+                "closed_form": bound.closed_form, "theta": bound.theta,
+                "n_links": bound.n_links, "w0": args.w0, "verification": verification},
+            ["value", "closed_form", "w0", "verification"],
+            [[bound.value, bound.closed_form, args.w0, verification]])
+
+
+def _cmd_decompose(args):
+    dom = _load_spec(args.domain, geo.domain_from_spec)
+    dirs = _load_spec(args.dirs, geo.direction_set_from_spec, dom.dim) if args.dirs else None
+    seed = args.seed
+    if args.method == "star":
+        chain = decompose.star_shaped_decomposition(dom, args.order, seed=seed)
+    elif args.method == "planar":
+        chain, _ = decompose.planar_two_direction_chain(dom, r=args.order)
+    elif args.method == "lip2":
+        if dirs is None or args.delta is None:
+            raise ConfigError("lip2 needs --dirs and --delta")
+        chain = decompose.lip2_ball_chain(dom, dirs, args.delta, r=args.order, seed=seed)
+    else:
+        if dirs is None:
+            raise ConfigError("xray needs --dirs")
+        chain = decompose.xray_slab_decomposition(dom, dirs, n0=args.n0,
+                                                  r=args.order, seed=seed)
+    res = decompose.verify_chain(chain, seed=seed)
+    return (0, {"n_pieces": chain.n_pieces, "verified": res.ok,
+                "worst_violation": res.worst_violation,
+                "coverage_miss_rate": res.coverage_miss_rate, "chain": chain.spec()},
+            ["n_pieces", "verified", "worst_violation"],
+            [[chain.n_pieces, res.ok, res.worst_violation]])
+
+
+def _cmd_verify_chain(args):
+    res = decompose.verify_chain(_load_chain(args.chain), samples_per_piece=args.density,
+                                 seed=args.seed)
+    return (0 if res.ok else 2,
+            {"ok": res.ok, "worst_violation": res.worst_violation,
+             "witnesses": res.witnesses, "n_sampled": res.n_sampled,
+             "coverage_miss_rate": res.coverage_miss_rate},
+            ["ok", "worst_violation", "n_sampled"],
+            [[res.ok, res.worst_violation, res.n_sampled]])
+
+
+def _cmd_counterexample(args):
+    d = args.dim
+    if d < 2:
+        raise ConfigError(f"--dim must be at least 2, got {d}")
+    xi = np.eye(d)[-1] if args.xi is None else np.asarray(args.xi)
+    if xi.size != d:
+        raise ConfigError(f"--xi has {xi.size} entries, --dim is {d}")
+    if args.dirs:
+        dirs = _load_spec(args.dirs, geo.direction_set_from_spec, d)
+    else:
+        dirs = _default_margin_dirs(d)
+    cert = whitney.counterexample_certificate(
+        d, xi, args.eps, dirs, args.order, args.n, density=args.density, seed=args.seed)
+    return (0, {"margin_delta": cert.margin_delta,
+                "modulus_bounded": cert.modulus_bounded,
+                "rows": [dict(n=row.n, modulus=row.modulus, floor=row.floor,
+                              numeric_er=row.numeric_er) for row in cert.rows]},
+            ["n", "modulus", "floor", "numeric_Er"],
+            [[row.n, row.modulus, row.floor, row.numeric_er] for row in cert.rows])
+
+
+def _default_margin_dirs(d):
+    if d == 2:
+        ang = math.radians(80.0)
+        return geo.direction_set([[1.0, 0.0], [math.cos(ang), math.sin(ang)]])
+    dirs = np.eye(d)
+    dirs[-1] = np.ones(d) / math.sqrt(d)
+    return geo.direction_set(dirs)
+
+
+def _cmd_xray_check(args):
+    dom, dirs = _domain_dirs(args)
+    sample = geo.boundary_points(dom, n=args.samples, seed=args.seed)
+    ok, wit = geo.xray_verifies(dom, dirs, sample)
+    return (0 if ok else 2, {"ok": ok, "witnesses": [w.tolist() for w in wit[:16]]},
+            ["ok", "n_witnesses"], [[ok, len(wit)]])
+
+
+def _cmd_report(args):
+    if (args.chain is None) != (args.w0 is None):
+        raise ConfigError("--chain and --w0 must be given together")
+    dom, dirs = _domain_dirs(args)
+    plan = _plan(args, dom)
+    dom_id = _config_hash({"domain": dom.spec()})
+    e_id = _config_hash({"dirs": dirs.spec()})
+    chain = _verified_chain(args.chain, args.seed) if args.chain is not None else None
+    rows = []
+    for r in args.r_list:
+        for p_text, p in args.p_list:
+            est = whitney.empirical_whitney_constant(
+                dom, plan, dirs, r, p, {"kind": "random_poly"},
+                budget=args.budget, seed=args.seed)
+            upper = w0_note = ""
+            if chain is not None and chain.order == r:
+                upper = whitney.chain_upper_bound(chain, args.w0, p).value
+                est.attach_upper_bound(upper)
+                w0_note = f"w0={_fmt(args.w0)}"
+            rows.append([dom_id, e_id, r, p_text, est.lower_bound, upper, w0_note,
+                         json.dumps(est.witness["function"], sort_keys=True)])
+    header = ["domain_id", "E_id", "r", "p", "lower_bound", "upper_bound",
+              "w0_assumption", "witness_spec"]
+    return 0, {"rows": [dict(zip(header, row)) for row in rows]}, header, rows
+
+
 def _build_parser():
     top = _Parser(prog="whitneylab", description=__doc__)
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--density", type=_positive_int, default=4096)
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=["json", "csv"], default="json")
+    def opt(flag, **kw):
+        return flag, kw
 
-    p = sub.add_parser("basis", help="build the directionally-flat polynomial basis")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--dirs", required=True)
-    common(p)
+    common = (opt("--seed", type=int, default=0),
+              opt("--density", type=_positive_int, default=4096),
+              opt("--out", default=None),
+              opt("--format", choices=["json", "csv"], default="json"))
 
-    p = sub.add_parser("modulus", help="sampled directional modulus of smoothness")
-    p.add_argument("--function", required=True)
-    p.add_argument("--domain", required=True)
-    p.add_argument("--dirs", required=True)
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--t", type=float, default=None)
-    p.add_argument("--p", default="inf")
-    common(p)
+    def command(name, run, help, *options, fmt="json"):
+        parser = sub.add_parser(name, help=help)
+        for flag, kw in options + common:
+            parser.add_argument(flag, **kw)
+        parser.set_defaults(run=run, format=fmt)
 
-    p = sub.add_parser("approx", help="best L^p approximation on a sampled plan")
-    p.add_argument("--function", required=True)
-    p.add_argument("--domain", required=True)
-    p.add_argument("--dirs", required=True)
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--p", default="inf")
-    common(p)
+    domain, dirs = opt("--domain", required=True), opt("--dirs", required=True)
+    order, p = opt("--order", type=int, required=True), opt("--p", default="inf")
+    function, chain = opt("--function", required=True), opt("--chain", required=True)
+    dim = opt("--dim", type=int, required=True)
 
-    p = sub.add_parser("whitney-estimate", help="empirical lower bound on the ratio constant")
-    p.add_argument("--domain", required=True)
-    p.add_argument("--dirs", required=True)
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--p", default="inf")
-    p.add_argument("--family", default="random_poly",
-                   choices=["random_poly", "perturbed_basis"])
-    p.add_argument("--budget", type=int, default=64)
-    common(p)
-
-    p = sub.add_parser("chain-bound", help="certified bound from a verified chain")
-    p.add_argument("--chain", required=True)
-    p.add_argument("--w0", type=float, required=True)
-    p.add_argument("--p", default="inf")
-    p.add_argument("--skip-verify", action="store_true",
-                   help="trust the chain file without re-verifying")
-    common(p)
-
-    p = sub.add_parser("decompose", help="construct a decomposition chain")
-    p.add_argument("--domain", required=True)
-    p.add_argument("--method", required=True,
-                   choices=["star", "planar", "lip2", "xray"])
-    p.add_argument("--dirs", default=None)
-    p.add_argument("--order", type=int, default=1)
-    p.add_argument("--n0", type=int, default=1)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--eps", type=float, default=0.125,
-                   help="accepted for compatibility; has no effect")
-    common(p)
-
-    p = sub.add_parser("verify-chain", help="verify the shift condition by sampling")
-    p.add_argument("--chain", required=True)
-    common(p)
-
-    p = sub.add_parser("counterexample", help="log-ridge divergence table on a cone body")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--n", required=True, type=_parse_ints, help="comma-separated n values")
-    p.add_argument("--xi", default=None, type=_parse_vector,
-                   help="JSON list of --dim numbers; default last axis")
-    p.add_argument("--dirs", default=None,
-                   help="direction-set JSON file; default margin-safe pair")
-    common(p)
-    p.set_defaults(format="csv")
-
-    p = sub.add_parser("xray-check", help="verify illumination by +/- directions")
-    p.add_argument("--domain", required=True)
-    p.add_argument("--dirs", required=True)
-    p.add_argument("--samples", type=int, default=256)
-    common(p)
-
-    p = sub.add_parser("report", help="lower/upper bound table over (r, p) grids")
-    p.add_argument("--domain", required=True)
-    p.add_argument("--dirs", required=True)
-    p.add_argument("--r-list", default="1,2", type=_parse_ints)
-    p.add_argument("--p-list", default="1,inf", type=_parse_p_list)
-    p.add_argument("--budget", type=int, default=32)
-    p.add_argument("--chain", default=None)
-    p.add_argument("--w0", type=float, default=None)
-    common(p)
-    p.set_defaults(format="csv")
-
+    command("basis", _cmd_basis, "build the directionally-flat polynomial basis",
+            dim, order, dirs)
+    command("modulus", _cmd_modulus, "sampled directional modulus of smoothness",
+            function, domain, dirs, order, opt("--t", type=float, default=None), p)
+    command("approx", _cmd_approx, "best L^p approximation on a sampled plan",
+            function, domain, dirs, order, p)
+    command("whitney-estimate", _cmd_whitney_estimate,
+            "empirical lower bound on the ratio constant", domain, dirs, order, p,
+            opt("--family", default="random_poly", choices=["random_poly", "perturbed_basis"]),
+            opt("--budget", type=int, default=64))
+    command("chain-bound", _cmd_chain_bound, "certified bound from a verified chain",
+            chain, opt("--w0", type=float, required=True), p,
+            opt("--skip-verify", action="store_true",
+                help="trust the chain file without re-verifying"))
+    command("decompose", _cmd_decompose, "construct a decomposition chain", domain,
+            opt("--method", required=True, choices=["star", "planar", "lip2", "xray"]),
+            opt("--dirs", default=None), opt("--order", type=int, default=1),
+            opt("--n0", type=int, default=1), opt("--delta", type=float, default=None),
+            opt("--eps", type=float, default=0.125,
+                help="accepted for compatibility; has no effect"))
+    command("verify-chain", _cmd_verify_chain, "verify the shift condition by sampling",
+            chain)
+    command("counterexample", _cmd_counterexample, "log-ridge divergence table on a cone body",
+            dim, order, opt("--eps", type=float, required=True),
+            opt("--n", required=True, type=_parse_ints, help="comma-separated n values"),
+            opt("--xi", default=None, type=_parse_vector,
+                help="JSON list of --dim numbers; default last axis"),
+            opt("--dirs", default=None, help="direction-set JSON file; default margin-safe pair"),
+            fmt="csv")
+    command("xray-check", _cmd_xray_check, "verify illumination by +/- directions",
+            domain, dirs, opt("--samples", type=_positive_int, default=256))
+    command("report", _cmd_report, "lower/upper bound table over (r, p) grids", domain, dirs,
+            opt("--r-list", default="1,2", type=_parse_ints),
+            opt("--p-list", default="1,inf", type=_parse_p_list),
+            opt("--budget", type=int, default=32),
+            opt("--chain", default=None), opt("--w0", type=float, default=None), fmt="csv")
     return top
 
 
@@ -259,7 +405,14 @@ def run(argv):
     """Execute one subcommand; returns the process exit code."""
     try:
         args = _build_parser().parse_args(argv)
-        return _dispatch(args)
+        # the output destination and rendering are not part of the experiment configuration
+        config = {k: v for k, v in vars(args).items()
+                  if k not in ("command", "run", "out", "format")}
+        code, fields, header, rows = args.run(args)
+        if fields is not None:
+            _emit({"meta": _meta(config, args.seed), **fields}, args.out, args.format,
+                  csv_rows=rows, csv_header=header)
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -271,220 +424,6 @@ def run(argv):
     except ConvergenceError as exc:
         print(f"did not converge: {exc}", file=sys.stderr)
         return 3
-
-
-def _dispatch(args):
-    from . import geometry as geo
-    from . import polyspace, modulus, approx, decompose, whitney
-
-    a = vars(args).copy()
-    cmd = a.pop("command")
-    a.pop("out", None)     # output destination and rendering are not part of
-    a.pop("format", None)  # the experiment configuration
-    seed = a.get("seed", 0)
-    meta = _meta(a, seed)
-
-    def domain_and_dirs():
-        dom = _load_spec(args.domain, geo.domain_from_spec)
-        return dom, _load_spec(args.dirs, geo.direction_set_from_spec, dom.dim)
-
-    def function(dim):
-        return _load_spec(args.function, lambda s: modulus.function_from_spec(s, dim), dim)
-
-    if cmd == "basis":
-        dirs = _load_spec(args.dirs, geo.direction_set_from_spec, args.dim)
-        basis = polyspace.build_basis(args.dim, args.order, dirs)
-        payload = {"meta": meta, "n_basis": basis.n_basis, **basis.spec()}
-        _emit(payload, args.out, args.format,
-              csv_rows=[[args.dim, args.order, basis.n_basis]],
-              csv_header=["d", "r", "n_basis"])
-        return 0
-
-    if cmd == "modulus":
-        dom, dirs = domain_and_dirs()
-        f = function(dom.dim)
-        plan = geo.sample_plan(dom, n_points=args.density, seed=seed)
-        t = args.t if args.t else geo.diameter(dom, plan).value
-        res = modulus.set_modulus(f, dom, plan, dirs, args.order, t, _parse_p(args.p))
-        payload = {"meta": meta, "value": res.value, "argmax_u": res.argmax_u,
-                   "argmax_xi": res.argmax_xi.tolist(),
-                   "n_valid_points": res.n_valid_points, "reliable": res.reliable}
-        _emit(payload, args.out, args.format,
-              csv_rows=[[res.value, res.argmax_u, res.n_valid_points]],
-              csv_header=["value", "argmax_u", "n_valid_points"])
-        return 0
-
-    if cmd == "approx":
-        dom, dirs = domain_and_dirs()
-        f = function(dom.dim)
-        plan = geo.sample_plan(dom, n_points=args.density, seed=seed)
-        basis = polyspace.build_basis(dom.dim, args.order, dirs)
-        res = approx.best_approx(f, dom, plan, basis, _parse_p(args.p), seed=seed)
-        payload = {"meta": meta, **res.spec()}
-        _emit(payload, args.out, args.format,
-              csv_rows=[[res.error, res.status, res.iterations]],
-              csv_header=["error", "status", "iterations"])
-        return 0 if res.status != "max_iter" else 3
-
-    if cmd == "whitney-estimate":
-        dom, dirs = domain_and_dirs()
-        plan = geo.sample_plan(dom, n_points=args.density, seed=seed)
-        family = {"kind": args.family}
-        est = whitney.empirical_whitney_constant(
-            dom, plan, dirs, args.order, _parse_p(args.p), family,
-            budget=args.budget, seed=seed)
-        payload = {"meta": meta, **est.spec()}
-        _emit(payload, args.out, args.format,
-              csv_rows=[[est.lower_bound, est.n_defined]],
-              csv_header=["lower_bound", "n_defined"])
-        return 0
-
-    if cmd == "chain-bound":
-        chain = _load_chain(args.chain)
-        verification = "skipped" if args.skip_verify else "sampled"
-        if args.skip_verify:
-            chain.verified = True
-        else:
-            res = decompose.verify_chain(chain, samples_per_piece=args.density,
-                                         seed=seed, check_coverage=False)
-            if not res.ok:
-                raise PreconditionError("chain failed verification",
-                                        witnesses=res.witnesses)
-        bound = whitney.chain_upper_bound(chain, args.w0, _parse_p(args.p))
-        payload = {"meta": meta, "value": bound.value, "log2_value": bound.log2_value,
-                   "closed_form": bound.closed_form, "theta": bound.theta,
-                   "n_links": bound.n_links, "w0": args.w0, "verification": verification}
-        if args.out or args.format == "csv":
-            _emit(payload, args.out, args.format,
-                  csv_rows=[[bound.value, bound.closed_form, args.w0, verification]],
-                  csv_header=["value", "closed_form", "w0", "verification"])
-        else:
-            if args.skip_verify:  # the bare value alone would read as verified
-                print("verification: skipped", file=sys.stderr)
-            print(_fmt(bound.value))
-        return 0
-
-    if cmd == "decompose":
-        dom = _load_spec(args.domain, geo.domain_from_spec)
-        dirs = _load_spec(args.dirs, geo.direction_set_from_spec, dom.dim) if args.dirs else None
-        if args.method == "star":
-            chain = decompose.star_shaped_decomposition(dom, args.order, seed=seed)
-        elif args.method == "planar":
-            chain, _ = decompose.planar_two_direction_chain(dom, r=args.order)
-        elif args.method == "lip2":
-            if dirs is None or args.delta is None:
-                raise ConfigError("lip2 needs --dirs and --delta")
-            chain = decompose.lip2_ball_chain(dom, dirs, args.delta, r=args.order, seed=seed)
-        else:
-            if dirs is None:
-                raise ConfigError("xray needs --dirs")
-            chain = decompose.xray_slab_decomposition(dom, dirs, n0=args.n0,
-                                                      r=args.order, seed=seed)
-        res = decompose.verify_chain(chain, seed=seed)
-        payload = {"meta": meta, "n_pieces": chain.n_pieces,
-                   "verified": res.ok, "worst_violation": res.worst_violation,
-                   "coverage_miss_rate": res.coverage_miss_rate,
-                   "chain": chain.spec()}
-        _emit(payload, args.out, args.format,
-              csv_rows=[[chain.n_pieces, res.ok, res.worst_violation]],
-              csv_header=["n_pieces", "verified", "worst_violation"])
-        return 0
-
-    if cmd == "verify-chain":
-        chain = _load_chain(args.chain)
-        res = decompose.verify_chain(chain, samples_per_piece=args.density, seed=seed)
-        payload = {"meta": meta, "ok": res.ok,
-                   "worst_violation": res.worst_violation,
-                   "witnesses": res.witnesses, "n_sampled": res.n_sampled,
-                   "coverage_miss_rate": res.coverage_miss_rate}
-        _emit(payload, args.out, args.format,
-              csv_rows=[[res.ok, res.worst_violation, res.n_sampled]],
-              csv_header=["ok", "worst_violation", "n_sampled"])
-        return 0 if res.ok else 2
-
-    if cmd == "counterexample":
-        d = args.dim
-        if d < 2:
-            raise ConfigError(f"--dim must be at least 2, got {d}")
-        xi = np.eye(d)[-1] if args.xi is None else np.asarray(args.xi)
-        if xi.size != d:
-            raise ConfigError(f"--xi has {xi.size} entries, --dim is {d}")
-        if args.dirs:
-            dirs = _load_spec(args.dirs, geo.direction_set_from_spec, d)
-        else:
-            dirs = _default_margin_dirs(d)
-        cert = whitney.counterexample_certificate(
-            d, xi, args.eps, dirs, args.order, args.n,
-            density=args.density, seed=seed)
-        payload = {"meta": meta, "margin_delta": cert.margin_delta,
-                   "modulus_bounded": cert.modulus_bounded,
-                   "rows": [dict(n=row.n, modulus=row.modulus, floor=row.floor,
-                                 numeric_er=row.numeric_er) for row in cert.rows]}
-        _emit(payload, args.out, args.format,
-              csv_rows=[[row.n, row.modulus, row.floor, row.numeric_er]
-                        for row in cert.rows],
-              csv_header=["n", "modulus", "floor", "numeric_Er"])
-        return 0
-
-    if cmd == "xray-check":
-        dom, dirs = domain_and_dirs()
-        sample = geo.boundary_points(dom, n=args.samples, seed=seed)
-        ok, wit = geo.xray_verifies(dom, dirs, sample)
-        payload = {"meta": meta, "ok": ok,
-                   "witnesses": [w.tolist() for w in wit[:16]]}
-        _emit(payload, args.out, args.format,
-              csv_rows=[[ok, len(wit)]], csv_header=["ok", "n_witnesses"])
-        return 0 if ok else 2
-
-    if cmd == "report":
-        dom, dirs = domain_and_dirs()
-        plan = geo.sample_plan(dom, n_points=args.density, seed=seed)
-        dom_id = _config_hash({"domain": dom.spec()})
-        e_id = _config_hash({"dirs": dirs.spec()})
-        chain = None
-        if args.chain:
-            chain = _load_chain(args.chain)
-            vres = decompose.verify_chain(chain, seed=seed, check_coverage=False)
-            if not vres.ok:
-                raise PreconditionError("chain failed verification")
-        rows = []
-        for r in args.r_list:
-            for p_text, p in args.p_list:
-                est = whitney.empirical_whitney_constant(
-                    dom, plan, dirs, r, p, {"kind": "random_poly"},
-                    budget=args.budget, seed=seed)
-                upper = ""
-                w0_note = ""
-                if chain is not None and args.w0 is not None and chain.order == r:
-                    bound = whitney.chain_upper_bound(chain, args.w0, p)
-                    est.attach_upper_bound(bound.value)
-                    upper = bound.value
-                    w0_note = f"w0={_fmt(args.w0)}"
-                rows.append([dom_id, e_id, r, p_text, est.lower_bound, upper,
-                             w0_note, json.dumps(est.witness["function"],
-                                                 sort_keys=True)])
-        payload = {"meta": meta,
-                   "rows": [dict(zip(["domain_id", "E_id", "r", "p",
-                                      "lower_bound", "upper_bound",
-                                      "w0_assumption", "witness_spec"], row))
-                            for row in rows]}
-        _emit(payload, args.out, args.format,
-              csv_rows=rows,
-              csv_header=["domain_id", "E_id", "r", "p", "lower_bound",
-                          "upper_bound", "w0_assumption", "witness_spec"])
-        return 0
-
-    raise ConfigError(f"unknown command {cmd!r}")
-
-
-def _default_margin_dirs(d):
-    from .geometry import direction_set
-    if d == 2:
-        ang = math.radians(80.0)
-        return direction_set([[1.0, 0.0], [math.cos(ang), math.sin(ang)]])
-    dirs = np.eye(d)
-    dirs[-1] = np.ones(d) / math.sqrt(d)
-    return direction_set(dirs)
 
 
 def main():

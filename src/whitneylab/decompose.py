@@ -43,6 +43,7 @@ class DecompositionChain:
     verified: bool = field(default=False, repr=False)
 
     def __post_init__(self):
+        _check_order(self.order)
         self.shifts = np.atleast_2d(np.asarray(self.shifts, dtype=float)) \
             if len(self.pieces) > 1 else np.zeros((0, self.pieces[0].dim))
         if self.shifts.shape[0] != len(self.pieces) - 1:
@@ -68,6 +69,12 @@ class DecompositionChain:
             "provenance": self.provenance,
             "target": self.target.spec() if self.target is not None else None,
         }
+
+
+def _check_order(r):
+    """Every builder divides by r: a chain has order 1 or more."""
+    if r < 1:
+        raise PreconditionError(f"chain order r must be at least 1, got {r}")
 
 
 def chain_from_spec(spec):
@@ -262,6 +269,7 @@ def star_shaped_decomposition(dom, r, seed=0):
     outside).  Each covering cone is cut into slabs whose thickness equals the
     shift step along the cone direction.
     """
+    _check_order(r)
     d = dom.dim
     _check_star_shaped(dom, seed=seed)
     if isinstance(dom.rep, PolytopeRep):
@@ -355,6 +363,7 @@ def planar_two_direction_chain(dom, r=1):
     on the diameter chord, then covers the chord strip with vertical slabs
     and the rest with horizontal slabs, each of thickness equal to its shift.
     """
+    _check_order(r)
     if dom.dim != 2:
         raise PreconditionError("planar chain requires dimension 2")
     if not isinstance(dom.rep, (PolytopeRep, BallRep)):
@@ -497,6 +506,7 @@ def _slice_pieces(center, rho, symdirs, eps0, r, clip_to=None, drop_empty=True):
 
 def ball_direction_slices(B, dirset, r):
     """Chain fragment growing a ball to its sigma-dilation via cone slices."""
+    _check_order(r)
     if not isinstance(B.rep, BallRep):
         raise PreconditionError("ball_direction_slices needs a ball domain")
     eps0 = dirset.spread
@@ -553,6 +563,7 @@ def lip2_ball_chain(dom, dirset, delta, r=1, seed=0):
     connected walk, and expands each link with directional ball slices so
     that every shift direction comes from the given set.
     """
+    _check_order(r)
     eps0 = dirset.spread
     if eps0 <= 0.0:
         raise SpanDeficiencyError("direction set must span the space")
@@ -765,7 +776,10 @@ def xray_slab_decomposition(dom, dirset, n0=1, r=1, n0_cap=12, seed=0):
     slabs or the base.  Fails loudly if the boundary is not illuminated or no
     shrink index up to the cap yields a ray cover.
     """
+    _check_order(r)
     d = dom.dim
+    if n0 < 0:
+        raise PreconditionError(f"shrink index n0 must be nonnegative, got {n0}")
     if not isinstance(dom.rep, (PolytopeRep, BallRep)):
         raise PreconditionError("x-ray slabs support polytope and ball domains")
     if not dom.strictly_inside(np.zeros(d)):

@@ -347,8 +347,8 @@ def directional_modulus(f, dom, plan, xi, r, t, p, n_shift=N_SHIFT_DEFAULT,
     Carlo estimate.  Every plan point must belong to ``dom``: the stencil of
     x starts at x, and only x + j u xi, j = 1..r, are tested.
     """
-    if t <= 0:
-        raise PreconditionError("scale t must be positive")
+    if not 0 < t < math.inf:
+        raise PreconditionError(f"scale t must be positive and finite, got {t}")
     if r < 1:
         raise PreconditionError("difference order must be >= 1")
     if len(plan) == 0:

@@ -148,8 +148,8 @@ def chain_upper_bound(chain, w0, p):
     """
     if not chain.verified:
         raise PreconditionError("chain must pass verify_chain before certification")
-    if w0 < 0:
-        raise PreconditionError("w0 must be nonnegative")
+    if not 0 <= w0 < math.inf:
+        raise PreconditionError(f"w0 must be finite and nonnegative, got {w0}")
     theta = min(p, 1.0)
     r = chain.order
     m = chain.n_pieces - 1

@@ -24,6 +24,8 @@ def files(tmp_path):
     paths["square"].write_text(json.dumps(
         {"type": "polytope", "A": [[1, 0], [-1, 0], [0, 1], [0, -1]],
          "b": [1, 1, 1, 1]}))
+    paths["disk"] = tmp_path / "disk.json"
+    paths["disk"].write_text(json.dumps({"type": "ball", "center": [0, 0], "radius": 1.0}))
     paths["fn"] = tmp_path / "fn.json"
     paths["fn"].write_text(json.dumps(
         {"kind": "polynomial", "exponents": [[2, 0]], "coeffs": [1.0]}))
@@ -401,6 +403,115 @@ class TestOptionErrors:
                     "--density", "256", "--format", "json"]) == 0
         rows = json.loads(capsys.readouterr().out)["rows"]
         assert [row["p"] for row in rows] == ["1", " inf"]
+
+
+class TestBadValues:
+    """Out-of-range option and chain values end in exit 1 or 2 naming the option or
+    field, not in a traceback or a label that is not true."""
+
+    @pytest.mark.parametrize("method, extra", [
+        ("star", []), ("planar", []), ("lip2", ["--delta", "1.0"]), ("xray", [])])
+    def test_decompose_order_zero_exit2(self, files, method, extra, capsys):
+        assert run(["decompose", "--domain", str(files["disk"]), "--method", method, "--order", "0",
+                    "--dirs", str(files["axes"]), *extra]) == 2
+        assert "order r must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["verify-chain"], ["chain-bound", "--w0", "1"],
+                                      ["chain-bound", "--w0", "1", "--skip-verify"]],
+                             ids=["verify-chain", "chain-bound", "chain-bound-skip"])
+    def test_chain_file_order_zero_exit2(self, files, argv, capsys):
+        spec = json.loads(files["chain"].read_text())
+        spec["r"] = 0
+        path = files["tmp"] / "r0.json"
+        path.write_text(json.dumps(spec))
+        assert run([*argv, "--chain", str(path), "--density", "200"]) == 2
+        assert "order r must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("samples", ["-1", "0"])
+    def test_xray_samples_must_be_positive(self, files, samples, capsys):
+        assert run(["xray-check", "--domain", str(files["square"]), "--dirs", str(files["axes"]),
+                    "--samples", samples]) == 1
+        assert "--samples" in capsys.readouterr().err
+
+    def test_xray_negative_n0_exit2(self, files, capsys):
+        assert run(["decompose", "--domain", str(files["disk"]), "--method", "xray",
+                    "--dirs", str(files["axes"]), "--n0", "-2"]) == 2
+        assert "n0 must be nonnegative" in capsys.readouterr().err
+
+    MODULUS = ["modulus", "--order", "1", "--density", "256"]
+
+    @pytest.mark.parametrize("t", ["0", "nan", "inf"])
+    def test_modulus_t_must_be_positive_and_finite(self, files, t, capsys):
+        assert run(self.MODULUS + ["--function", str(files["fn"]), "--domain",
+                                   str(files["square"]), "--dirs", str(files["axes"]),
+                                   "--t", t]) == 2
+        assert "scale t must be positive and finite" in capsys.readouterr().err
+
+    def test_modulus_t_half(self, files, capsys):
+        # sup |(x + u)^2 - x^2| over x, x + u in [-1, 1], 0 < u <= 1/2 is 3/4
+        assert run(self.MODULUS + ["--function", str(files["fn"]), "--domain",
+                                   str(files["square"]), "--dirs", str(files["axes"]),
+                                   "--t", "0.5"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["argmax_u"] <= 0.5
+        assert 0.7 < payload["value"] <= 0.75
+
+    @pytest.mark.parametrize("w0", ["nan", "inf"])
+    def test_chain_bound_w0_must_be_finite(self, files, w0, capsys):
+        assert run(["chain-bound", "--chain", str(files["chain"]), "--w0", w0,
+                    "--density", "200"]) == 2
+        assert "w0 must be finite and nonnegative" in capsys.readouterr().err
+
+    REPORT = ["report", "--r-list", "2", "--p-list", "1", "--budget", "2", "--density", "256"]
+
+    @pytest.mark.parametrize("given", ["--chain", "--w0"])
+    def test_report_chain_and_w0_go_together(self, files, given, capsys):
+        value = str(files["chain"]) if given == "--chain" else "1"
+        assert run(self.REPORT + ["--domain", str(files["square"]),
+                                  "--dirs", str(files["axes"]), given, value]) == 1
+        err = capsys.readouterr().err
+        assert "--chain" in err and "--w0" in err
+
+    def test_report_failing_chain_prints_witnesses(self, files, capsys):
+        assert run(self.REPORT + ["--domain", str(files["square"]), "--dirs", str(files["axes"]),
+                                  "--chain", str(files["badchain"]), "--w0", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "chain failed verification" in err and "witnesses:" in err
+
+
+class TestConfigHash:
+    """``meta.config_hash`` hashes the parsed options without the command, the
+    output destination and the format; these values were taken before the
+    subcommands became a command table, with relative file names."""
+
+    ARGV = {
+        "basis": (["--dim", "2", "--order", "2", "--dirs", "axes.json"], "f394bb0ae27713c8"),
+        "modulus": (["--function", "fn.json", "--domain", "square.json", "--dirs", "axes.json",
+                     "--order", "1", "--t", "0.5", "--density", "256"], "46a121f594293f75"),
+        "approx": (["--function", "fn.json", "--domain", "square.json", "--dirs", "axes.json",
+                    "--order", "2", "--p", "2", "--density", "256"], "2fc0d38244f510fe"),
+        "whitney-estimate": (["--domain", "square.json", "--dirs", "axes.json", "--order", "1",
+                              "--budget", "2", "--density", "256"], "7e11ccbc6be0c58d"),
+        "chain-bound": (["--chain", "chain.json", "--w0", "1", "--p", "1", "--density", "200"],
+                        "2a75b1fc7f64efc9"),
+        "decompose": (["--domain", "square.json", "--method", "planar", "--order", "1",
+                       "--density", "256"], "c6711f0ef6e51834"),
+        "verify-chain": (["--chain", "chain.json", "--density", "200"], "ed99341df8bd0b9b"),
+        "counterexample": (["--dim", "2", "--order", "1", "--eps", "0.01", "--n", "2,4",
+                            "--density", "256"], "390787709f4a9417"),
+        "xray-check": (["--domain", "square.json", "--dirs", "axes.json", "--samples", "32"],
+                       "b80c1a019e3d2f19"),
+        "report": (["--domain", "square.json", "--dirs", "axes.json", "--r-list", "1",
+                    "--p-list", "1,inf", "--budget", "2", "--density", "256"],
+                   "2414626e2e450627"),
+    }
+
+    @pytest.mark.parametrize("cmd", list(ARGV))
+    def test_pinned(self, files, cmd, monkeypatch):
+        monkeypatch.chdir(files["tmp"])
+        argv, expected = self.ARGV[cmd]
+        assert run([cmd, *argv, "--out", "out.json", "--format", "json"]) in (0, 2)
+        assert json.loads(Path("out.json").read_text())["meta"]["config_hash"] == expected
 
 
 def test_thread_cap_applied_before_numpy_loads():
