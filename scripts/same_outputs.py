@@ -14,7 +14,10 @@ input paths). The new tree's outputs are also checked with
 
 Exits 0 when every output is identical and passes its check, and 1
 otherwise, naming every experiment whose bytes differ, that failed or whose
-check failed.
+check failed. An output whose bytes differ is described by the largest
+relative difference between the numbers at the same JSON path, or as
+"structure differs" when anything but a number differs (keys, list lengths,
+strings).
 """
 import os
 
@@ -26,6 +29,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import re
 import subprocess
 import sys
@@ -78,6 +82,31 @@ def collect(tree, dest, check):
     (dest / "summary.json").write_text(json.dumps(summary), encoding="utf-8")
 
 
+def largest_rel_diff(a, b):
+    """The largest |x - y| / max(|x|, |y|) over the numbers x, y at the same
+    JSON path of ``a`` and ``b`` (inf where one is not finite or NaN and the
+    other differs), or None when anything but a number differs."""
+    if (isinstance(a, (int, float)) and isinstance(b, (int, float))
+            and not isinstance(a, bool) and not isinstance(b, bool)):
+        if a == b or (a != a and b != b):
+            return 0.0
+        rel = abs(a - b) / max(abs(a), abs(b))
+        return rel if rel == rel else math.inf
+    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        pairs = [(a[k], b[k]) for k in a]
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        pairs = zip(a, b)
+    else:
+        return 0.0 if type(a) is type(b) and a == b else None
+    worst = 0.0
+    for x, y in pairs:
+        rel = largest_rel_diff(x, y)
+        if rel is None:
+            return None
+        worst = max(worst, rel)
+    return worst
+
+
 def run_tree(tree, dest, check):
     argv = [sys.executable, str(Path(__file__).resolve()), "--collect", str(tree), str(dest)]
     subprocess.run(argv + (["--check"] if check else []), check=True)
@@ -111,9 +140,13 @@ def main(argv=None):
                 reasons.append("not run on the old tree")
             elif want["problems"]:
                 reasons.extend(f"old tree: {msg}" for msg in want["problems"])
-            elif not reasons and ((Path(tmp) / "old" / want["out"]).read_bytes()
-                                  != (Path(tmp) / "new" / got["out"]).read_bytes()):
-                reasons.append("bytes differ")
+            elif not reasons:
+                before = (Path(tmp) / "old" / want["out"]).read_bytes()
+                after = (Path(tmp) / "new" / got["out"]).read_bytes()
+                if before != after:
+                    rel = largest_rel_diff(json.loads(before), json.loads(after))
+                    reasons.append("bytes differ, " + ("structure differs" if rel is None else
+                                                       f"largest relative difference {rel:.3g}"))
             bad.extend(f"{key}: {msg}" for msg in reasons)
     for line in bad:
         print(line)

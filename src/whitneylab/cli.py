@@ -167,14 +167,12 @@ def _plan(args, dom):
     return geo.sample_plan(dom, n_points=args.density, seed=args.seed)
 
 
-def _verified_chain(path, seed, **kw):
-    """The chain at ``path`` once it passes ``verify_chain`` (without coverage);
-    a failing chain is a precondition failure that carries the witnesses."""
-    chain = _load_chain(path)
+def _verify(chain, seed, **kw):
+    """Run ``verify_chain`` on ``chain`` (without coverage); a failing chain is
+    a precondition failure that carries the witnesses."""
     res = decompose.verify_chain(chain, seed=seed, check_coverage=False, **kw)
     if not res.ok:
         raise PreconditionError("chain failed verification", witnesses=res.witnesses)
-    return chain
 
 
 # One function per subcommand: each returns (exit code, payload fields, CSV
@@ -219,11 +217,11 @@ def _cmd_whitney_estimate(args):
 
 
 def _cmd_chain_bound(args):
+    chain = _load_chain(args.chain)
     if args.skip_verify:
-        chain = _load_chain(args.chain)
         chain.verified = True
     else:
-        chain = _verified_chain(args.chain, args.seed, samples_per_piece=args.density)
+        _verify(chain, args.seed, samples_per_piece=args.density)
     verification = "skipped" if args.skip_verify else "sampled"
     bound = whitney.chain_upper_bound(chain, args.w0, _parse_p(args.p))
     if not args.out and args.format == "json":  # the bare value, and no payload
@@ -316,10 +314,16 @@ def _cmd_report(args):
     if (args.chain is None) != (args.w0 is None):
         raise ConfigError("--chain and --w0 must be given together")
     dom, dirs = _domain_dirs(args)
+    chain = None
+    if args.chain is not None:
+        chain = _load_chain(args.chain)
+        if chain.order not in args.r_list:  # its bound would fill no row
+            raise ConfigError(f"--chain has order r={chain.order}, which --r-list "
+                              f"{','.join(map(str, args.r_list))} does not contain")
+        _verify(chain, args.seed)
     plan = _plan(args, dom)
     dom_id = _config_hash({"domain": dom.spec()})
     e_id = _config_hash({"dirs": dirs.spec()})
-    chain = _verified_chain(args.chain, args.seed) if args.chain is not None else None
     rows = []
     for r in args.r_list:
         for p_text, p in args.p_list:

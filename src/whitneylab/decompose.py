@@ -206,12 +206,10 @@ def _perp_basis(xi):
 
 
 def _dilate(dom, c):
-    """Dilation about the origin by factor c > 0."""
-    if isinstance(dom.rep, PolytopeRep):
-        return _polytope_with_bbox(dom.rep.A, c * dom.rep.b, c * dom.bbox)
+    """Dilation about the origin by factor c > 0 of a polytope or a ball."""
     if isinstance(dom.rep, BallRep):
         return ball(c * dom.rep.center, c * dom.rep.radius)
-    return affine_image(dom, c * np.eye(dom.dim), np.zeros(dom.dim))
+    return _polytope_with_bbox(dom.rep.A, c * dom.rep.b, c * dom.bbox)
 
 
 # ---------------------------------------------------------------------------
@@ -225,14 +223,13 @@ def _check_star_shaped(dom, seed=0, n_points=256, n_dirs=12, n_lambda=8):
         raise PreconditionError("cannot sample the domain")
     dirs = rng.standard_normal((n_dirs, dom.dim))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    lams = np.linspace(0.0, 1.0, n_lambda)
-    for x in pts:
-        for lam in lams:
-            probe = lam * x + (1.0 - lam) * dirs  # mixes x with unit-sphere points
-            if not np.all(dom.contains(probe)):
-                raise PreconditionError(
-                    "domain is not star-shaped with respect to the unit ball",
-                    witnesses=[x.tolist()])
+    lams = np.linspace(0.0, 1.0, n_lambda)[:, None, None]
+    # probes[i, l, k] mixes sample i with unit-sphere point k at weight lams[l]
+    probes = lams * pts[:, None, None, :] + (1.0 - lams) * dirs
+    ok = dom.contains(probes.reshape(-1, dom.dim)).reshape(len(pts), -1).all(axis=1)
+    if not ok.all():
+        raise PreconditionError("domain is not star-shaped with respect to the unit ball",
+                                witnesses=[pts[int(np.argmin(ok))].tolist()])
 
 
 def _sphere_cover(d, R, radius, seed=0):
@@ -366,7 +363,8 @@ def planar_two_direction_chain(dom, r=1):
     _check_order(r)
     if dom.dim != 2:
         raise PreconditionError("planar chain requires dimension 2")
-    if not isinstance(dom.rep, (PolytopeRep, BallRep)):
+    poly = isinstance(dom.rep, PolytopeRep)
+    if not poly and not isinstance(dom.rep, BallRep):
         raise PreconditionError("planar chain requires a convex polytope or ball")
 
     # a parallelepiped is its own base piece, whatever its scale
@@ -379,15 +377,10 @@ def planar_two_direction_chain(dom, r=1):
     if geo.signed_boundary_distance(dom, np.zeros(2)) > -(1.0 - 1e-9):
         raise PreconditionError("domain must be normalized to contain the unit ball")
 
-    if isinstance(dom.rep, PolytopeRep):
+    if poly:  # the first pair at the largest vertex distance
         verts = dom.vertices()
-        besti, bestj, best = 0, 0, -1.0
-        for i in range(len(verts)):
-            dists = np.linalg.norm(verts - verts[i], axis=1)
-            j = int(np.argmax(dists))
-            if dists[j] > best:
-                besti, bestj, best = i, j, float(dists[j])
-        a, b = verts[besti], verts[bestj]
+        dists = np.linalg.norm(verts[:, None, :] - verts[None, :, :], axis=2)
+        a, b = verts[list(np.unravel_index(np.argmax(dists), dists.shape))]
     else:
         c, rho = dom.rep.center, dom.rep.radius
         a, b = c - rho * np.array([0.0, 1.0]), c + rho * np.array([0.0, 1.0])
@@ -396,30 +389,29 @@ def planar_two_direction_chain(dom, r=1):
     xi2 = np.array([-xi1[1], xi1[0]])
     x0 = float(xi2 @ a)
 
-    # largest square centered on the chord line, axes (xi2, xi1)
-    if isinstance(dom.rep, PolytopeRep):
+    # largest square centered on the chord line, axes (xi2, xi1), and the
+    # domain's extents along both axes
+    if poly:
         from scipy.optimize import linprog
         A, bb = dom.rep.A, dom.rep.b
         a1 = A @ xi1
         a2 = A @ xi2
-        rows = []
-        rhs = []
-        for s1 in (-1.0, 1.0):
-            for s2 in (-1.0, 1.0):
-                rows.append(np.column_stack([a1, s1 * a1 + s2 * a2]))
-                rhs.append(bb - x0 * a2)
-        A_lp = np.vstack(rows)
-        b_lp = np.concatenate(rhs)
+        A_lp = np.vstack([np.column_stack([a1, s1 * a1 + s2 * a2])
+                          for s1 in (-1.0, 1.0) for s2 in (-1.0, 1.0)])
+        b_lp = np.tile(bb - x0 * a2, 4)
         res = linprog(np.array([0.0, -1.0]), A_ub=A_lp, b_ub=b_lp,
                       bounds=[(None, None), (1e-12, None)], method="highs")
         if res.x is None:
             raise PreconditionError("no inscribed square centered on the chord")
         y_c, w = float(res.x[0]), float(res.x[1])
+        y_lo, y_hi = float(np.min(verts @ xi1)), float(np.max(verts @ xi1))
+        x_lo, x_hi = float(np.min(verts @ xi2)), float(np.max(verts @ xi2))
     else:
-        c, rho = dom.rep.center, dom.rep.radius
         dx = abs(x0 - float(xi2 @ c))
         y_c = float(xi1 @ c)
         w = 0.5 * (-dx + math.sqrt(max(2.0 * rho * rho - dx * dx, 0.0)))
+        y_lo, y_hi = y_c - rho, y_c + rho
+        x_lo, x_hi = float(xi2 @ c) - rho, float(xi2 @ c) + rho
     if w <= 0:
         raise PreconditionError("degenerate inscribed square")
 
@@ -437,28 +429,17 @@ def planar_two_direction_chain(dom, r=1):
     shifts = []
     delta = 0.999 * w / r
 
-    if isinstance(dom.rep, PolytopeRep):
-        y_lo = float(np.min(dom.vertices() @ xi1))
-        y_hi = float(np.max(dom.vertices() @ xi1))
-        x_lo = float(np.min(dom.vertices() @ xi2))
-        x_hi = float(np.max(dom.vertices() @ xi2))
-    else:
-        c, rho = dom.rep.center, dom.rep.radius
-        y_lo, y_hi = float(xi1 @ c) - rho, float(xi1 @ c) + rho
-        x_lo, x_hi = float(xi2 @ c) - rho, float(xi2 @ c) + rho
-
-    def add_slabs(lo_start, extent_hi, axis_vec, sign, strip):
+    def add_slabs(lo_start, extent_hi, axis_vec, sign):
         """March slabs of thickness delta from lo_start towards extent_hi."""
         n = int(math.ceil(max(extent_hi - lo_start, 0.0) / delta))
         for i in range(1, n + 1):
             t_lo = lo_start + (i - 1) * delta
             t_hi = lo_start + i * delta
+            lo, hi = (t_lo, t_hi) if sign > 0 else (-t_hi, -t_lo)
             if axis_vec is xi1:
-                lo1, hi1 = (t_lo, t_hi) if sign > 0 else (-t_hi, -t_lo)
-                A_s, b_s, bb = frame_poly(x0 - w, x0 + w, lo1, hi1) if strip else (None,) * 3
+                A_s, b_s, bb = frame_poly(x0 - w, x0 + w, lo, hi)
             else:
-                lo2, hi2 = (t_lo, t_hi) if sign > 0 else (-t_hi, -t_lo)
-                A_s, b_s, bb = frame_poly(lo2, hi2, y_lo, y_hi)
+                A_s, b_s, bb = frame_poly(lo, hi, y_lo, y_hi)
             piece = _stack_with_polytope(A_s, b_s, bb, dom)
             if not _piece_nonempty(piece, seed=1 + i):
                 break
@@ -466,11 +447,11 @@ def planar_two_direction_chain(dom, r=1):
             shifts.append(sign * delta * axis_vec)
 
     # vertical slabs over the chord strip, up then down (signed coordinates)
-    add_slabs(y_c + w, y_hi, xi1, +1.0, strip=True)
-    add_slabs(-(y_c - w), -y_lo, xi1, -1.0, strip=True)
+    add_slabs(y_c + w, y_hi, xi1, +1.0)
+    add_slabs(-(y_c - w), -y_lo, xi1, -1.0)
     # horizontal slabs over the full height, right then left
-    add_slabs(x0 + w, x_hi, xi2, +1.0, strip=False)
-    add_slabs(-(x0 - w), -x_lo, xi2, -1.0, strip=False)
+    add_slabs(x0 + w, x_hi, xi2, +1.0)
+    add_slabs(-(x0 - w), -x_lo, xi2, -1.0)
 
     sym = direction_set([xi1, xi2]).symmetrized()
     chain = DecompositionChain(pieces, np.array(shifts), r, sym, "planar", target=dom)
@@ -609,40 +590,32 @@ def lip2_ball_chain(dom, dirset, delta, r=1, seed=0):
         if np.linalg.norm(centers - feas[j], axis=1).min() > 1e-9 * delta:
             centers = np.vstack([centers, feas[j]])
 
-    # connected walk over the cover graph
+    # depth-first walk with explicit backtracking (pieces may repeat) over the
+    # cover graph at the first threshold that connects it
     n = len(centers)
     for threshold in (0.95 * delta, 1.3 * delta, 1.9 * delta):
         adj = np.linalg.norm(centers[:, None, :] - centers[None, :, :], axis=2) <= threshold
         np.fill_diagonal(adj, False)
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            u = frontier.pop()
-            for v in np.nonzero(adj[u])[0]:
-                if int(v) not in seen:
-                    seen.add(int(v))
-                    frontier.append(int(v))
-        if len(seen) == n:
+        walk = [0]
+        visited = {0}
+        dfs_stack = [(0, iter(np.nonzero(adj[0])[0]))]
+        while dfs_stack:
+            u, neighbors = dfs_stack[-1]
+            for v in neighbors:
+                v = int(v)
+                if v not in visited:
+                    visited.add(v)
+                    walk.append(v)
+                    dfs_stack.append((v, iter(np.nonzero(adj[v])[0])))
+                    break
+            else:
+                dfs_stack.pop()
+                if dfs_stack:
+                    walk.append(dfs_stack[-1][0])
+        if len(visited) == n:
             break
     else:
         raise PreconditionError("disconnected cover graph at the requested radius")
-    # depth-first walk with explicit backtracking (pieces may repeat)
-    walk = [0]
-    visited = {0}
-    dfs_stack = [(0, iter(np.nonzero(adj[0])[0]))]
-    while dfs_stack:
-        u, neighbors = dfs_stack[-1]
-        for v in neighbors:
-            v = int(v)
-            if v not in visited:
-                visited.add(v)
-                walk.append(v)
-                dfs_stack.append((v, iter(np.nonzero(adj[v])[0])))
-                break
-        else:
-            dfs_stack.pop()
-            if dfs_stack:
-                walk.append(dfs_stack[-1][0])
 
     pieces = []
     shifts = []
@@ -723,17 +696,11 @@ def _independent_subset(dirs, d):
 # ---------------------------------------------------------------------------
 
 def _slab_thickness(dom, c0, c1, r, diam):
-    """Largest delta in [0, diam] with c0 dom + B(r delta) inside c1 dom (to 1e-15):
-    min_i (c1 b_i - c0 h_i) / (r |a_i|) over the facets a_i . x <= b_i, with
-    h_i = max_v a_i . v over the vertices; (c1 - c0)(rho - |c|) / r for a ball."""
-    if isinstance(dom.rep, PolytopeRep):
-        A, b = dom.rep.A, dom.rep.b
-        h = np.max(dom.vertices() @ A.T, axis=0)
-        room = np.min((c1 * b + 1e-15 - c0 * h) / (r * np.linalg.norm(A, axis=1)))
-    else:
-        c, rho = dom.rep.center, dom.rep.radius
-        room = (c1 * rho + 1e-15 - (c1 - c0) * np.linalg.norm(c) - c0 * rho) / r
-    return float(np.clip(room, 0.0, diam))
+    """Largest delta in [0, diam] with c0 dom + B(r delta) inside c1 dom: for a
+    convex body that is (c1 - c0) times the distance from the origin to the
+    boundary, over r (zero when the origin lies outside)."""
+    depth = -float(dom.rep.signed_distance(np.zeros((1, dom.dim)))[0])
+    return float(np.clip((c1 - c0) * depth / r, 0.0, diam))
 
 
 def _minkowski_segment(base, e, t1, t2, clip_dom):
@@ -743,9 +710,15 @@ def _minkowski_segment(base, e, t1, t2, clip_dom):
         from scipy.spatial import ConvexHull
         verts = base.vertices()
         pts = np.vstack([verts - t1 * e, verts - t2 * e])
-        hull = ConvexHull(pts)
-        A = hull.equations[:, :d]
-        b = -hull.equations[:, d]
+        eq = ConvexHull(pts).equations  # one row per triangle of a facet
+        key = np.column_stack([eq[:, :d], eq[:, d] / clip_dom.scale()])
+        order = np.lexsort(np.round(key, 9).T[::-1])  # canonical row order
+        eq, key = eq[order], key[order]
+        # one row per facet, with its smallest offset so the piece never grows
+        same = np.max(np.abs(key[:, None] - key[None]), axis=2) <= 1e-9
+        lead = np.unique(np.argmax(same, axis=1))
+        A = eq[lead, :d]
+        b = np.min(np.where(same[lead], -eq[:, d], np.inf), axis=1)
         bbox = np.vstack([pts.min(axis=0), pts.max(axis=0)])
         return _stack_with_polytope(A, b, bbox, clip_dom)
     if isinstance(base.rep, BallRep):

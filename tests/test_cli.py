@@ -220,6 +220,23 @@ class TestReport:
             "w0_assumption", "witness_spec"]
         assert len(lines) == 2
 
+    def test_chain_order_outside_r_list_is_config_error(self, files, monkeypatch, capsys):
+        chain = files["tmp"] / "planar.json"
+        assert run(["decompose", "--domain", str(files["square"]), "--method", "planar",
+                    "--order", "1", "--out", str(chain)]) == 0
+
+        def no_verify(*args, **kw):
+            raise AssertionError("the chain was verified before the order check")
+
+        monkeypatch.setattr(w.decompose, "verify_chain", no_verify)
+        code = run(["report", "--domain", str(files["square"]),
+                    "--dirs", str(files["axes"]), "--r-list", "2", "--p-list", "inf",
+                    "--budget", "4", "--density", "256", "--chain", str(chain),
+                    "--w0", "nan", "--out", str(files["tmp"] / "report.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "r=1" in err and "--r-list 2" in err
+
 
 class TestDecomposeCommand:
     def test_planar_on_disk(self, tmp_path, capsys):
@@ -462,7 +479,8 @@ class TestBadValues:
                     "--density", "200"]) == 2
         assert "w0 must be finite and nonnegative" in capsys.readouterr().err
 
-    REPORT = ["report", "--r-list", "2", "--p-list", "1", "--budget", "2", "--density", "256"]
+    # r = 1, the order of the bad chain: an unlisted order is a config error
+    REPORT = ["report", "--r-list", "1", "--p-list", "1", "--budget", "2", "--density", "256"]
 
     @pytest.mark.parametrize("given", ["--chain", "--w0"])
     def test_report_chain_and_w0_go_together(self, files, given, capsys):

@@ -87,6 +87,22 @@ class TestStarShaped:
         with pytest.raises(PreconditionError):
             w.star_shaped_decomposition(L, 1, seed=0)
 
+    def test_l_shape_witness_is_the_first_failing_sample(self):
+        L = w.union([w.box([-3, -3], [3, -2.0]), w.box([2.0, -3], [3, 3])])
+        # reference: the per-point loop over samples and mixing weights
+        seed, n_points, n_dirs, n_lambda = 0, 256, 12, 8
+        rng = np.random.default_rng(seed)
+        pts = dc._sample_in(L, n_points, seed)
+        dirs = rng.standard_normal((n_dirs, 2))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        want = next(x for x in pts
+                    if any(not np.all(L.contains(lam * x + (1.0 - lam) * dirs))
+                           for lam in np.linspace(0.0, 1.0, n_lambda)))
+        with pytest.raises(PreconditionError) as err:
+            dc._check_star_shaped(L, seed=seed, n_points=n_points, n_dirs=n_dirs,
+                                  n_lambda=n_lambda)
+        assert err.value.witnesses == [want.tolist()]
+
 
 class TestPlanar:
     def test_disk(self):
@@ -183,6 +199,18 @@ class TestXray:
         res = verify_chain(chain, samples_per_piece=1000, seed=0)
         assert res.ok, res.witnesses[:2]
         assert res.coverage_ok
+
+    def test_cube_diagonal_pieces_have_one_row_per_facet(self):
+        # qhull gives one row per triangle; a piece keeps one per facet
+        cube = w.box([-1] * 3, [1] * 3)
+        diag = w.direction_set(np.array(
+            [[1, 1, 1], [1, 1, -1], [1, -1, 1], [1, -1, -1]]) / math.sqrt(3))
+        chain = w.xray_slab_decomposition(cube, diag, n0=1, r=1, seed=1)
+        for piece in chain.pieces:  # the shrunken cube and its slabs, all polytopes
+            rows = np.column_stack([piece.rep.A, piece.rep.b])
+            gap = np.max(np.abs(rows[:, None] - rows[None]), axis=2)
+            np.fill_diagonal(gap, np.inf)
+            assert gap.min() > 1e-9
 
 
 class TestChainSpec:
