@@ -13,22 +13,20 @@ from .errors import ConvergenceError, PreconditionError, SpanDeficiencyError
 from .geometry import (
     AffineMap, DirectionSet, Domain, SamplePlan,
     affine_image, ball, box, cone_body, diameter, direction_set,
-    domain_from_spec, grid_plan, illuminated, inscribed_affine_hexagon,
-    inscribed_ball, intersection, normalize, polytope,
-    sample_plan, union, xray_verifies, boundary_points, as_polytope,
+    domain_from_spec, grid_plan, illuminated, inscribed_ball, intersection,
+    normalize, polytope, sample_plan, union, xray_verifies, boundary_points, as_polytope,
 )
 from .polyspace import (
-    PolySpaceBasis, build_basis, directional_power_derivative, evaluate,
-    membership_residual, monomial_exponents,
+    PolySpaceBasis, build_basis, monomial_exponents,
 )
 from .modulus import (
     CallbackFunction, ModulusResult, PolynomialFunction, RidgeLog,
     SampledFunction, directional_modulus, finite_difference,
     function_from_spec, lp_norm, random_polynomial, set_modulus, shift_domain,
 )
-from .approx import ApproxResult, best_approx, best_approx_1d, equioscillation_certificate
+from .approx import ApproxResult, best_approx
 from .decompose import (
-    DecompositionChain, ball_direction_slices, chain_from_spec,
+    DecompositionChain, chain_from_spec,
     lip2_ball_chain, planar_two_direction_chain, star_shaped_decomposition,
     verify_chain, xray_slab_decomposition,
 )

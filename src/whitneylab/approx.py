@@ -141,38 +141,3 @@ def best_approx(f, dom, plan, basis, p, seed=0):
     error = lp_norm(fvals - Phi @ coeffs, plan.weights, p)
     return ApproxResult(coeffs, float(error), status, iters, p)
 
-
-def best_approx_1d(samples, r, p, seed=0):
-    """Best degree-(r-1) univariate fit to weighted samples (t_i, v_i, w_i)."""
-    t = np.asarray([s[0] for s in samples], dtype=float)
-    v = np.asarray([s[1] for s in samples], dtype=float)
-    w = np.asarray([s[2] for s in samples], dtype=float)
-    if np.unique(np.round(t, 14)).size < r:
-        raise PreconditionError("need at least r distinct sample abscissae")
-    lo, hi = float(t.min()), float(t.max())
-    span = max(hi - lo, 1e-300)
-    s = 2.0 * (t - lo) / span - 1.0  # rescale for conditioning
-    Phi = np.vander(s, N=r, increasing=True)
-    coeffs, status, iters = _solve(Phi, v, w, p, seed=seed)
-    error = lp_norm(v - Phi @ coeffs, w, p)
-    return ApproxResult(coeffs, float(error), status, iters, p)
-
-
-def equioscillation_certificate(t, residuals, error, n_basis, rel_tol=1e-6):
-    """Count alternating near-extreme residuals of a univariate minimax fit.
-
-    Returns (n_extreme, alternating) where a valid certificate has at least
-    ``n_basis + 1`` points of magnitude >= (1 - rel_tol) * error with
-    alternating signs along increasing t.
-    """
-    t = np.asarray(t, dtype=float).ravel()
-    res = np.asarray(residuals, dtype=float).ravel()
-    order = np.argsort(t)
-    thresh = (1.0 - rel_tol) * error
-    signs = []
-    for i in order:
-        if abs(res[i]) >= thresh:
-            s = 1 if res[i] > 0 else -1
-            if not signs or signs[-1] != s:
-                signs.append(s)
-    return len(signs), len(signs) >= n_basis + 1

@@ -37,19 +37,19 @@ def _parse_p(text):
         p = float(text)
     except ValueError as exc:
         raise ConfigError(f"invalid p value {text!r}") from exc
-    if p <= 0:
-        raise ConfigError("p must be positive")
+    if not p > 0:
+        raise ConfigError(f"p must be positive, got {text!r}")
     return p
 
 
 # argparse ``type=`` functions: an ArgumentTypeError names the option (exit 1)
 
 def _parse_ints(text):
-    try:
-        return [int(s) for s in text.split(",") if s.strip()]
-    except ValueError:
+    values = [_positive_int(s) for s in text.split(",") if s.strip()]
+    if not values:
         raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}") from None
+            f"expected comma-separated positive integers, got {text!r}")
+    return values
 
 
 def _positive_int(text):
@@ -375,7 +375,7 @@ def _build_parser():
     command("whitney-estimate", _cmd_whitney_estimate,
             "empirical lower bound on the ratio constant", domain, dirs, order, p,
             opt("--family", default="random_poly", choices=["random_poly", "perturbed_basis"]),
-            opt("--budget", type=int, default=64))
+            opt("--budget", type=_positive_int, default=64))
     command("chain-bound", _cmd_chain_bound, "certified bound from a verified chain",
             chain, opt("--w0", type=float, required=True), p,
             opt("--skip-verify", action="store_true",
@@ -400,7 +400,7 @@ def _build_parser():
     command("report", _cmd_report, "lower/upper bound table over (r, p) grids", domain, dirs,
             opt("--r-list", default="1,2", type=_parse_ints),
             opt("--p-list", default="1,inf", type=_parse_p_list),
-            opt("--budget", type=int, default=32),
+            opt("--budget", type=_positive_int, default=32),
             opt("--chain", default=None), opt("--w0", type=float, default=None), fmt="csv")
     return top
 

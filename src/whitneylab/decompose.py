@@ -462,13 +462,19 @@ def planar_two_direction_chain(dom, r=1):
 # ball slices
 # ---------------------------------------------------------------------------
 
-def _slice_pieces(center, rho, symdirs, eps0, r, clip_to=None, drop_empty=True):
-    """Directional slices of the sigma-dilated ball around (center, rho).
+def _dilation(eps0, r):
+    """The factor sigma = 1 + eps0^2 / 4r by which one round of slices grows a ball."""
+    return 1.0 + eps0 * eps0 / (4.0 * r)
+
+
+def _slice_pieces(center, rho, symdirs, eps0, r, clip_to):
+    """Nonempty slices, clipped to ``clip_to``, of the sigma-dilated ball
+    around (center, rho).
 
     Each slice translated backwards by 1..r steps of (eps0 rho / 2r) along its
     direction lands inside the undilated ball.
     """
-    sigma = 1.0 + eps0 * eps0 / (4.0 * r)
+    sigma = _dilation(eps0, r)
     pieces = []
     shifts = []
     for xi in symdirs.dirs:
@@ -476,30 +482,12 @@ def _slice_pieces(center, rho, symdirs, eps0, r, clip_to=None, drop_empty=True):
         slice_dom = intersection((ball(center, sigma * rho),
                                   affine_image(cone, sigma * rho * np.eye(len(center)),
                                                np.asarray(center, float))))
-        if clip_to is not None:
-            slice_dom = intersection((slice_dom, clip_to))
-        if drop_empty and not _piece_nonempty(slice_dom, seed=7):
+        slice_dom = intersection((slice_dom, clip_to))
+        if not _piece_nonempty(slice_dom, seed=7):
             continue
         pieces.append(slice_dom)
         shifts.append((eps0 / (2.0 * r)) * rho * xi)
-    return pieces, shifts, sigma
-
-
-def ball_direction_slices(B, dirset, r):
-    """Chain fragment growing a ball to its sigma-dilation via cone slices."""
-    _check_order(r)
-    if not isinstance(B.rep, BallRep):
-        raise PreconditionError("ball_direction_slices needs a ball domain")
-    eps0 = dirset.spread
-    if eps0 <= 0.0:
-        raise SpanDeficiencyError("direction set must span the space")
-    sym = dirset.symmetrized()
-    center, rho = B.rep.center, B.rep.radius
-    pieces, shifts, sigma = _slice_pieces(center, rho, sym, eps0, r,
-                                          drop_empty=False)
-    chain = DecompositionChain([B] + pieces, np.array(shifts), r, sym,
-                               "ball_slices", target=ball(center, sigma * rho))
-    return chain
+    return pieces, shifts
 
 
 # ---------------------------------------------------------------------------
@@ -545,12 +533,14 @@ def lip2_ball_chain(dom, dirset, delta, r=1, seed=0):
     that every shift direction comes from the given set.
     """
     _check_order(r)
+    if not 0.0 < delta < math.inf:
+        raise PreconditionError(f"delta must be positive and finite, got {delta}")
     eps0 = dirset.spread
     if eps0 <= 0.0:
         raise SpanDeficiencyError("direction set must span the space")
     d = dom.dim
     sym = dirset.symmetrized()
-    sigma = 1.0 + eps0 * eps0 / (4.0 * r)
+    sigma = _dilation(eps0, r)
 
     # feasible centers are tested at a slightly shrunken work radius: the
     # inner-ball property is tight (boundary points touch with zero slack)
@@ -634,7 +624,7 @@ def lip2_ball_chain(dom, dirset, delta, r=1, seed=0):
     pieces.append(seedp)
 
     def add_slices(center, rho):
-        ps, ss, _ = _slice_pieces(center, rho, sym, eps0, r, clip_to=dom)
+        ps, ss = _slice_pieces(center, rho, sym, eps0, r, dom)
         pieces.extend(ps)
         shifts.extend(ss)
 

@@ -43,7 +43,6 @@ from .errors import PreconditionError
 MEMBERSHIP_SLACK = 1e-12
 BOUNDARY_TOL = 1e-8  # relative to bbox scale
 RAY_SAMPLES = 10_000
-UNIT_TOL = 1e-12
 
 
 def _as_points(x, dim):
@@ -630,6 +629,8 @@ class DirectionSet:
 
 def direction_set(vectors):
     dirs = np.atleast_2d(_finite("direction vectors", vectors))
+    if dirs.size == 0:
+        raise PreconditionError("empty direction set")
     norms = np.linalg.norm(dirs, axis=1)
     if np.any(norms == 0):
         raise PreconditionError("zero vector in direction set")
@@ -1064,92 +1065,17 @@ def _interior_anchor(dom, rng):
 
 
 # ---------------------------------------------------------------------------
-# signed boundary distance (used by the hexagon search)
+# signed boundary distance
 # ---------------------------------------------------------------------------
 
-def signed_boundary_distance(dom, x, anchor=None):
+def signed_boundary_distance(dom, x):
     """Negative inside, positive outside; exact where the representation has a
     closed form (polytopes, balls), else by ray bisection from an interior anchor."""
     pts, single = _as_points(x, dom.dim)
     out = dom.rep.signed_distance(pts)
     if out is None:
-        if anchor is None:
-            anchor = _interior_anchor(dom, np.random.default_rng(0))
+        anchor = _interior_anchor(dom, np.random.default_rng(0))
         v = pts - anchor
         rad = np.linalg.norm(v, axis=1)
         out = rad - _ray_exit(dom, anchor, v / np.maximum(rad, 1e-300)[:, None], 50)
     return float(out[0]) if single else out
-
-
-# ---------------------------------------------------------------------------
-# inscribed affine-regular hexagon
-# ---------------------------------------------------------------------------
-
-HEXAGON_TEMPLATE = np.array([
-    [1.0, 1.0], [0.0, 2.0], [-1.0, 1.0], [-1.0, -1.0], [0.0, -2.0], [1.0, -1.0],
-])
-
-
-@dataclass(frozen=True)
-class HexagonResult:
-    vertices: np.ndarray
-    boundary_residual: float
-    area: float
-    converged: bool
-
-
-def inscribed_affine_hexagon(dom, n_starts=16, budget=5000, seed=0):
-    """Largest affine-regular hexagon inscribed in a planar convex body.
-
-    Variational search over the six affine parameters: first maximize area
-    under a containment penalty, then polish the vertices onto the boundary
-    while holding the area.  If the polish residual stays above tolerance the
-    best candidate is still returned, flagged unconverged.
-    """
-    if dom.dim != 2:
-        raise PreconditionError("hexagon search is planar only")
-    rng = np.random.default_rng(seed)
-    anchor = _interior_anchor(dom, rng)
-    scale0 = 0.25 * dom.scale()
-    tol = BOUNDARY_TOL * dom.scale()
-
-    def verts_of(params):
-        M = params[:4].reshape(2, 2)
-        s = params[4:]
-        return HEXAGON_TEMPLATE @ M.T + s, M
-
-    def sdists(v):
-        return signed_boundary_distance(dom, v, anchor=anchor)
-
-    def area_of(M):
-        return 6.0 * abs(np.linalg.det(M))
-
-    pen_w = 400.0 / max(scale0 ** 2, 1e-300)
-
-    def phase1(params):
-        v, M = verts_of(params)
-        sd = sdists(v)
-        return -area_of(M) + pen_w * scale0 ** 2 * np.sum(np.maximum(sd, 0.0) ** 2)
-
-    best = None
-    for k in range(n_starts):
-        M0 = scale0 * (np.eye(2) + 0.3 * rng.standard_normal((2, 2)))
-        x0 = np.concatenate([M0.ravel(), anchor + 0.1 * scale0 * rng.standard_normal(2)])
-        res = minimize(phase1, x0, method="Nelder-Mead",
-                       options={"maxfev": budget, "xatol": 1e-12, "fatol": 1e-12})
-        if best is None or res.fun < best.fun:
-            best = res
-    v, M = verts_of(best.x)
-    area_target = area_of(M)
-
-    def phase2(params):
-        v, M = verts_of(params)
-        sd = sdists(v)
-        short = max(0.0, 0.995 * area_target - area_of(M))
-        return float(np.sum(sd ** 2) + 50.0 * short ** 2)
-
-    res2 = minimize(phase2, best.x, method="Nelder-Mead",
-                    options={"maxfev": 2 * budget, "xatol": 1e-15, "fatol": 1e-30})
-    v, M = verts_of(res2.x)
-    resid = float(np.max(np.abs(sdists(v))))
-    return HexagonResult(v, resid, area_of(M), resid <= max(tol, 1e-6 * dom.scale()))

@@ -22,7 +22,7 @@ the monomials that divide a term of f, and
 with S(k, r) the Stirling numbers of the second kind, so a step costs one
 small matrix-vector product.  Other functions, other domains, and sparse
 polynomials whose table would cost more than the stencil (TAYLOR_WORK_RATIO)
-evaluate the stencil (`finite_difference`, `shift_domain`).  The shift grid
+sum the stencil (`finite_difference`, `shift_domain`).  The shift grid
 and its refinement are the same on every path, so the p = inf value stays a
 lower bound.
 """
@@ -215,18 +215,12 @@ def _binomial_row(r):
     return tuple(math.comb(r, j) for j in range(r + 1))
 
 
-def stirling2(k, r):
-    """Stirling number of the second kind S(k, r), an exact integer; r! S(k, r)
-    = sum_j (-1)^(r-j) C(r, j) j^k is the r-th difference of t^k at 0, step 1."""
-    if r == 0:
-        return int(k == 0)
-    return _stirling_column(r, k)[-1] if k >= r else 0
-
-
 @lru_cache(maxsize=None)
 def _stirling_column(r, top):
     """(S(r, r), S(r + 1, r), ..., S(top, r)) for r >= 1, by the recurrence
-    S(k, j) = j S(k - 1, j) + S(k - 1, j - 1); empty when top < r."""
+    S(k, j) = j S(k - 1, j) + S(k - 1, j - 1); empty when top < r.  The
+    Stirling numbers of the second kind are exact integers, and r! S(k, r) =
+    sum_j (-1)^(r-j) C(r, j) j^k is the r-th difference of t^k at 0, step 1."""
     row = [1] + [0] * r
     out = []
     for k in range(1, top + 1):

@@ -9,7 +9,6 @@ a graded-lexicographic monomial frame.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,20 +66,6 @@ def directional_derivative_matrix(exponents, xi):
     return D
 
 
-def directional_power_derivative(poly, xi, r, exponents):
-    """Coefficients of (xi . grad)^r applied to ``poly`` on the same frame."""
-    coeffs = np.asarray(poly, dtype=float).ravel()
-    if coeffs.size != len(exponents):
-        raise PreconditionError("coefficient vector does not match exponent list")
-    if r == 0:
-        return coeffs.copy()
-    D = directional_derivative_matrix(exponents, xi)
-    out = coeffs
-    for _ in range(r):
-        out = D @ out
-    return out
-
-
 @dataclass(eq=False)
 class PolySpaceBasis:
     """Orthonormal basis (rows of ``coeffs``) over a monomial exponent frame."""
@@ -134,17 +119,6 @@ def build_basis(d, r, dirset):
     return PolySpaceBasis(d, r, exponents, np.ascontiguousarray(basis), dirset)
 
 
-def basis_from_spec(spec):
-    from .geometry import direction_set
-
-    return PolySpaceBasis(
-        int(spec["d"]), int(spec["r"]),
-        np.asarray(spec["exponents"], dtype=int),
-        np.asarray(spec["coeffs"], dtype=float),
-        direction_set(spec["dirs"]),
-    )
-
-
 def monomial_matrix(exponents, points):
     """(n_points, n_mono) matrix of monomial values for integer exponents.
 
@@ -165,32 +139,7 @@ def monomial_matrix(exponents, points):
     return out
 
 
-def evaluate(basis, coeffs, x):
-    """Evaluate sum_k coeffs_k * P_k at one point or a batch of points.
-
-    Single-point evaluation accumulates with compensated summation so that
-    high-degree frames do not lose digits.
-    """
-    coeffs = np.asarray(coeffs, dtype=float).ravel()
-    if coeffs.size != basis.n_basis:
-        raise PreconditionError("coefficient length does not match basis size")
-    mono = coeffs @ basis.coeffs
-    pts = np.asarray(x, dtype=float)
-    if pts.ndim == 1:
-        terms = mono * monomial_matrix(basis.exponents, pts[None, :])[0]
-        return math.fsum(terms.tolist())
-    return monomial_matrix(basis.exponents, pts) @ mono
-
-
 def design_matrix(basis, points):
     """(n_points, n_basis) matrix of basis-polynomial values."""
     return monomial_matrix(basis.exponents, points) @ basis.coeffs.T
 
-
-def membership_residual(basis, poly):
-    """Norm of the component of ``poly`` outside the basis span."""
-    v = np.asarray(poly, dtype=float).ravel()
-    if v.size != basis.exponents.shape[0]:
-        raise PreconditionError("coefficient vector does not match the basis frame")
-    proj = basis.coeffs.T @ (basis.coeffs @ v)
-    return float(np.linalg.norm(v - proj))

@@ -26,6 +26,13 @@ def random_convex_polygon(seed, n_points=7, normalized=True):
     return w.as_polytope(amap.apply_domain(dom))
 
 
+def span_residual(basis, poly):
+    """Norm of the component of monomial coefficients ``poly`` outside the span
+    of the basis rows (orthonormal, so ``coeffs.T @ coeffs`` projects onto it)."""
+    v = np.asarray(poly, dtype=float)
+    return float(np.linalg.norm(v - basis.coeffs.T @ (basis.coeffs @ v)))
+
+
 def stadium_domain():
     """Convex hull of two unit disks with centers one apart."""
     return w.union([w.ball([0, 0], 1.0), w.ball([1, 0], 1.0),

@@ -326,6 +326,12 @@ class TestSpecErrors:
         err = capsys.readouterr().err
         assert f"{fn}: malformed spec" in err and "'spline'" in err
 
+    def test_empty_direction_set_exit2(self, files, tmp_path, capsys):
+        dirs = tmp_path / "none.json"
+        dirs.write_text(json.dumps({"dirs": []}))
+        assert run(["xray-check", "--domain", str(files["square"]), "--dirs", str(dirs)]) == 2
+        assert "empty direction set" in capsys.readouterr().err
+
     def test_ridge_log_zero_xi_exit2(self, files, tmp_path, capsys):
         fn = tmp_path / "ridge.json"
         fn.write_text(json.dumps({"kind": "ridge_log", "n": 3, "xi": [0, 0]}))
@@ -381,11 +387,13 @@ class TestOptionErrors:
 
     @pytest.mark.parametrize("extra, option", [
         (["--n", "1,a"], "--n"),
+        (["--n", "-1"], "--n"),
+        (["--n", ","], "--n"),
         (["--n", "4", "--xi", "[1,"], "--xi"),
         (["--n", "4", "--xi", "[0, 0]"], "--xi"),
         (["--n", "4", "--xi", "[1, NaN]"], "--xi"),
         (["--n", "4", "--xi", "[1, 0, 0]"], "--xi"),
-    ], ids=["n", "xi-json", "xi-zero", "xi-nan", "xi-length"])
+    ], ids=["n", "n-negative", "n-empty", "xi-json", "xi-zero", "xi-nan", "xi-length"])
     def test_counterexample(self, extra, option, capsys):
         assert run(self.CERT + extra) == 1
         assert option in capsys.readouterr().err
@@ -407,6 +415,14 @@ class TestOptionErrors:
         assert run(["report", "--domain", str(files["square"]), "--dirs", str(files["axes"]),
                     option, value]) == 1
         assert option in capsys.readouterr().err
+
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    @pytest.mark.parametrize("command, extra", [
+        ("whitney-estimate", ["--order", "1"]), ("report", ["--r-list", "1"])])
+    def test_budget_must_be_positive(self, files, command, extra, budget, capsys):
+        assert run([command, "--domain", str(files["square"]), "--dirs", str(files["axes"]),
+                    *extra, "--budget", budget, "--density", "256"]) == 1
+        assert "--budget" in capsys.readouterr().err
 
     @pytest.mark.parametrize("density", ["0", "-5", "1.5"])
     def test_density_must_be_positive(self, files, density, capsys):
@@ -454,6 +470,26 @@ class TestBadValues:
         assert run(["decompose", "--domain", str(files["disk"]), "--method", "xray",
                     "--dirs", str(files["axes"]), "--n0", "-2"]) == 2
         assert "n0 must be nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("delta", ["0", "-1", "nan", "inf"])
+    def test_lip2_delta_must_be_positive_and_finite(self, files, delta, capsys):
+        assert run(["decompose", "--domain", str(files["disk"]), "--method", "lip2",
+                    "--dirs", str(files["axes"]), "--delta", delta]) == 2
+        assert "delta must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["modulus", "approx", "whitney-estimate", "report",
+                                         "chain-bound"])
+    def test_p_nan_is_config_error(self, files, command, capsys):
+        problem = ["--domain", str(files["square"]), "--dirs", str(files["axes"])]
+        argv = {"modulus": ["--function", str(files["fn"]), *problem, "--order", "1",
+                            "--p", "nan"],
+                "approx": ["--function", str(files["fn"]), *problem, "--order", "1",
+                           "--p", "nan"],
+                "whitney-estimate": [*problem, "--order", "1", "--budget", "2", "--p", "nan"],
+                "report": [*problem, "--r-list", "1", "--budget", "2", "--p-list", "nan"],
+                "chain-bound": ["--chain", str(files["chain"]), "--w0", "1", "--p", "nan"]}
+        assert run([command, *argv[command], "--density", "256"]) == 1
+        assert "p must be positive, got 'nan'" in capsys.readouterr().err
 
     MODULUS = ["modulus", "--order", "1", "--density", "256"]
 

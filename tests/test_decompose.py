@@ -140,16 +140,26 @@ class TestPlanar:
 
 
 class TestBallSlices:
+    @staticmethod
+    def _fragment(center, rho, dirset, r):
+        """The ball, then its slices: a chain that grows it to its sigma-dilation."""
+        eps0, sym = dirset.spread, dirset.symmetrized()
+        target = w.ball(center, dc._dilation(eps0, r) * rho)
+        pieces, shifts = dc._slice_pieces(np.asarray(center, float), rho, sym, eps0, r, target)
+        return DecompositionChain([w.ball(center, rho)] + pieces, np.array(shifts), r, sym,
+                                  "ball_slices", target=target)
+
     def test_paper_scale_parameters(self):
         # axes in the plane: spread 1/sqrt2, so sigma = 1.125 and the step
         # magnitude is sqrt2/4 at r = 1
-        frag = w.ball_direction_slices(w.ball([0, 0], 1.0), E2, 1)
-        assert np.linalg.norm(frag.shifts[0]) == pytest.approx(math.sqrt(2) / 4, rel=1e-9)
-        assert isinstance(frag.target.rep, type(w.ball([0, 0], 1.125).rep))
+        frag = self._fragment([0, 0], 1.0, E2, 1)
+        assert frag.n_pieces == 5
+        assert np.linalg.norm(frag.shifts, axis=1) == pytest.approx([math.sqrt(2) / 4] * 4,
+                                                                    rel=1e-9)
         assert frag.target.rep.radius == pytest.approx(1.125, rel=1e-9)
 
     def test_inclusion_by_sampling(self):
-        frag = w.ball_direction_slices(w.ball([0.5, -0.25], 2.0), E2, 2)
+        frag = self._fragment([0.5, -0.25], 2.0, E2, 2)
         res = verify_chain(frag, samples_per_piece=3000, seed=0)
         assert res.ok and res.worst_violation == 0.0
         assert res.coverage_ok
@@ -157,7 +167,7 @@ class TestBallSlices:
     def test_span_deficient_errors(self):
         E = w.direction_set([[1.0, 0.0], [-1.0, 0.0]])
         with pytest.raises(SpanDeficiencyError):
-            w.ball_direction_slices(w.ball([0, 0], 1.0), E, 1)
+            w.lip2_ball_chain(w.ball([0, 0], 2.0), E, delta=1.0)
 
 
 class TestLip2:

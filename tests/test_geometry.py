@@ -219,6 +219,11 @@ class TestDirectionSet:
         E = w.direction_set([[1.0, 0.0], [-1.0, 0.0]])
         assert E.spread == 0.0
 
+    @pytest.mark.parametrize("dirs", [[], [[]]], ids=["no-rows", "empty-row"])
+    def test_empty_set_is_named(self, dirs):
+        with pytest.raises(PreconditionError, match="empty direction set"):
+            w.direction_set(dirs)
+
     def test_unit_normalization(self):
         E = w.direction_set([[3.0, 4.0]])
         assert np.linalg.norm(E.dirs[0]) == pytest.approx(1.0, abs=1e-12)
@@ -284,32 +289,6 @@ class TestSamplePlan:
         assert np.array_equal(plan.points, got[:n])
         area = float(np.prod(dom.bbox[1] - dom.bbox[0]))
         assert plan.weights.sum() == pytest.approx(area * len(got) / n_prop, rel=1e-12)
-
-
-class TestHexagon:
-    def test_disk_gives_regular_hexagon(self):
-        res = w.inscribed_affine_hexagon(w.ball([0, 0], 1.0), seed=0)
-        assert np.allclose(np.linalg.norm(res.vertices, axis=1), 1.0, atol=1e-6)
-        assert res.area == pytest.approx(3 * math.sqrt(3) / 2, rel=1e-5)
-        assert res.boundary_residual <= 1e-6
-
-    def test_square_area_floor(self):
-        sq = w.box([-1, -1], [1, 1])
-        res = w.inscribed_affine_hexagon(sq, seed=0)
-        assert res.area >= (2.0 / 3.0) * 4.0 - 1e-6
-        assert res.boundary_residual <= 1e-6
-
-    def test_fixed_point_recovery(self):
-        from scipy.spatial import ConvexHull
-        from whitneylab.geometry import HEXAGON_TEMPLATE
-        M = np.array([[1.3, 0.4], [-0.2, 0.8]])
-        s = np.array([0.3, -0.1])
-        pts = HEXAGON_TEMPLATE @ M.T + s
-        hull = ConvexHull(pts)
-        G = w.polytope(hull.equations[:, :2], -hull.equations[:, 2])
-        res = w.inscribed_affine_hexagon(G, seed=0)
-        assert res.boundary_residual <= 1e-6
-        assert res.area == pytest.approx(6 * abs(np.linalg.det(M)), rel=1e-2)
 
 
 class TestSpecRoundTrip:

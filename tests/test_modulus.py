@@ -6,7 +6,7 @@ import pytest
 
 import whitneylab as w
 from whitneylab.errors import PreconditionError
-from whitneylab.modulus import stirling2
+from whitneylab.modulus import _stirling_column
 
 from conftest import random_convex_polygon
 
@@ -235,11 +235,13 @@ class TestPairInequality:
 
 class TestStirling:
     def test_difference_of_powers_identity(self):
-        # sum_j (-1)^(r-j) C(r, j) j^k = r! S(k, r), in exact integers
-        for r in range(7):
+        # sum_j (-1)^(r-j) C(r, j) j^k = r! S(k, r), in exact integers; S(k, r) = 0
+        # for k < r, and _stirling_column(r, 12) holds S(r, r), ..., S(12, r)
+        for r in range(1, 7):
+            column = _stirling_column(r, 12)
             for k in range(13):
                 lhs = sum((-1) ** (r - j) * math.comb(r, j) * j ** k for j in range(r + 1))
-                assert lhs == math.factorial(r) * stirling2(k, r), (k, r)
+                assert lhs == math.factorial(r) * (column[k - r] if k >= r else 0), (k, r)
 
 
 ALGEBRAIC_DOMAINS = {
@@ -320,7 +322,7 @@ class TestAlgebraicPath:
     def test_weights_past_the_float_range_evaluate_the_stencil(self):
         # a dense degree-300 polynomial on an interval has a Taylor table, but
         # 150! S(300, 150) is not a float, so r = 150 keeps the stencil
-        assert math.factorial(150) * stirling2(300, 150) > sys.float_info.max
+        assert math.factorial(150) * _stirling_column(150, 300)[-1] > sys.float_info.max
         dom = w.box([0.0], [1.0])
         plan = w.sample_plan(dom, 64, seed=2)
         f = w.PolynomialFunction([[k] for k in range(301)], np.full(301, 1e-3))
