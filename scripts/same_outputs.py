@@ -1,6 +1,6 @@
-"""Check that two source trees write byte-identical benchmark outputs.
+"""Check that two source trees write the same benchmark outputs.
 
-    python3 scripts/same_outputs.py OLD_TREE NEW_TREE
+    python3 scripts/same_outputs.py OLD_TREE NEW_TREE [--rtol X]
 
 Runs every experiment of the benchmark's three workloads (``estimate``,
 ``chains``, ``certificate``) at seeds 1, 2 and 3 through each tree's
@@ -12,12 +12,15 @@ compared byte for byte after ``meta.config_hash`` is blanked (it hashes the
 input paths). The new tree's outputs are also checked with
 ``perfbench/checks.py``.
 
-Exits 0 when every output is identical and passes its check, and 1
-otherwise, naming every experiment whose bytes differ, that failed or whose
-check failed. An output whose bytes differ is described by the largest
-relative difference between the numbers at the same JSON path, or as
-"structure differs" when anything but a number differs (keys, list lengths,
-strings).
+Exits 0 when every output is identical (or within rtol) and passes its
+check, and 1 otherwise, naming every experiment whose bytes differ, that
+failed or whose check failed. An output whose bytes differ is described by
+the largest relative difference between the numbers at the same JSON path,
+or as "structure differs" when anything but a number differs (keys, list
+lengths, strings). With ``--rtol X`` (default 0: bytes must be identical),
+an output whose structure is equal and whose numbers differ by at most X
+relative counts as "within rtol" and not as a problem. The last line gives
+the largest relative difference over all outputs compared.
 """
 import os
 
@@ -113,10 +116,19 @@ def run_tree(tree, dest, check):
     return json.loads((dest / "summary.json").read_text(encoding="utf-8"))
 
 
+def _rtol(text):
+    value = float(text)
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite nonnegative number, got {text!r}")
+    return value
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("old_tree", nargs="?")
     ap.add_argument("new_tree", nargs="?")
+    ap.add_argument("--rtol", type=_rtol, default=0.0,
+                    help="largest relative difference of numbers that is not a problem")
     ap.add_argument("--collect", nargs=2, metavar=("TREE", "DEST"), help=argparse.SUPPRESS)
     ap.add_argument("--check", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
@@ -132,7 +144,8 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as tmp:
         old = run_tree(args.old_tree, Path(tmp) / "old", check=False)
         new = run_tree(args.new_tree, Path(tmp) / "new", check=True)
-        bad = []
+        bad, within = [], []
+        worst = 0.0
         for key, got in new.items():
             want = old.get(key)
             reasons = [f"new tree: {msg}" for msg in got["problems"]]
@@ -145,12 +158,21 @@ def main(argv=None):
                 after = (Path(tmp) / "new" / got["out"]).read_bytes()
                 if before != after:
                     rel = largest_rel_diff(json.loads(before), json.loads(after))
-                    reasons.append("bytes differ, " + ("structure differs" if rel is None else
-                                                       f"largest relative difference {rel:.3g}"))
+                    if rel is None:
+                        reasons.append("bytes differ, structure differs")
+                    else:
+                        worst = max(worst, rel)
+                        if args.rtol > 0.0 and rel <= args.rtol:
+                            within.append(f"{key}: within rtol, largest relative difference "
+                                          f"{rel:.3g}")
+                        else:
+                            reasons.append(f"bytes differ, largest relative difference {rel:.3g}")
             bad.extend(f"{key}: {msg}" for msg in reasons)
-    for line in bad:
+    for line in within + bad:
         print(line)
-    print(f"{len(new)} outputs compared, {len(bad)} problems")
+    print(f"{len(new)} outputs compared, {len(within)} within rtol {args.rtol:g}, "
+          f"{len(bad)} problems")
+    print(f"largest relative difference over all outputs: {worst:.3g}")
     return 1 if bad else 0
 
 

@@ -1,9 +1,17 @@
 """Best L^p approximation from a polynomial basis on a sampled domain.
 
-Solver ladder: weighted normal equations at p = 2, a linear program at
-p = inf (exact on the plan), iteratively reweighted least squares for
-1 <= p < inf, and damped reweighting with random restarts for the nonconvex
-quasi-norm range 0 < p < 1, which is only ever reported as a local optimum.
+Solver ladder: weighted normal equations at p = 2, a constraint-exchange
+linear program at p = inf (exact on the plan), iteratively reweighted least
+squares for 1 <= p < inf, and damped reweighting with random restarts for the
+nonconvex quasi-norm range 0 < p < 1, which is only ever reported as a local
+optimum.
+
+The p = inf fit solves the minimax LP on an active set of plan points rather
+than on all 2n rows: a best approximation from a k-dimensional space is fixed
+by k + 1 reference points (de la Vallee Poussin; Remez's exchange algorithm
+rests on the same fact). Points whose residual exceeds the subset optimum join
+the set until none is left outside it, which makes the result exact on the
+whole plan (see `_solve_inf`).
 """
 from __future__ import annotations
 
@@ -51,7 +59,9 @@ def _weighted_lsq(Phi, fvals, w):
     return sol
 
 
-def _solve_inf(Phi, fvals):
+def _minimax_lp(Phi, fvals):
+    """Coefficients c minimising max_i |fvals_i - (Phi c)_i| over the rows given:
+    the LP min t subject to -t <= fvals - Phi c <= t, solved by HiGHS."""
     n, k = Phi.shape
     c = np.zeros(k + 1)
     c[k] = 1.0
@@ -63,6 +73,45 @@ def _solve_inf(Phi, fvals):
     if not res.success:
         raise ConvergenceError(f"minimax linear program failed: {res.message}")
     return res.x[:k]
+
+
+def _solve_inf(Phi, fvals):
+    """Plan-exact minimax coefficients by constraint exchange.
+
+    The minimax LP is solved on an active set S of plan points, starting with
+    the m = 16(k + 1) points of largest least-squares residual (all of them
+    when n <= m). After each solve, the up to m worst points outside S whose
+    residual exceeds t, the largest residual the solution leaves on S, join S
+    and the LP is solved again. The loop stops when no point outside S exceeds
+    t. Then the solution is exact on the plan: dropping constraints cannot
+    raise the optimum, so t is at most the plan optimum (up to the LP's own
+    tolerance on S, which the full LP has too), and no plan residual exceeds
+    t, so the plan error of the coefficients is t. Each round adds at least
+    one point, so the loop ends, at the latest with S the whole plan.
+
+    By de la Vallee Poussin's theorem k + 1 reference points fix a best
+    approximation from a k-dimensional space, so S stays a few hundred rows
+    where the full LP has 2n.
+
+    For a dual certificate: the final subset LP's dual, padded with zeros on
+    the rows outside S, is feasible for the full-plan dual with the same
+    objective.
+    """
+    n, k = Phi.shape
+    m = 16 * (k + 1)
+    lsq, *_ = np.linalg.lstsq(Phi, fvals, rcond=None)
+    active = np.argsort(-np.abs(fvals - Phi @ lsq), kind="stable")[:m]
+    while True:
+        coeffs = _minimax_lp(Phi[active], fvals[active])
+        resid = np.abs(fvals - Phi @ coeffs)
+        t = resid[active].max()
+        resid[active] = -np.inf
+        # a NaN residual counts as over t, so linprog rejects it as on the full plan
+        over = np.flatnonzero(~(resid <= t))
+        if over.size == 0:
+            return coeffs
+        worst = over[np.argsort(-resid[over], kind="stable")[:m]]
+        active = np.concatenate([active, worst])
 
 
 def _irls(Phi, fvals, w, p, x0=None, damping=0.0, max_iter=IRLS_MAX_ITER):

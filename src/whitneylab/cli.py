@@ -186,11 +186,12 @@ def _cmd_basis(args):
 
 
 def _cmd_modulus(args):
+    p = _parse_p(args.p)
     dom, dirs = _domain_dirs(args)
     f = _function(args, dom.dim)
     plan = _plan(args, dom)
     t = args.t if args.t is not None else geo.diameter(dom, plan).value
-    res = modulus.set_modulus(f, dom, plan, dirs, args.order, t, _parse_p(args.p))
+    res = modulus.set_modulus(f, dom, plan, dirs, args.order, t, p)
     return (0, {"value": res.value, "argmax_u": res.argmax_u,
                 "argmax_xi": res.argmax_xi.tolist(),
                 "n_valid_points": res.n_valid_points, "reliable": res.reliable},
@@ -199,11 +200,12 @@ def _cmd_modulus(args):
 
 
 def _cmd_approx(args):
+    p = _parse_p(args.p)
     dom, dirs = _domain_dirs(args)
     f = _function(args, dom.dim)
     plan = _plan(args, dom)
     basis = polyspace.build_basis(dom.dim, args.order, dirs)
-    res = approx.best_approx(f, dom, plan, basis, _parse_p(args.p), seed=args.seed)
+    res = approx.best_approx(f, dom, plan, basis, p, seed=args.seed)
     return (3 if res.status == "max_iter" else 0, res.spec(),
             ["error", "status", "iterations"], [[res.error, res.status, res.iterations]])
 
@@ -217,13 +219,14 @@ def _cmd_whitney_estimate(args):
 
 
 def _cmd_chain_bound(args):
+    p = _parse_p(args.p)
     chain = _load_chain(args.chain)
     if args.skip_verify:
         chain.verified = True
     else:
         _verify(chain, args.seed, samples_per_piece=args.density)
     verification = "skipped" if args.skip_verify else "sampled"
-    bound = whitney.chain_upper_bound(chain, args.w0, _parse_p(args.p))
+    bound = whitney.chain_upper_bound(chain, args.w0, p)
     if not args.out and args.format == "json":  # the bare value, and no payload
         if args.skip_verify:  # the bare value alone would read as verified
             print("verification: skipped", file=sys.stderr)

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 import whitneylab as w
+from whitneylab import approx
 from whitneylab.errors import PreconditionError
 from whitneylab.polyspace import design_matrix
 
@@ -146,6 +148,90 @@ class TestBestApprox:
         Phi = design_matrix(basis, plan.points)
         recomputed = w.lp_norm(f(plan.points) - Phi @ res.coeffs, plan.weights, 1.5)
         assert res.error == pytest.approx(recomputed, rel=1e-10)
+
+
+def full_plan_lp_error(Phi, fvals):
+    """Plan error of the minimax LP on all 2n rows, the reference for the exchange.
+    HiGHS's default feasibility tolerances leave this LP's max residual up to 3e-8
+    relative above the optimum on the 1-d k = 5 case, so the reference tightens them."""
+    n, k = Phi.shape
+    ones = np.ones((n, 1))
+    res = linprog(np.r_[np.zeros(k), 1.0],
+                  A_ub=np.vstack([np.hstack([Phi, -ones]), np.hstack([-Phi, -ones])]),
+                  b_ub=np.concatenate([fvals, -fvals]), bounds=[(None, None)] * (k + 1),
+                  method="highs", options={"primal_feasibility_tolerance": 1e-10,
+                                           "dual_feasibility_tolerance": 1e-10})
+    assert res.success
+    return float(np.abs(fvals - Phi @ res.x[:k]).max())
+
+
+@pytest.fixture()
+def lp_rows(monkeypatch):
+    """Row blocks of every linprog call ``approx`` makes, in call order."""
+    calls = []
+
+    def recording(c, A_ub, **kwargs):
+        calls.append(A_ub)
+        return linprog(c, A_ub=A_ub, **kwargs)
+    monkeypatch.setattr(approx, "linprog", recording)
+    return calls
+
+
+class TestSolveInfExchange:
+    """The constraint-exchange minimax solver against the LP on the whole plan."""
+
+    @staticmethod
+    def agrees(Phi, fvals):
+        got = float(np.abs(fvals - Phi @ approx._solve_inf(Phi, fvals)).max())
+        assert got == pytest.approx(full_plan_lp_error(Phi, fvals), rel=1e-9)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_matches_full_lp_in_1d(self, k, axis1):
+        x = np.random.default_rng(k).uniform(0.0, 1.0, (5000, 1))
+        Phi = design_matrix(w.build_basis(1, k, axis1), x)
+        self.agrees(Phi, np.exp(x[:, 0]) * np.sin(9.0 * x[:, 0]) + np.abs(x[:, 0] - 0.3))
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_clipped_log_plateau(self, r, axes2):
+        # max(-1, log(x.xi)) ties at -1 on every point below exp(-1) along xi
+        pts = w.sample_plan(w.box([0, 0], [1, 1]), 4096, seed=5).points
+        fvals = w.RidgeLog(1, [1.0, 1.0])(pts)
+        assert np.count_nonzero(fvals == -1.0) > 100
+        self.agrees(design_matrix(w.build_basis(2, r, axes2), pts), fvals)
+
+    def test_spike_on_a_line_starts_rank_deficient(self, axes2, lp_rows):
+        rng = np.random.default_rng(7)
+        line = np.column_stack([np.linspace(0.0, 1.0, 300), np.full(300, 0.5)])
+        pts = np.vstack([rng.uniform(0.0, 1.0, (4700, 2)), line])
+        fvals = np.zeros(len(pts))
+        fvals[-300:] = 5.0 * np.exp(-((line[:, 0] - 0.5) / 0.1) ** 2)
+        Phi = design_matrix(w.build_basis(2, 2, axes2), pts)  # {1, x, y, xy}
+        self.agrees(Phi, fvals)
+        first = lp_rows[0][:, :-1]
+        assert np.linalg.matrix_rank(first) < Phi.shape[1]
+        assert len(lp_rows) >= 3  # the rank-deficient start was exchanged, then checked
+
+    def test_small_plan_is_one_full_lp(self, axes2, lp_rows):
+        pts = np.random.default_rng(3).uniform(0.0, 1.0, (16 * 5, 2))
+        Phi = design_matrix(w.build_basis(2, 2, axes2), pts)
+        self.agrees(Phi, np.sin(4.0 * pts[:, 0]) * pts[:, 1])
+        assert [rows.shape[0] for rows in lp_rows] == [2 * len(pts)]
+
+    def test_nan_value_outside_the_first_active_set_is_rejected(self):
+        Phi = np.random.default_rng(0).standard_normal((500, 3))
+        fvals = np.ones(500)
+        fvals[400] = np.nan  # all least-squares residuals are NaN: S is rows 0..63
+        with pytest.raises(ValueError, match="nan"):
+            approx._solve_inf(Phi, fvals)
+
+    def test_counterexample_plan_never_solves_all_rows(self, lp_rows):
+        xi = np.array([0.0, 1.0])
+        ang = math.radians(80.0)
+        dirs = w.direction_set([[1.0, 0.0], [math.cos(ang), math.sin(ang)]])
+        cert = w.counterexample_certificate(2, xi, 0.01, dirs, 2, [1, 64], density=8192,
+                                            seed=1)
+        assert len(cert.rows) == 2 and lp_rows
+        assert max(rows.shape[0] for rows in lp_rows) < 2 * 8192
 
 
 class TestBestApprox1d:

@@ -491,6 +491,21 @@ class TestBadValues:
         assert run([command, *argv[command], "--density", "256"]) == 1
         assert "p must be positive, got 'nan'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, p", [("chain-bound", "nan"), ("approx", "0"),
+                                            ("modulus", "-1")])
+    def test_p_is_parsed_before_any_work(self, files, command, p, monkeypatch, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before --p was parsed")
+        monkeypatch.setattr(w.decompose, "verify_chain", no_work)
+        monkeypatch.setattr(w.geometry, "sample_plan", no_work)
+        monkeypatch.setattr(w.polyspace, "build_basis", no_work)
+        problem = ["--function", str(files["fn"]), "--domain", str(files["square"]),
+                   "--dirs", str(files["axes"]), "--order", "1"]
+        argv = {"chain-bound": ["--chain", str(files["chain"]), "--w0", "1"],
+                "approx": problem, "modulus": problem}
+        assert run([command, *argv[command], "--p", p, "--density", "256"]) == 1
+        assert f"p must be positive, got {p!r}" in capsys.readouterr().err
+
     MODULUS = ["modulus", "--order", "1", "--density", "256"]
 
     @pytest.mark.parametrize("t", ["0", "nan", "inf"])
