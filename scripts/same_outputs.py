@@ -1,6 +1,6 @@
 """Check that two source trees write the same benchmark outputs.
 
-    python3 scripts/same_outputs.py OLD_TREE NEW_TREE [--rtol X]
+    python3 scripts/same_outputs.py OLD_TREE NEW_TREE
 
 Runs every experiment of the benchmark's three workloads (``estimate``,
 ``chains``, ``certificate``) at seeds 1, 2 and 3 through each tree's
@@ -8,19 +8,18 @@ Runs every experiment of the benchmark's three workloads (``estimate``,
 thread counts pinned to 1 as the benchmark pins them. The inputs and the
 experiments come from this checkout's ``perfbench/workloads.py``, imported
 and not changed, so both trees answer the same argv. Each output file is
-compared byte for byte after ``meta.config_hash`` is blanked (it hashes the
-input paths). The new tree's outputs are also checked with
-``perfbench/checks.py``.
+compared after ``meta.config_hash`` is blanked (it hashes the input paths).
+The new tree's outputs are also checked with ``perfbench/checks.py``.
 
-Exits 0 when every output is identical (or within rtol) and passes its
-check, and 1 otherwise, naming every experiment whose bytes differ, that
-failed or whose check failed. An output whose bytes differ is described by
-the largest relative difference between the numbers at the same JSON path,
-or as "structure differs" when anything but a number differs (keys, list
-lengths, strings). With ``--rtol X`` (default 0: bytes must be identical),
-an output whose structure is equal and whose numbers differ by at most X
-relative counts as "within rtol" and not as a problem. The last line gives
-the largest relative difference over all outputs compared.
+The golden-output rule is: the same bytes, or the same JSON structure with
+every number within RTOL = 1e-10 relative. An output whose bytes differ is
+listed with the largest relative difference between the numbers at the same
+JSON path, as "within rtol" when that is at most RTOL, and otherwise as a
+problem; "structure differs" (keys, list lengths, strings) is always a
+problem. Exits 0 when every output keeps the rule and passes its check, and
+1 otherwise, naming every experiment that broke the rule, failed or whose
+check failed. The last line gives the largest relative difference over all
+outputs compared (0 when every output is byte-identical).
 """
 import os
 
@@ -43,6 +42,7 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 WORKLOADS = ("estimate", "chains", "certificate")
 SEEDS = (1, 2, 3)
 CONFIG_HASH = re.compile(rb'"config_hash": "[0-9a-f]*"')
+RTOL = 1e-10
 
 
 def collect(tree, dest, check):
@@ -116,19 +116,10 @@ def run_tree(tree, dest, check):
     return json.loads((dest / "summary.json").read_text(encoding="utf-8"))
 
 
-def _rtol(text):
-    value = float(text)
-    if not 0.0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"expected a finite nonnegative number, got {text!r}")
-    return value
-
-
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("old_tree", nargs="?")
     ap.add_argument("new_tree", nargs="?")
-    ap.add_argument("--rtol", type=_rtol, default=0.0,
-                    help="largest relative difference of numbers that is not a problem")
     ap.add_argument("--collect", nargs=2, metavar=("TREE", "DEST"), help=argparse.SUPPRESS)
     ap.add_argument("--check", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
@@ -162,7 +153,7 @@ def main(argv=None):
                         reasons.append("bytes differ, structure differs")
                     else:
                         worst = max(worst, rel)
-                        if args.rtol > 0.0 and rel <= args.rtol:
+                        if rel <= RTOL:
                             within.append(f"{key}: within rtol, largest relative difference "
                                           f"{rel:.3g}")
                         else:
@@ -170,7 +161,7 @@ def main(argv=None):
             bad.extend(f"{key}: {msg}" for msg in reasons)
     for line in within + bad:
         print(line)
-    print(f"{len(new)} outputs compared, {len(within)} within rtol {args.rtol:g}, "
+    print(f"{len(new)} outputs compared, {len(within)} within rtol {RTOL:g}, "
           f"{len(bad)} problems")
     print(f"largest relative difference over all outputs: {worst:.3g}")
     return 1 if bad else 0

@@ -7,11 +7,17 @@ nonconvex quasi-norm range 0 < p < 1, which is only ever reported as a local
 optimum.
 
 The p = inf fit solves the minimax LP on an active set of plan points rather
-than on all 2n rows: a best approximation from a k-dimensional space is fixed
-by k + 1 reference points (de la Vallee Poussin; Remez's exchange algorithm
-rests on the same fact). Points whose residual exceeds the subset optimum join
-the set until none is left outside it, which makes the result exact on the
-whole plan (see `_solve_inf`).
+than on all 2n rows. The LP has k + 1 unknowns, so its dual has k + 1
+equality constraints and an optimal basic dual solution with at most k + 1
+nonzero entries: for any k-dimensional space on a finite plan, the minimax
+error on some k + 1 or fewer reference points equals the plan optimum (the
+characterisation of a best approximation via an optimal LP vertex, or
+Caratheodory's theorem). In 1-d under the Haar condition this is de la Vallee
+Poussin's theorem, on which Remez's exchange algorithm rests; the flat spaces
+here, such as {1, x, y, xy} in 2-d, do not meet that condition. Points
+whose residual exceeds the subset optimum join the set until none is left
+outside it, which makes the result exact on the whole plan (see
+`_solve_inf`).
 """
 from __future__ import annotations
 
@@ -89,9 +95,11 @@ def _solve_inf(Phi, fvals):
     t, so the plan error of the coefficients is t. Each round adds at least
     one point, so the loop ends, at the latest with S the whole plan.
 
-    By de la Vallee Poussin's theorem k + 1 reference points fix a best
-    approximation from a k-dimensional space, so S stays a few hundred rows
-    where the full LP has 2n.
+    The LP has k + 1 unknowns (c, t), so its dual has an optimal basic
+    solution with at most k + 1 nonzero entries: whatever the k-dimensional
+    space, some k + 1 or fewer plan points carry the plan optimum. That is why
+    S stays a few hundred rows where the full LP has 2n. The stop rule does
+    not rely on it; exactness comes from the argument above.
 
     For a dual certificate: the final subset LP's dual, padded with zeros on
     the rows outside S, is feasible for the full-plan dual with the same
