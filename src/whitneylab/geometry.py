@@ -608,6 +608,12 @@ class DirectionSet:
         return _spread(self.dirs)
 
     @property
+    def spans(self):
+        """Whether the directions span R^d: the rank test that ``spread``
+        starts with, without its searches."""
+        return _spans(self.dirs)
+
+    @property
     def dim(self):
         return self.dirs.shape[1]
 
@@ -634,6 +640,9 @@ def direction_set(vectors):
     norms = np.linalg.norm(dirs, axis=1)
     if np.any(norms == 0):
         raise PreconditionError("zero vector in direction set")
+    if not np.all(np.isfinite(norms)):
+        # dividing by an infinite norm would make the direction zero
+        raise PreconditionError("direction vector too large: its norm overflows")
     dirs = dirs / norms[:, None]
     return DirectionSet(dirs)
 
@@ -642,9 +651,13 @@ def direction_set_from_spec(spec):
     return direction_set(spec["dirs"])
 
 
+def _spans(dirs):
+    return np.linalg.matrix_rank(dirs, tol=1e-10) == dirs.shape[1]
+
+
 def _spread(dirs):
     k, d = dirs.shape
-    if np.linalg.matrix_rank(dirs, tol=1e-10) < d:
+    if not _spans(dirs):
         return 0.0
     if d == 1:
         return 1.0

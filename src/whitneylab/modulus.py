@@ -36,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import PreconditionError
-from .geometry import golden_max
+from .geometry import _translate, golden_max
 from .polyspace import _exponent_index, monomial_exponents, monomial_matrix
 
 N_SHIFT_DEFAULT = 64
@@ -155,10 +155,8 @@ class RidgeLog(SampledFunction):
         pts = np.asarray(x, dtype=float)
         single = pts.ndim == 1
         t = np.atleast_2d(pts) @ self.xi
-        cutoff = math.exp(-self.n)
         out = np.full(t.shape, -float(self.n))
-        mask = t > cutoff
-        out[mask] = np.log(t[mask])
+        np.log(t, out=out, where=t > math.exp(-self.n))
         return float(out[0]) if single else out
 
     def spec(self):
@@ -241,7 +239,7 @@ def finite_difference(f, x, h, r):
     if r < 1:
         raise PreconditionError("difference order must be >= 1")
     h = np.asarray(h, dtype=float).ravel()
-    if not np.any(h):
+    if not h.any():
         raise PreconditionError("step vector must be nonzero")
     pts = np.asarray(x, dtype=float)
     single = pts.ndim == 1
@@ -250,7 +248,7 @@ def finite_difference(f, x, h, r):
     acc = np.zeros(len(pts2))
     for j in range(r + 1):
         sign = -1.0 if (r + j) % 2 else 1.0
-        acc += sign * comb[j] * np.asarray(f(pts2 + j * h))
+        acc += sign * comb[j] * np.asarray(f(_translate(pts2, j * h) if j else pts2))
     return float(acc[0]) if single else acc
 
 
@@ -262,8 +260,19 @@ def shift_domain(dom, plan, h, r):
         idx = ok.nonzero()[0]
         if idx.size == 0:
             break
-        ok[idx] = dom.contains(plan.points[idx] + j * h)
+        ok[idx] = dom.contains(_translate(np.take(plan.points, idx, axis=0), j * h))
     return np.nonzero(ok)[0]
+
+
+def finite_values(f, points):
+    """f at the plan points; raises when any value is not finite, since no
+    difference, norm or fit of such values means anything."""
+    vals = np.asarray(f(points), dtype=float)
+    bad = vals.size - np.count_nonzero(np.isfinite(vals))
+    if bad:
+        raise PreconditionError(
+            f"function values are not finite at {bad} of {vals.size} plan points")
+    return vals
 
 
 def lp_norm(values, weights, p):
@@ -323,11 +332,13 @@ def _step_norm(f, dom, plan, xi, r, p):
             idx = np.flatnonzero(r * u <= u_max)
         if idx.size == 0:
             return 0.0, 0
+        # the Taylor path takes the valid rows, then multiplies: a product over
+        # all rows followed by a take changes the bits of some row sums
         if taylor is None:
-            vals = finite_difference(f, plan.points[idx], u * xi, r)
+            vals = finite_difference(f, np.take(plan.points, idx, axis=0), u * xi, r)
         else:
-            vals = high[idx] @ (factor * u ** powers)
-        return lp_norm(vals, plan.weights[idx], p), int(idx.size)
+            vals = np.take(high, idx, axis=0) @ (factor * u ** powers)
+        return lp_norm(vals, np.take(plan.weights, idx), p), int(idx.size)
     return norm
 
 
@@ -339,7 +350,8 @@ def directional_modulus(f, dom, plan, xi, r, t, p, n_shift=N_SHIFT_DEFAULT,
     steps are refined by golden-section search to 1e-4 * t.  At p = inf the
     result is a lower bound of the exact supremum; at p < inf it is a Monte
     Carlo estimate.  Every plan point must belong to ``dom``: the stencil of
-    x starts at x, and only x + j u xi, j = 1..r, are tested.
+    x starts at x, and only x + j u xi, j = 1..r, are tested.  A value that is
+    not finite raises PreconditionError.
     """
     if not 0 < t < math.inf:
         raise PreconditionError(f"scale t must be positive and finite, got {t}")
@@ -374,6 +386,12 @@ def directional_modulus(f, dom, plan, xi, r, t, p, n_shift=N_SHIFT_DEFAULT,
                 best = (val, u_ref, cnt)
 
     value, u_best, n_valid = best
+    # a non-finite value or difference on a valid stencil reaches the maximum,
+    # so one check here costs nothing on the usual path
+    if not math.isfinite(value):
+        finite_values(f, plan.points)
+        raise PreconditionError("modulus is not finite: the differences of the function "
+                                "or their norm overflow")
     reliable = n_valid >= MIN_VALID_POINTS and value >= 0.0 and any(counts > 0)
     return ModulusResult(float(value), float(u_best), xi, int(n_valid), bool(reliable))
 

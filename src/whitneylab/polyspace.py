@@ -99,7 +99,7 @@ def build_basis(d, r, dirset):
         raise PreconditionError("order r must be >= 1")
     if dirset.dim != d:
         raise PreconditionError("direction set dimension mismatch")
-    if dirset.spread <= 0.0:
+    if not dirset.spans:
         raise SpanDeficiencyError(
             "directions do not span the space; the constrained space is infinite dimensional"
         )

@@ -7,6 +7,9 @@ definition is not a use. The acceptance tests build their inputs with a few
 helpers that no command needs; those are listed with the test that needs them.
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import whitneylab
@@ -55,3 +58,13 @@ def test_kept_helpers_are_exported_and_unused():
     kept = set(KEPT_FOR_ACCEPTANCE)
     assert kept <= _exported()
     assert not kept & _used_names()
+
+
+def test_benchmark_hooks_find_their_targets():
+    # perfbench/spans.py wraps functions by name and raises on a missing one;
+    # a rename should fail here, not only in a traced benchmark run
+    code = "import spans; spans.install(spans.Tracer())"
+    path = os.pathsep.join([str(PACKAGE.parent), str(ROOT / "perfbench")])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 0, proc.stderr

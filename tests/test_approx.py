@@ -234,6 +234,38 @@ class TestSolveInfExchange:
         assert max(rows.shape[0] for rows in lp_rows) < 2 * 8192
 
 
+class TestKernelBits:
+    """The p < 1 fits repeat only bit for bit, so the least-squares kernel must
+    keep the bits of the broadcast form it replaced."""
+
+    def test_weighted_lsq_matches_broadcast_lstsq(self):
+        rng = np.random.default_rng(7)
+        Phi = rng.standard_normal((4096, 3))
+        fvals = rng.standard_normal(4096)
+        # IRLS weights after clamping span this range at p = 0.5
+        weights = 10.0 ** rng.uniform(-3.0, 15.0, 4096)
+        sw = np.sqrt(weights)
+        ref, *_ = np.linalg.lstsq(sw[:, None] * Phi, sw * fvals, rcond=None)
+        assert np.array_equal(approx._weighted_lsq(Phi, fvals, weights), ref)
+
+
+class TestNonFiniteValues:
+    def test_non_finite_values_are_counted(self, seg_plan, axis1):
+        seg, plan = seg_plan
+        f = w.CallbackFunction(lambda X: np.where(X[:, 0] > 0.75, np.inf, X[:, 0]), 1)
+        n_bad = int(np.count_nonzero(plan.points[:, 0] > 0.75))
+        with pytest.raises(PreconditionError, match=f"not finite at {n_bad} of {len(plan)} "):
+            w.best_approx(f, seg, plan, w.build_basis(1, 2, axis1), 1.0)
+
+    def test_overflowing_error_is_an_error(self, seg_plan, axis1):
+        # finite values whose squared residuals pass the float range
+        seg, plan = seg_plan
+        f = w.CallbackFunction(lambda X: 1e200 * X[:, 0] ** 3, 1)
+        with np.errstate(over="ignore"), pytest.raises(PreconditionError,
+                                                       match="error is not finite"):
+            w.best_approx(f, seg, plan, w.build_basis(1, 2, axis1), 2.0)
+
+
 class TestBestApprox1d:
     def test_exact_degree_recovery(self, axis1):
         seg = w.box([-1.0], [1.0])

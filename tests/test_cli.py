@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -339,6 +340,16 @@ class TestSpecErrors:
                     "--dirs", str(files["axes"]), "--order", "1"]) == 2
         assert "xi must be a nonzero finite vector" in capsys.readouterr().err
 
+    def test_direction_whose_norm_overflows_exit2(self, files, tmp_path, capsys):
+        # divided by its infinite norm, the first direction would become (0, 0)
+        dirs = tmp_path / "huge.json"
+        dirs.write_text(json.dumps({"dirs": [[1e200, 1e200], [0, 1]]}))
+        with np.errstate(over="ignore"):
+            assert run(["modulus", "--function", str(files["fn"]), "--domain",
+                        str(files["square"]), "--dirs", str(dirs), "--order", "1",
+                        "--density", "256"]) == 2
+        assert "norm overflows" in capsys.readouterr().err
+
     def test_flat_domain_exit2(self, files, tmp_path, capsys):
         # a segment: its bounding box has extent -0.0 along y
         seg = tmp_path / "segment.json"
@@ -505,6 +516,24 @@ class TestBadValues:
                 "approx": problem, "modulus": problem}
         assert run([command, *argv[command], "--p", p, "--density", "256"]) == 1
         assert f"p must be positive, got {p!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, p", [("approx", "inf"), ("approx", "1"),
+                                            ("approx", "0.5"), ("approx", "2"),
+                                            ("modulus", "1")])
+    def test_non_finite_function_values_exit2(self, files, command, p, capsys):
+        # 1e308 x^2 overflows wherever |x| > 1 on [-2, 2]^2
+        fn = files["tmp"] / "overflow.json"
+        fn.write_text(json.dumps({"kind": "polynomial", "exponents": [[2, 0]],
+                                  "coeffs": [1e308]}))
+        big = files["tmp"] / "big_square.json"
+        big.write_text(json.dumps({"type": "polytope", "A": [[1, 0], [-1, 0], [0, 1], [0, -1]],
+                                   "b": [2, 2, 2, 2]}))
+        with np.errstate(over="ignore"):
+            code = run([command, "--function", str(fn), "--domain", str(big), "--dirs",
+                        str(files["axes"]), "--order", "2", "--p", p, "--density", "256"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert re.search(r"function values are not finite at \d+ of 256 plan points", err)
 
     MODULUS = ["modulus", "--order", "1", "--density", "256"]
 

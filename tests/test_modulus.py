@@ -78,6 +78,79 @@ class TestShiftDomain:
         assert np.array_equal(got, direct)
 
 
+class TestKernelBits:
+    """The column-by-column gathers and shifts keep the bits of the broadcast
+    forms they replaced, on a union domain whose membership gathers too."""
+
+    @pytest.fixture(scope="class")
+    def union_plan(self):
+        dom = w.union([w.ball([0.0, 0.0], 1.0), w.box([0.5, -0.5], [2.0, 0.5])])
+        return dom, w.sample_plan(dom, 4096, seed=5)
+
+    def test_shift_domain_matches_broadcast(self, union_plan):
+        dom, plan = union_plan
+        h = np.array([0.3, -0.1])
+        ok = np.ones(len(plan), dtype=bool)
+        shifted = []
+        for j in (1, 2, 3):
+            idx = ok.nonzero()[0]
+            shifted.append(plan.points[idx] + j * h)
+            ok[idx] = dom.contains(shifted[-1])
+
+        seen = []
+
+        class Recording:
+            # membership has slack, so compare the shifted points themselves
+            def contains(self, pts):
+                seen.append(pts.copy())
+                return dom.contains(pts)
+
+        assert np.array_equal(w.shift_domain(Recording(), plan, h, 3), np.flatnonzero(ok))
+        assert len(seen) == 3
+        assert all(np.array_equal(a, b) for a, b in zip(seen, shifted))
+
+    @pytest.mark.parametrize("f", [w.RidgeLog(3, [0.6, 0.8]), w.random_polynomial(5, 1, 2)],
+                             ids=["ridge_log", "polynomial"])
+    def test_finite_difference_matches_broadcast(self, union_plan, f):
+        dom, plan = union_plan
+        h = np.array([0.3, -0.1])
+        pts = plan.points[w.shift_domain(dom, plan, h, 3)]
+        ref = np.zeros(len(pts))
+        for j, c in enumerate((-1.0, 3.0, -3.0, 1.0)):
+            ref += c * f(pts + j * h)
+        assert np.array_equal(w.finite_difference(f, pts, h, 3), ref)
+
+    def test_ridge_log_matches_masked_log(self, union_plan):
+        f = w.RidgeLog(3, [0.6, 0.8])
+        t = union_plan[1].points @ f.xi
+        ref = np.full(t.shape, -3.0)
+        mask = t > math.exp(-3)
+        ref[mask] = np.log(t[mask])
+        assert np.array_equal(f(union_plan[1].points), ref)
+
+
+class TestNonFiniteValues:
+    def test_non_finite_values_are_counted(self):
+        disk = w.ball([0.0, 0.0], 1.0)
+        plan = w.sample_plan(disk, 2048, seed=5)
+        f = w.CallbackFunction(lambda X: np.where(X[:, 0] > 0.5, np.nan, X[:, 0]), 2)
+        n_bad = int(np.count_nonzero(plan.points[:, 0] > 0.5))
+        with pytest.raises(PreconditionError, match=f"not finite at {n_bad} of {len(plan)} "):
+            w.directional_modulus(f, disk, plan, [1.0, 0.0], 1, 0.5, 1.0)
+
+    @pytest.mark.parametrize("f, r, p", [
+        (w.PolynomialFunction([[1, 0]], [1e200]), 1, 2.0),
+        (w.CallbackFunction(lambda X: 1.5e308 * X[:, 0], 2), 2, math.inf)],
+        ids=["squares-taylor", "stencil-sum"])
+    def test_overflowing_differences_are_an_error(self, f, r, p):
+        # values finite on the disk whose squares or stencil sums pass the float range
+        disk = w.ball([0.0, 0.0], 1.0)
+        plan = w.sample_plan(disk, 2048, seed=5)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(PreconditionError, match="modulus is not finite"):
+            w.directional_modulus(f, disk, plan, [1.0, 0.0], r, 0.5, p)
+
+
 class TestLpNorm:
     def test_single_value(self):
         for p in (0.5, 1, 2, math.inf):

@@ -82,6 +82,19 @@ class TestBuildBasis:
         with pytest.raises(SpanDeficiencyError):
             w.build_basis(2, 2, E)
 
+    def test_span_check_does_not_search_the_spread(self):
+        # for d >= 3 the spread is six Nelder-Mead searches; the rank test decides
+        ds = w.direction_set([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])
+        w.build_basis(3, 1, ds)
+        assert "spread" not in vars(ds)
+
+    @pytest.mark.parametrize("dirs", [[[1, 1], [-2, -2]], [[1, 0, 0], [0, 1, 0], [1, 1, 0]]],
+                             ids=["parallel-2d", "coplanar-3d"])
+    def test_span_deficient_message(self, dirs):
+        with pytest.raises(SpanDeficiencyError, match="^directions do not span the space; "
+                           "the constrained space is infinite dimensional$"):
+            w.build_basis(len(dirs[0]), 2, w.direction_set(dirs))
+
     def test_rows_orthonormal_and_annihilated(self, axes2):
         E = w.direction_set([[1, 0], [0, 1], [0.6, 0.8]])
         basis = w.build_basis(2, 3, E)
