@@ -42,6 +42,7 @@ IRLS_TOL = 1e-9
 IRLS_CLAMP = 1e-10
 QUASINORM_RESTARTS = 32
 QUASINORM_DAMPING = 0.5
+LP_VALUE_MAX = 1e20  # HiGHS reads a bound this large as infinite
 
 
 @dataclass(eq=False)
@@ -121,6 +122,10 @@ def _solve_inf(Phi, fvals):
     the rows outside S, is feasible for the full-plan dual with the same
     objective.
     """
+    big = float(np.max(np.abs(fvals)))
+    if big >= LP_VALUE_MAX:
+        raise PreconditionError(f"largest |f| on the plan is {big:.6g}; the minimax "
+                                f"linear program needs values below {LP_VALUE_MAX:.0e}")
     n, k = Phi.shape
     m = 16 * (k + 1)
     lsq, *_ = np.linalg.lstsq(Phi, fvals, rcond=None)

@@ -213,7 +213,7 @@ def _cmd_approx(args):
 def _cmd_whitney_estimate(args):
     dom, dirs = _domain_dirs(args)
     est = whitney.empirical_whitney_constant(
-        dom, _plan(args, dom), dirs, args.order, _parse_p(args.p), {"kind": args.family},
+        dom, _plan(args, dom), dirs, args.order, _parse_p(args.p), args.family,
         budget=args.budget, seed=args.seed)
     return (0, est.spec(), ["lower_bound", "n_defined"], [[est.lower_bound, est.n_defined]])
 
@@ -331,7 +331,7 @@ def _cmd_report(args):
     for r in args.r_list:
         for p_text, p in args.p_list:
             est = whitney.empirical_whitney_constant(
-                dom, plan, dirs, r, p, {"kind": "random_poly"},
+                dom, plan, dirs, r, p, "random_poly",
                 budget=args.budget, seed=args.seed)
             upper = w0_note = ""
             if chain is not None and chain.order == r:

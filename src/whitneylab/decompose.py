@@ -24,8 +24,11 @@ from .geometry import (
 )
 
 VERIFY_SAMPLES = 10_000
+VERIFY_TOL_REL = 1e-9  # violations up to this times the chain's scale pass
+MAX_WITNESSES = 10
 COVERAGE_SAMPLES = 100_000
 COVERAGE_MISS_MAX = 1e-3
+XRAY_N0_CAP = 12  # the largest shrink index an x-ray slab chain tries
 
 
 # ---------------------------------------------------------------------------
@@ -114,16 +117,14 @@ def _candidate_order(k, r):
     return order
 
 
-def verify_chain(chain, samples_per_piece=VERIFY_SAMPLES, seed=0, tol_rel=1e-9,
-                 coverage_samples=COVERAGE_SAMPLES, check_coverage=True,
-                 max_witnesses=10):
+def verify_chain(chain, samples_per_piece=VERIFY_SAMPLES, seed=0, check_coverage=True):
     """Sample each piece and check its backward shifts land in the prior union.
 
     A piece with no sample fails the check unless its bounding box is flat,
     which proves it empty (``intersection`` of disjoint parts gives one)."""
     scale = chain.target.scale() if chain.target is not None else \
         max(p.scale() for p in chain.pieces)
-    tol = tol_rel * scale
+    tol = VERIFY_TOL_REL * scale
     slack = geo.MEMBERSHIP_SLACK * max(1.0, scale)
     r = chain.order
     worst = 0.0
@@ -136,7 +137,7 @@ def verify_chain(chain, samples_per_piece=VERIFY_SAMPLES, seed=0, tol_rel=1e-9,
         if len(pts) == 0:
             if np.all(piece.bbox[1] > piece.bbox[0]):
                 unsampled = True
-                if len(witnesses) < max_witnesses:
+                if len(witnesses) < MAX_WITNESSES:
                     witnesses.append({"piece": k, "reason": "not sampled: no member found "
                                       "and its bounding box is not flat"})
             continue
@@ -151,14 +152,14 @@ def verify_chain(chain, samples_per_piece=VERIFY_SAMPLES, seed=0, tol_rel=1e-9,
                 real = dists > tol
                 if real.any():
                     worst = max(worst, float(dists.max()))
-                    for x, dval in zip(pts[~inside][real][:max_witnesses], dists[real]):
-                        if len(witnesses) < max_witnesses:
+                    for x, dval in zip(pts[~inside][real][:MAX_WITNESSES], dists[real]):
+                        if len(witnesses) < MAX_WITNESSES:
                             witnesses.append({"piece": k, "j": j,
                                               "point": x.tolist(),
                                               "violation": float(dval)})
     cov_ok = miss_rate = None
     if check_coverage and chain.target is not None:
-        tpts = _sample_in(chain.target, coverage_samples, seed + 9999)
+        tpts = _sample_in(chain.target, COVERAGE_SAMPLES, seed + 9999)
         if len(tpts):
             cover = UnionRep(tuple(chain.pieces[::-1]))
             block = 2 * VERIFY_SAMPLES  # bounds the per-part temporaries
@@ -189,8 +190,8 @@ def _stack_with_polytope(A, b, bbox, dom):
     return clipped
 
 
-def _piece_nonempty(piece, seed=0, n_probe=512):
-    return len(_sample_in(piece, 1, seed, max_factor=n_probe)) > 0
+def _piece_nonempty(piece, seed):
+    return len(_sample_in(piece, 1, seed, max_factor=512)) > 0
 
 
 def _perp_basis(xi):
@@ -216,14 +217,14 @@ def _dilate(dom, c):
 # star-shaped decomposition
 # ---------------------------------------------------------------------------
 
-def _check_star_shaped(dom, seed=0, n_points=256, n_dirs=12, n_lambda=8):
+def _check_star_shaped(dom, seed):
     rng = np.random.default_rng(seed)
-    pts = _sample_in(dom, n_points, seed)
+    pts = _sample_in(dom, 256, seed)
     if len(pts) == 0:
         raise PreconditionError("cannot sample the domain")
-    dirs = rng.standard_normal((n_dirs, dom.dim))
+    dirs = rng.standard_normal((12, dom.dim))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    lams = np.linspace(0.0, 1.0, n_lambda)[:, None, None]
+    lams = np.linspace(0.0, 1.0, 8)[:, None, None]
     # probes[i, l, k] mixes sample i with unit-sphere point k at weight lams[l]
     probes = lams * pts[:, None, None, :] + (1.0 - lams) * dirs
     ok = dom.contains(probes.reshape(-1, dom.dim)).reshape(len(pts), -1).all(axis=1)
@@ -268,7 +269,7 @@ def star_shaped_decomposition(dom, r, seed=0):
     """
     _check_order(r)
     d = dom.dim
-    _check_star_shaped(dom, seed=seed)
+    _check_star_shaped(dom, seed)
     if isinstance(dom.rep, PolytopeRep):
         R = float(np.max(np.linalg.norm(dom.vertices(), axis=1)))
     elif isinstance(dom.rep, BallRep):
@@ -374,7 +375,7 @@ def planar_two_direction_chain(dom, r=1):
                                    "planar", target=dom)
         return chain, para
 
-    if geo.signed_boundary_distance(dom, np.zeros(2)) > -(1.0 - 1e-9):
+    if dom.rep.signed_distance(np.zeros((1, 2)))[0] > -(1.0 - 1e-9):
         raise PreconditionError("domain must be normalized to contain the unit ball")
 
     if poly:  # the first pair at the largest vertex distance
@@ -494,16 +495,16 @@ def _slice_pieces(center, rho, symdirs, eps0, r, clip_to):
 # Lip-2 ball chain
 # ---------------------------------------------------------------------------
 
-def _ball_inside(dom, centers, delta, n_probe=128):
+def _ball_inside(dom, centers, delta):
     """Whether the closed delta-ball at each center lies inside the domain."""
     centers = np.atleast_2d(centers)
     d = dom.dim
     if d == 2:
-        th = np.linspace(0.0, 2.0 * math.pi, n_probe, endpoint=False)
+        th = np.linspace(0.0, 2.0 * math.pi, 128, endpoint=False)
         probes = np.column_stack([np.cos(th), np.sin(th)])
     else:
         rng = np.random.default_rng(4)
-        probes = rng.standard_normal((max(n_probe, 64 * d), d))
+        probes = rng.standard_normal((max(128, 64 * d), d))
         probes /= np.linalg.norm(probes, axis=1)[:, None]
     ok = dom.contains(centers)
     for u in probes:
@@ -731,7 +732,7 @@ def _minkowski_segment(base, e, t1, t2, clip_dom):
     raise PreconditionError("x-ray slabs support polytope and ball domains")
 
 
-def xray_slab_decomposition(dom, dirset, n0=1, r=1, n0_cap=12, seed=0):
+def xray_slab_decomposition(dom, dirset, n0=1, r=1, seed=0):
     """Slab chain along the +/- ray directions of an x-rayed convex body.
 
     The base piece is a shrunken copy of the body; each direction contributes
@@ -757,7 +758,7 @@ def xray_slab_decomposition(dom, dirset, n0=1, r=1, n0_cap=12, seed=0):
     diam = geo.diameter(dom).value
     plan_pts = _sample_in(dom, 2048, seed + 3)
 
-    for n in range(n0, n0_cap + 1):
+    for n in range(n0, XRAY_N0_CAP + 1):
         inner = _dilate(dom, 1.0 - 1.0 / (n + 2.0))
         reached = np.zeros(len(plan_pts), dtype=bool)
         for e in sym.dirs:
@@ -768,7 +769,7 @@ def xray_slab_decomposition(dom, dirset, n0=1, r=1, n0_cap=12, seed=0):
         if reached.all():
             break
     else:
-        raise PreconditionError(f"no shrink index up to {n0_cap} gives a ray cover")
+        raise PreconditionError(f"no shrink index up to {XRAY_N0_CAP} gives a ray cover")
 
     c0 = 1.0 - 1.0 / (n + 2.0)
     c1 = 1.0 - 1.0 / (n + 4.0)

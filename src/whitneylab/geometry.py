@@ -541,8 +541,9 @@ def _polytope_bbox(A, b):
     return np.vstack([lo, hi])
 
 
-def _polytope_vertices(A, b, tol=1e-9):
+def _polytope_vertices(A, b):
     m, d = A.shape
+    tol = 1e-9  # relative to the largest |b_i|, at least 1
     scale = max(1.0, float(np.max(np.abs(b))) if b.size else 1.0)
     verts = []
     for idx in itertools.combinations(range(m), d):
@@ -722,8 +723,6 @@ class SamplePlan:
     """Monte Carlo quadrature plan: member points with volume weights."""
     points: np.ndarray
     weights: np.ndarray
-    seed: int
-    density: float
 
     def __len__(self):
         return self.points.shape[0]
@@ -800,7 +799,7 @@ def sample_plan(dom, n_points=4096, seed=0, extra_points=None):
             raise PreconditionError("extra plan points must belong to the domain")
         pts = np.vstack([pts, extra])
     w = np.full(len(pts), vol_est / len(pts))
-    return SamplePlan(pts, w, seed, len(pts) / max(vol_est, 1e-300))
+    return SamplePlan(pts, w)
 
 
 def grid_plan(dom, n_per_axis):
@@ -813,8 +812,7 @@ def grid_plan(dom, n_per_axis):
     pts = pts[mask]
     cell = float(np.prod((hi - lo) / max(n_per_axis - 1, 1)))
     w = np.full(len(pts), cell if dom.dim > 0 else 1.0)
-    vol = max(float(w.sum()), 1e-300)
-    return SamplePlan(pts, w, 0, len(pts) / vol)
+    return SamplePlan(pts, w)
 
 
 # ---------------------------------------------------------------------------
@@ -1034,18 +1032,18 @@ def boundary_points(dom, n=256, seed=0):
     anchor = _interior_anchor(dom, rng)
     dirs = rng.standard_normal((n, dom.dim))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    pts = anchor + _ray_exit(dom, anchor, dirs, 60)[:, None] * dirs
+    pts = anchor + _ray_exit(dom, anchor, dirs)[:, None] * dirs
     if isinstance(dom.rep, PolytopeRep):
         pts = np.vstack([dom.vertices(), pts])
     return pts
 
 
-def _ray_exit(dom, anchor, dirs, iters):
+def _ray_exit(dom, anchor, dirs):
     """Per row u of ``dirs``, the length t at which the ray anchor + t u leaves
-    ``dom``, by ``iters`` bisection steps on membership (all rays at once)."""
+    ``dom``, by 60 bisection steps on membership (all rays at once)."""
     lo = np.zeros(len(dirs))
     hi = np.full(len(dirs), 2.0 * float(np.linalg.norm(dom.bbox[1] - dom.bbox[0])) + 1.0)
-    for _ in range(iters):
+    for _ in range(60):
         mid = 0.5 * (lo + hi)
         inside = dom.contains(anchor + mid[:, None] * dirs)
         lo = np.where(inside, mid, lo)
@@ -1076,19 +1074,3 @@ def _interior_anchor(dom, rng):
         m = min(2 * m, 4096)
     raise PreconditionError("could not find an interior point")
 
-
-# ---------------------------------------------------------------------------
-# signed boundary distance
-# ---------------------------------------------------------------------------
-
-def signed_boundary_distance(dom, x):
-    """Negative inside, positive outside; exact where the representation has a
-    closed form (polytopes, balls), else by ray bisection from an interior anchor."""
-    pts, single = _as_points(x, dom.dim)
-    out = dom.rep.signed_distance(pts)
-    if out is None:
-        anchor = _interior_anchor(dom, np.random.default_rng(0))
-        v = pts - anchor
-        rad = np.linalg.norm(v, axis=1)
-        out = rad - _ray_exit(dom, anchor, v / np.maximum(rad, 1e-300)[:, None], 50)
-    return float(out[0]) if single else out

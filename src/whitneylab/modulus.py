@@ -72,13 +72,13 @@ class SampledFunction:
 
 
 class PolynomialFunction(SampledFunction):
-    def __init__(self, exponents, coeffs, dim=None):
+    def __init__(self, exponents, coeffs):
         raw = np.asarray(exponents, dtype=float)
         if not np.all(np.isfinite(raw) & (raw >= 0) & (raw == np.floor(raw))):
             raise ValueError("polynomial exponents must be nonnegative integers")
         self.exponents = raw.astype(int)
         self.coeffs = np.asarray(coeffs, dtype=float).ravel()
-        self.dim = self.exponents.shape[1] if dim is None else dim
+        self.dim = self.exponents.shape[1]
         if self.exponents.shape[0] != self.coeffs.size:
             raise PreconditionError("exponent/coefficient length mismatch")
 
@@ -167,9 +167,7 @@ def random_polynomial(degree, seed, dim):
     """Deterministic random polynomial with standard normal coefficients."""
     exps = monomial_exponents(dim, degree)
     rng = np.random.default_rng(seed)
-    f = PolynomialFunction(exps, rng.standard_normal(len(exps)), dim)
-    f._random_spec = {"kind": "random_poly", "degree": int(degree), "seed": int(seed)}
-    return f
+    return PolynomialFunction(exps, rng.standard_normal(len(exps)))
 
 
 class CallbackFunction(SampledFunction):
@@ -189,17 +187,15 @@ class CallbackFunction(SampledFunction):
         return {"kind": "callback"}
 
 
-def function_from_spec(spec, dim=None):
-    """Build a function from its JSON description; an unknown ``kind`` is a
-    malformed spec (ValueError)."""
+def function_from_spec(spec, dim):
+    """Build a function on R^dim from its JSON description; an unknown
+    ``kind`` is a malformed spec (ValueError)."""
     kind = spec.get("kind")
     if kind == "polynomial":
         return PolynomialFunction(spec["exponents"], spec["coeffs"])
     if kind == "ridge_log":
         return RidgeLog(spec["n"], spec["xi"])
     if kind == "random_poly":
-        if dim is None:
-            raise PreconditionError("random_poly spec needs an ambient dimension")
         return random_polynomial(spec["degree"], spec["seed"], dim)
     raise ValueError(f"unknown function kind {kind!r}")
 

@@ -3,9 +3,9 @@ log-ridge divergence certificate on narrow cone bodies.
 
 The central quantity is the worst-case ratio of best-approximation error from
 the directionally-flat polynomial space to the directional modulus at scale
-diam, estimated from finite function families (lower bounds only) or
-certified from a verified decomposition chain (upper bounds, relative to an
-assumed bound on the base piece).
+diam, estimated from the ``random_poly`` or ``perturbed_basis`` family
+(lower bounds only) or certified from a verified decomposition chain (upper
+bounds, relative to an assumed bound on the base piece).
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ import numpy as np
 from .errors import PreconditionError
 from . import geometry as geo
 from .approx import best_approx
-from .modulus import RidgeLog, random_polynomial, set_modulus
+from .modulus import PolynomialFunction, RidgeLog, random_polynomial, set_modulus
 from .polyspace import build_basis
 
 RATIO_CUTOFF = 1e-9
@@ -48,9 +48,9 @@ class WhitneyEstimate:
     n_defined: int = 0
     inconsistent: bool = field(default=False)
 
-    def attach_upper_bound(self, value, tol=1e-9):
+    def attach_upper_bound(self, value):
         self.upper_bound = float(value)
-        self.inconsistent = self.lower_bound > self.upper_bound * (1.0 + tol) + tol
+        self.inconsistent = self.lower_bound > self.upper_bound * (1.0 + 1e-9) + 1e-9
 
     def spec(self):
         return {
@@ -63,49 +63,34 @@ class WhitneyEstimate:
         }
 
 
-def _family_functions(family, dim, r, budget, seed, basis=None):
-    kind = family.get("kind") if isinstance(family, dict) else "user"
-    if kind == "user":
-        for f in family if not isinstance(family, dict) else family["functions"]:
-            yield f, getattr(f, "_random_spec", None) or f.spec()
-        return
+def _family_functions(kind, dim, r, budget, seed, basis):
+    """(function, spec) pairs: random polynomials of degree d (r - 1) + 3, or
+    flat-space basis elements with noise on their coefficients."""
     if kind == "random_poly":
-        degree = int(family.get("degree", dim * (r - 1) + 3))
+        degree = dim * (r - 1) + 3
         for k in range(budget):
-            f = random_polynomial(degree, seed + k, dim)
-            yield f, {"kind": "random_poly", "degree": degree, "seed": seed + k}
-        return
-    if kind == "ridge_log":
-        n_list = family.get("n_list") or [2 ** k for k in range(budget)]
-        xi = np.asarray(family["xi"], dtype=float)
-        for n in n_list[:budget]:
-            yield RidgeLog(n, xi), {"kind": "ridge_log", "n": int(n), "xi": xi.tolist()}
-        return
-    if kind == "perturbed_basis":
-        if basis is None:
-            raise PreconditionError("perturbed_basis family needs the basis")
+            yield (random_polynomial(degree, seed + k, dim),
+                   {"kind": "random_poly", "degree": degree, "seed": seed + k})
+    elif kind == "perturbed_basis":
         rng = np.random.default_rng(seed)
-        from .modulus import PolynomialFunction
         for k in range(budget):
             row = rng.integers(0, basis.n_basis)
-            noise = 0.3 * rng.standard_normal(len(basis.exponents))
-            coeffs = basis.coeffs[row] + noise
+            coeffs = basis.coeffs[row] + 0.3 * rng.standard_normal(len(basis.exponents))
             yield (PolynomialFunction(basis.exponents, coeffs),
                    {"kind": "perturbed_basis", "row": int(row), "seed": seed + k})
-        return
-    raise PreconditionError(f"unknown family kind {kind!r}")
+    else:
+        raise PreconditionError(f"unknown family kind {kind!r}")
 
 
-def empirical_whitney_constant(dom, plan, dirset, r, p, family, budget=64,
-                               seed=0, basis=None):
-    """Max defined ratio over a sampled function family (a lower bound)."""
-    if basis is None:
-        basis = build_basis(dom.dim, r, dirset)
+def empirical_whitney_constant(dom, plan, dirset, r, p, family, budget=64, seed=0):
+    """Max defined ratio over a sampled function family (a lower bound);
+    ``family`` is ``"random_poly"`` or ``"perturbed_basis"``."""
+    basis = build_basis(dom.dim, r, dirset)
     t = geo.diameter(dom, plan).value
     best = None
     witness = None
     n_defined = 0
-    for f, spec in _family_functions(family, dom.dim, r, budget, seed, basis=basis):
+    for f, spec in _family_functions(family, dom.dim, r, budget, seed, basis):
         ratio = whitney_ratio(f, dom, plan, dirset, basis, r, p, t=t)
         if ratio is None:
             continue

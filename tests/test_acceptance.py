@@ -419,8 +419,7 @@ def test_criterion_8_invariance_suite():
         shift = rng.uniform(-1, 1, 2)
         detA = abs(np.linalg.det(A))
         G2 = w.as_polytope(w.AffineMap(A, shift).apply_domain(G))
-        plan2 = w.SamplePlan(gplan.points @ A.T + shift, gplan.weights * detA,
-                             gplan.seed, gplan.density / detA)
+        plan2 = w.SamplePlan(gplan.points @ A.T + shift, gplan.weights * detA)
         mapped = (A @ E.dirs.T).T
         E2 = w.direction_set(mapped)
         basis2 = w.build_basis(2, 2, E2)
@@ -470,14 +469,11 @@ def test_criterion_9_consistency_gate(polygons, planar_chains):
         base = chain.pieces[0]
         base_plan = w.sample_plan(base, 400, seed=i)
         g_plan = w.sample_plan(G, 400, seed=i + 100)
-        basis = w.build_basis(2, r, dirs)
         for p in (1.0, math.inf):
             w0 = w.empirical_whitney_constant(
-                base, base_plan, dirs, r, p, {"kind": "random_poly"},
-                budget=10, seed=i, basis=basis).lower_bound
+                base, base_plan, dirs, r, p, "random_poly", budget=10, seed=i).lower_bound
             lower_est = w.empirical_whitney_constant(
-                G, g_plan, dirs, r, p, {"kind": "random_poly"},
-                budget=10, seed=i + 1, basis=basis)
+                G, g_plan, dirs, r, p, "random_poly", budget=10, seed=i + 1)
             if chain.n_pieces == 1:
                 upper = 10.0 * w0
             else:

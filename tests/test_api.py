@@ -1,10 +1,13 @@
-"""Every name ``whitneylab`` exports has a caller outside the tests.
+"""Every name ``whitneylab`` exports, and every parameter with a default,
+has a caller outside the tests.
 
 A name counts as used when the package's modules (other than ``__init__``),
 ``perfbench/*.py`` or ``scripts/*.py`` refer to it: by name, as an attribute,
 or as a string (``perfbench/spans.py`` hooks functions by their names). A
 definition is not a use. The acceptance tests build their inputs with a few
 helpers that no command needs; those are listed with the test that needs them.
+A parameter with a default counts as used when a call in those files, to a
+function or class of that name, passes it by keyword or by position.
 """
 import ast
 import os
@@ -24,6 +27,11 @@ KEPT_FOR_ACCEPTANCE = {
                  "(its polygons come from conftest.random_convex_polygon)",
 }
 
+KEPT_SETTABLE = {
+    ("set_modulus", "n_shift"): "the property tests vary the shift grid",
+    ("set_modulus", "refine"): "the property tests vary the shift grid",
+}
+
 
 def _exported():
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
@@ -32,11 +40,14 @@ def _exported():
             for alias in node.names}
 
 
+def _outside_tests():
+    files = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    return files + sorted((ROOT / "perfbench").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+
+
 def _used_names():
-    files = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
-    files += sorted((ROOT / "perfbench").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
     used = set()
-    for path in files:
+    for path in _outside_tests():
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Name):
                 used.add(node.id)
@@ -58,6 +69,61 @@ def test_kept_helpers_are_exported_and_unused():
     kept = set(KEPT_FOR_ACCEPTANCE)
     assert kept <= _exported()
     assert not kept & _used_names()
+
+
+def _defaulted_parameters():
+    """(callable name, parameter, position in a call or None) for every parameter
+    with a default; a method's position skips ``self``, and ``__init__`` is
+    called by its class name."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        owner = {fn: cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                 for fn in cls.body if isinstance(fn, ast.FunctionDef)}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+            skip = 1 if fn in owner and not static else 0
+            name = owner[fn] if fn.name == "__init__" else fn.name
+            args = fn.args.posonlyargs + fn.args.args
+            for i in range(len(args) - len(fn.args.defaults), len(args)):
+                yield name, args[i].arg, i - skip
+            for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                if default is not None:
+                    yield name, arg.arg, None
+
+
+def _passed_parameters():
+    """Callable name -> (positional count, keyword names) of each call to it; a
+    forwarded ``**kw`` or ``*args`` passes nothing by name or position."""
+    calls = {}
+    for path in _outside_tests():
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            n_pos = next((i for i, a in enumerate(node.args) if isinstance(a, ast.Starred)),
+                         len(node.args))
+            calls.setdefault(name, []).append(
+                (n_pos, {k.arg for k in node.keywords if k.arg is not None}))
+    return calls
+
+
+def _unset_parameters():
+    calls = _passed_parameters()
+    return {(name, param) for name, param, pos in _defaulted_parameters()
+            if not any(param in kws or (pos is not None and n_pos > pos)
+                       for n_pos, kws in calls.get(name, []))}
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_tests():
+    unused = sorted(_unset_parameters() - set(KEPT_SETTABLE))
+    assert not unused, f"parameters no caller outside the tests sets: {unused}"
+
+
+def test_kept_parameters_exist_and_are_unused():
+    # an entry whose parameter gained a caller, or went, leaves the list
+    assert set(KEPT_SETTABLE) <= _unset_parameters()
 
 
 def test_benchmark_hooks_find_their_targets():

@@ -109,7 +109,7 @@ class TestBestApprox:
 
     def test_rank_deficient_plan_errors(self, axis1):
         seg = w.box([0.0], [1.0])
-        plan = w.SamplePlan(np.array([[0.2], [0.5]]), np.array([0.5, 0.5]), 0, 2.0)
+        plan = w.SamplePlan(np.array([[0.2], [0.5]]), np.array([0.5, 0.5]))
         basis = w.build_basis(1, 3, axis1)
         f = w.CallbackFunction(lambda X: X[:, 0], 1)
         with pytest.raises(PreconditionError):
@@ -283,7 +283,7 @@ class TestBestApprox1d:
     def test_too_few_abscissae(self, axis1):
         # two points, but one abscissa: a line is not determined
         seg = w.box([0.0], [1.0])
-        plan = w.SamplePlan(np.array([[0.4], [0.4]]), np.array([0.5, 0.5]), 0, 2.0)
+        plan = w.SamplePlan(np.array([[0.4], [0.4]]), np.array([0.5, 0.5]))
         f = w.CallbackFunction(lambda X: X[:, 0], 1)
         with pytest.raises(PreconditionError):
             w.best_approx(f, seg, plan, w.build_basis(1, 2, axis1), 2.0)

@@ -535,6 +535,26 @@ class TestBadValues:
         assert code == 2 and out == ""
         assert re.search(r"function values are not finite at \d+ of 256 plan points", err)
 
+    @pytest.mark.parametrize("coeff, code", [(1e15, 0), (1e20, 2), (1e200, 2)])
+    def test_inf_fit_values_too_large_for_the_lp_exit2(self, files, coeff, code, capsys):
+        # c x on [-2, 2]^2 reaches about 2c on the plan; HiGHS reads a bound of
+        # 1e20 or more as infinite, which made the p=inf fit a "Model error"
+        fn = files["tmp"] / "huge.json"
+        fn.write_text(json.dumps({"kind": "polynomial", "exponents": [[1, 0]],
+                                  "coeffs": [coeff]}))
+        big = files["tmp"] / "big_square.json"
+        big.write_text(json.dumps({"type": "polytope", "A": [[1, 0], [-1, 0], [0, 1], [0, -1]],
+                                   "b": [2, 2, 2, 2]}))
+        assert run(["approx", "--function", str(fn), "--domain", str(big), "--dirs",
+                    str(files["axes"]), "--order", "1", "--p", "inf", "--density", "256"]) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert out == "" and "did not converge" not in err
+            assert re.search(r"largest \|f\| on the plan is \d\.\d+e\+\d+; the minimax "
+                             r"linear program needs values below 1e\+20", err)
+        else:
+            assert json.loads(out)["error"] > 1e15
+
     MODULUS = ["modulus", "--order", "1", "--density", "256"]
 
     @pytest.mark.parametrize("t", ["0", "nan", "inf"])

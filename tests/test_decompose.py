@@ -23,7 +23,7 @@ class TestVerifyChain:
         assert res.ok and res.worst_violation == 0.0
         assert res.coverage_ok
 
-    def test_half_shift_r2_fails(self):
+    def test_half_shift_r2_fails(self, monkeypatch):
         K = w.box([0, 0], [1, 1])
         J = w.box([1, 0], [2, 1])
         chain = DecompositionChain([K, J], np.array([[0.5, 0.0]]), 2, E2, "test")
@@ -31,7 +31,10 @@ class TestVerifyChain:
         assert not res.ok
         assert res.worst_violation > 0.1
         assert any(wit["point"][0] > 1.0 for wit in res.witnesses)
-        quiet = verify_chain(chain, samples_per_piece=2000, seed=0, max_witnesses=0)
+        # about half of the 2000 points fail, and only MAX_WITNESSES are kept
+        assert len(res.witnesses) == dc.MAX_WITNESSES == 10
+        monkeypatch.setattr(dc, "MAX_WITNESSES", 0)
+        quiet = verify_chain(chain, samples_per_piece=2000, seed=0)
         assert not quiet.ok and not chain.verified and quiet.witnesses == []
 
     def test_shift_direction_must_be_declared(self):
@@ -89,7 +92,8 @@ class TestStarShaped:
 
     def test_l_shape_witness_is_the_first_failing_sample(self):
         L = w.union([w.box([-3, -3], [3, -2.0]), w.box([2.0, -3], [3, 3])])
-        # reference: the per-point loop over samples and mixing weights
+        # reference: the per-point loop over samples and mixing weights, with
+        # the sample size, directions and weights that _check_star_shaped uses
         seed, n_points, n_dirs, n_lambda = 0, 256, 12, 8
         rng = np.random.default_rng(seed)
         pts = dc._sample_in(L, n_points, seed)
@@ -99,8 +103,7 @@ class TestStarShaped:
                     if any(not np.all(L.contains(lam * x + (1.0 - lam) * dirs))
                            for lam in np.linspace(0.0, 1.0, n_lambda)))
         with pytest.raises(PreconditionError) as err:
-            dc._check_star_shaped(L, seed=seed, n_points=n_points, n_dirs=n_dirs,
-                                  n_lambda=n_lambda)
+            dc._check_star_shaped(L, seed)
         assert err.value.witnesses == [want.tolist()]
 
 

@@ -330,11 +330,12 @@ class TestRepProtocol:
         assert np.all(viol[inside] <= 1e-9)
         assert np.all(viol[~inside] > 0.0)
 
-    @pytest.mark.parametrize("kind", sorted(REP_DOMAINS))
+    @pytest.mark.parametrize("kind", ["ball", "polytope"])
     def test_signed_distance_sign_matches_membership(self, kind):
+        # the representations with a closed-form signed distance
         dom = REP_DOMAINS[kind]()
         pts = np.random.default_rng(2).uniform(-2.5, 2.5, size=(64, 2))
-        sd = w.geometry.signed_boundary_distance(dom, pts)
+        sd = dom.rep.signed_distance(pts)
         inside = dom.contains(pts)
         assert np.all(sd[inside] <= 1e-9) and np.all(sd[~inside] > -1e-9)
 
@@ -364,7 +365,7 @@ class TestExitDistance:
             # along and against the opening
             axis = dom.rep.xi
             plan = w.SamplePlan(np.vstack([plan.points, np.outer(np.linspace(0, 1, 5), axis)]),
-                                np.ones(len(plan) + 5), 0, 1.0)
+                                np.ones(len(plan) + 5))
             dirs = np.vstack([dirs, axis, -axis, axis + 0.05 * dirs[0], -axis + 0.3 * dirs[1]])
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
         band = 1e-9 * dom.scale()
@@ -605,14 +606,15 @@ class TestCoordinateMajorKernels:
         pts = np.vstack([rng.standard_normal((20_000, d)) * 3.0, shift, shift + 1e-300])
         assert np.array_equal(rep._back(pts), (pts - rep.shift) @ rep.inverse.T)
 
-    def test_chunked_coverage_matches_one_call(self):
+    def test_chunked_coverage_matches_one_call(self, monkeypatch):
         # the slabs cover [0, 1.5] x [0, 1] of the target [0, 2] x [0, 1]
         chain = w.DecompositionChain(
             [w.box([0, 0], [1, 1]), w.box([1.0, 0], [1.25, 1]), w.box([1.25, 0], [1.5, 1])],
             np.array([[0.25, 0], [0.25, 0]]), 2, w.direction_set([[1.0, 0.0]]), "test",
             target=w.box([0, 0], [2, 1]))
         n = 4 * w.decompose.VERIFY_SAMPLES + 123  # a ragged last block
-        res = w.verify_chain(chain, samples_per_piece=200, seed=3, coverage_samples=n)
+        monkeypatch.setattr(w.decompose, "COVERAGE_SAMPLES", n)
+        res = w.verify_chain(chain, samples_per_piece=200, seed=3)
         tpts = w.decompose._sample_in(chain.target, n, 3 + 9999)
         slack = w.geometry.MEMBERSHIP_SLACK * chain.target.scale()
         inside = w.geometry.UnionRep(tuple(chain.pieces[::-1])).member(tpts, slack)

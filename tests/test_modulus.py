@@ -410,7 +410,7 @@ class TestAlgebraicPath:
         dom = ALGEBRAIC_DOMAINS[name]()
         plan = w.sample_plan(dom, 64, seed=1)
         outside = w.SamplePlan(np.vstack([plan.points, [[-5.0, -5.0]]]),
-                               np.ones(len(plan) + 1), 0, 1.0)
+                               np.ones(len(plan) + 1))
         f = w.PolynomialFunction([[2, 0]], [1.0])
         with pytest.raises(PreconditionError, match="plan points must belong"):
             w.directional_modulus(f, dom, outside, [1.0, 1.0], 2, 1.0, math.inf)

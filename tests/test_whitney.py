@@ -56,23 +56,26 @@ class TestWhitneyRatio:
 
 
 class TestEmpirical:
-    def test_flat_family_has_no_defined_ratio(self, seg_plan):
+    def test_flat_family_has_no_defined_ratio(self, seg_plan, monkeypatch):
         seg, plan = seg_plan
         basis = w.build_basis(1, 2, E1)
         flats = [w.PolynomialFunction(basis.exponents,
                                       c0 * basis.coeffs[0] + c1 * basis.coeffs[1])
                  for c0, c1 in [(1, 0), (0, 1), (2, -1)]]
-        with pytest.raises(PreconditionError):
-            w.empirical_whitney_constant(seg, plan, E1, 2, math.inf, flats,
-                                         basis=basis)
+        for f in flats:
+            assert w.whitney_ratio(f, seg, plan, E1, basis, 2, math.inf) is None
+        # a family none of whose ratios is defined has no lower bound
+        monkeypatch.setattr(w.whitney, "RATIO_CUTOFF", math.inf)
+        with pytest.raises(PreconditionError, match="no candidate produced a defined ratio"):
+            w.empirical_whitney_constant(seg, plan, E1, 2, math.inf, "random_poly", budget=4)
 
     def test_two_seeds_agree_roughly(self, axes2):
         sq = w.box([0, 0], [1, 1])
         plan = w.sample_plan(sq, 1024, seed=0)
-        a = w.empirical_whitney_constant(sq, plan, axes2, 2, math.inf,
-                                         {"kind": "random_poly"}, budget=32, seed=1)
-        b = w.empirical_whitney_constant(sq, plan, axes2, 2, math.inf,
-                                         {"kind": "random_poly"}, budget=32, seed=2)
+        a = w.empirical_whitney_constant(sq, plan, axes2, 2, math.inf, "random_poly",
+                                         budget=32, seed=1)
+        b = w.empirical_whitney_constant(sq, plan, axes2, 2, math.inf, "random_poly",
+                                         budget=32, seed=2)
         assert a.lower_bound == pytest.approx(b.lower_bound, rel=0.10)
         assert a.witness is not None and a.n_defined == 32
 
@@ -85,20 +88,19 @@ class TestEmpirical:
         K = w.cone_body([0.0, 1.0], 0.01)
         plan = w.sample_plan(K, 1024, seed=0,
                              extra_points=[[0.0, 0.0], [0.0, 0.5], [0.0, 1.0]])
-        small = w.empirical_whitney_constant(
-            K, plan, E, 1, math.inf,
-            {"kind": "ridge_log", "xi": [0.0, 1.0], "n_list": [1]}, budget=1)
-        big = w.empirical_whitney_constant(
-            K, plan, E, 1, math.inf,
-            {"kind": "ridge_log", "xi": [0.0, 1.0], "n_list": [1, 4, 16]},
-            budget=3)
-        assert big.lower_bound > 3.0 * small.lower_bound
-        assert big.lower_bound > 2.0
+        basis = w.build_basis(2, 1, E)
+        t = w.diameter(K, plan).value
+        ratios = {n: w.whitney_ratio(w.RidgeLog(n, [0.0, 1.0]), K, plan, E, basis, 1,
+                                     math.inf, t=t) for n in (1, 4, 16)}
+        small = ratios[1]
+        big = max(ratios.values())
+        assert big > 3.0 * small
+        assert big > 2.0
 
     def test_inconsistency_flag(self, seg_plan):
         seg, plan = seg_plan
-        est = w.empirical_whitney_constant(seg, plan, E1, 1, math.inf,
-                                           {"kind": "random_poly"}, budget=4)
+        est = w.empirical_whitney_constant(seg, plan, E1, 1, math.inf, "random_poly",
+                                           budget=4)
         est.attach_upper_bound(est.lower_bound * 10.0)
         assert not est.inconsistent
         est.attach_upper_bound(est.lower_bound / 10.0)
