@@ -43,6 +43,7 @@ IRLS_CLAMP = 1e-10
 QUASINORM_RESTARTS = 32
 QUASINORM_DAMPING = 0.5
 LP_VALUE_MAX = 1e20  # HiGHS reads a bound this large as infinite
+LP_MATRIX_MAX = 1e15  # HiGHS rejects a constraint-matrix entry this large
 
 
 @dataclass(eq=False)
@@ -126,6 +127,10 @@ def _solve_inf(Phi, fvals):
     if big >= LP_VALUE_MAX:
         raise PreconditionError(f"largest |f| on the plan is {big:.6g}; the minimax "
                                 f"linear program needs values below {LP_VALUE_MAX:.0e}")
+    big = float(np.max(np.abs(Phi)))
+    if big >= LP_MATRIX_MAX:
+        raise PreconditionError(f"largest |design-matrix entry| on the plan is {big:.6g}; the "
+                                f"minimax linear program needs entries below {LP_MATRIX_MAX:.0e}")
     n, k = Phi.shape
     m = 16 * (k + 1)
     lsq, *_ = np.linalg.lstsq(Phi, fvals, rcond=None)

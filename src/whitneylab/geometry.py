@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import linprog, minimize
+from scipy.optimize import linprog
 
 from .errors import PreconditionError
 
@@ -600,7 +600,7 @@ class DirectionSet:
 
     ``spread`` is the minimum over unit x of max_i |dirs_i . x|; it is
     positive exactly when the directions span R^d.  It is computed on first
-    read and cached (for d >= 3 it is a handful of Nelder-Mead runs).
+    read, from the vertices of {y : |dirs_i . y| <= 1}, and cached.
     """
     dirs: np.ndarray  # (k, d), unit rows
 
@@ -611,7 +611,7 @@ class DirectionSet:
     @property
     def spans(self):
         """Whether the directions span R^d: the rank test that ``spread``
-        starts with, without its searches."""
+        starts with, without its vertex enumeration."""
         return _spans(self.dirs)
 
     @property
@@ -657,61 +657,15 @@ def _spans(dirs):
 
 
 def _spread(dirs):
-    k, d = dirs.shape
+    """min over unit x of max_i |dirs_i . x|, exactly: the gauge of
+    P = {y : |dirs_i . y| <= 1} is max_i |dirs_i . x|, so the spread is
+    1 / max_{y in P} |y|, and a norm peaks on a polytope at a vertex."""
     if not _spans(dirs):
         return 0.0
-    if d == 1:
-        return 1.0
-
-    def f(v):
-        v = v / np.linalg.norm(v)
-        return float(np.max(np.abs(dirs @ v)))
-
-    if d == 2:
-        theta = np.linspace(0.0, math.pi, 4096, endpoint=False)
-        cand = np.column_stack([np.cos(theta), np.sin(theta)])
-        vals = np.max(np.abs(cand @ dirs.T), axis=1)
-        best = np.argmin(vals)
-        lo, hi = theta[best] - math.pi / 4096, theta[best] + math.pi / 4096
-        # minimize by maximizing the negated spread
-        _, neg = golden_max(lambda t: (-f(np.array([math.cos(t), math.sin(t)])),),
-                            lo, hi, tol=1e-13)
-        return min(float(vals[best]), -neg)
-
-    rng = np.random.default_rng(12345)
-    cand = rng.standard_normal((8192, d))
-    cand /= np.linalg.norm(cand, axis=1)[:, None]
-    vals = np.max(np.abs(cand @ dirs.T), axis=1)
-    order = np.argsort(vals)[:6]
-    best = float(vals[order[0]])
-    for i in order:
-        res = minimize(f, cand[i], method="Nelder-Mead",
-                       options={"maxfev": 2000, "xatol": 1e-12, "fatol": 1e-14})
-        best = min(best, float(res.fun))
-    return best
-
-
-def golden_max(fn, lo, hi, tol):
-    """Golden-section search for the maximum of ``fn`` on [lo, hi].
-
-    ``fn(u)`` returns a tuple whose first entry is the value to maximize;
-    returns ``(u, *fn(u))`` at the better final probe (the left one on ties).
-    """
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        if fc[0] > fd[0]:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = fn(d)
-    return (c, *fc) if fc[0] >= fd[0] else (d, *fd)
+    verts = _polytope_vertices(np.vstack([dirs, -dirs]), np.ones(2 * len(dirs)))
+    # no vertex when every d rows fall under the solver's determinant cut
+    far = float(np.max(np.linalg.norm(verts, axis=1), initial=0.0))
+    return 1.0 / far if far > 0.0 else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -1010,30 +964,34 @@ def xray_verifies(dom, dirset, boundary_sample):
     """Check that every boundary sample is illuminated by some +/- direction.
 
     Returns (ok, witnesses) where witnesses lists the unilluminated points.
+    A ball is x-rayed exactly when the directions span: otherwise c +/- rho n,
+    for a unit n orthogonal to every direction, are witnesses too (rays tangent
+    to the ball never enter it, and a rounded n . e need not be exactly 0).
     """
     pts = np.atleast_2d(np.asarray(boundary_sample, dtype=float))
     if len(pts) == 0:
         raise PreconditionError("boundary sample must be nonempty")
     sym = dirset.symmetrized()
-    witnesses = []
-    for x in pts:
-        if not any(illuminated(dom, x, e) for e in sym.dirs):
-            witnesses.append(x.copy())
+    witnesses = [x.copy() for x in pts if not any(illuminated(dom, x, e) for e in sym.dirs)]
+    if isinstance(dom.rep, BallRep) and not dirset.spans:
+        n = np.linalg.svd(dirset.dirs)[2][-1]
+        witnesses += [dom.rep.center + s * dom.rep.radius * n for s in (1.0, -1.0)]
     return len(witnesses) == 0, witnesses
 
 
 def boundary_points(dom, n=256, seed=0):
     """Boundary sample by ray bisection from an interior anchor.
 
-    For polytopes the vertex list is always included, as illumination
-    failures concentrate there.
+    For polytopes and their affine images the vertex list is always included:
+    a direction that illuminates a vertex illuminates the faces around it, so
+    illumination failures concentrate there.
     """
     rng = np.random.default_rng(seed)
     anchor = _interior_anchor(dom, rng)
     dirs = rng.standard_normal((n, dom.dim))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     pts = anchor + _ray_exit(dom, anchor, dirs)[:, None] * dirs
-    if isinstance(dom.rep, PolytopeRep):
+    if dom.rep.vertices is not None:
         pts = np.vstack([dom.vertices(), pts])
     return pts
 

@@ -36,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import PreconditionError
-from .geometry import _translate, golden_max
+from .geometry import _translate
 from .polyspace import _exponent_index, monomial_exponents, monomial_matrix
 
 N_SHIFT_DEFAULT = 64
@@ -122,8 +122,16 @@ class PolynomialFunction(SampledFunction):
 
 def _derivative_closure(exponents, cap):
     """The multi-indices b <= a (componentwise) for some a in ``exponents``,
-    by total degree; None once there are more than ``cap``."""
-    d = exponents.shape[1]
+    by total degree; None once there are more than ``cap``.  Memoised on the
+    exponents and ``cap`` (a family of functions shares one exponent array),
+    so the frame is read-only."""
+    return _closure_of(exponents.shape, np.asarray(exponents, dtype=np.int64).tobytes(), cap)
+
+
+@lru_cache(maxsize=256)
+def _closure_of(shape, data, cap):
+    exponents = np.frombuffer(data, dtype=np.int64).reshape(shape)
+    d = shape[1]
     degree = exponents.sum(axis=1)
     layer = np.empty((0, d), dtype=int)
     layers = []
@@ -136,7 +144,9 @@ def _derivative_closure(exponents, cap):
         if size > cap:
             return None
         layers.append(layer)
-    return np.vstack(layers[::-1])
+    frame = np.vstack(layers[::-1])
+    frame.flags.writeable = False
+    return frame
 
 
 class RidgeLog(SampledFunction):
@@ -377,7 +387,7 @@ def directional_modulus(f, dom, plan, xi, r, t, p, n_shift=N_SHIFT_DEFAULT,
         for i in np.argsort(norms)[-3:]:
             lo = max(us[i] - step, 1e-12 * t)
             hi = min(us[i] + step, t)
-            u_ref, val, cnt = golden_max(norm_at, lo, hi, tol=1e-4 * t)
+            u_ref, val, cnt = _golden_max(norm_at, lo, hi, tol=1e-4 * t)
             if val > best[0]:
                 best = (val, u_ref, cnt)
 
@@ -390,6 +400,29 @@ def directional_modulus(f, dom, plan, xi, r, t, p, n_shift=N_SHIFT_DEFAULT,
                                 "or their norm overflow")
     reliable = n_valid >= MIN_VALID_POINTS and value >= 0.0 and any(counts > 0)
     return ModulusResult(float(value), float(u_best), xi, int(n_valid), bool(reliable))
+
+
+def _golden_max(fn, lo, hi, tol):
+    """Golden-section search for the maximum of ``fn`` on [lo, hi].
+
+    ``fn(u)`` returns a tuple whose first entry is the value to maximize;
+    returns ``(u, *fn(u))`` at the better final probe (the left one on ties).
+    """
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - phi * (b - a)
+    d = a + phi * (b - a)
+    fc, fd = fn(c), fn(d)
+    while b - a > tol:
+        if fc[0] > fd[0]:
+            b, d, fd = d, c, fc
+            c = b - phi * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + phi * (b - a)
+            fd = fn(d)
+    return (c, *fc) if fc[0] >= fd[0] else (d, *fd)
 
 
 def set_modulus(f, dom, plan, dirset, r, t, p, n_shift=N_SHIFT_DEFAULT,

@@ -1,5 +1,5 @@
 """Every name ``whitneylab`` exports, and every parameter with a default,
-has a caller outside the tests.
+has a caller outside the tests, and no module imports a name it never uses.
 
 A name counts as used when the package's modules (other than ``__init__``),
 ``perfbench/*.py`` or ``scripts/*.py`` refer to it: by name, as an attribute,
@@ -124,6 +124,25 @@ def test_every_defaulted_parameter_is_passed_outside_the_tests():
 def test_kept_parameters_exist_and_are_unused():
     # an entry whose parameter gained a caller, or went, leaves the list
     assert set(KEPT_SETTABLE) <= _unset_parameters()
+
+
+def _unused_imports(path):
+    """Names a module imports and never refers to; ``from __future__`` imports
+    are directives, not names."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {(alias.asname or alias.name).split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - used
+
+
+def test_no_src_module_imports_a_name_it_never_uses():
+    # the package's __init__ imports in order to export, so it is exempt
+    unused = {f"{path.name}: {name}" for path in sorted(PACKAGE.glob("*.py"))
+              if path.name != "__init__.py" for name in _unused_imports(path)}
+    assert not unused, f"imported but never used: {sorted(unused)}"
 
 
 def test_benchmark_hooks_find_their_targets():

@@ -146,6 +146,18 @@ class TestVerifyAndXray:
                     "--density", "500"])
         assert code == 2
 
+    def test_xray_disk_one_axis_fails(self, files, tmp_path, capsys):
+        # rays along +/- e1 are tangent to the disk at (0, +/-1) and never enter it
+        e1 = tmp_path / "e1.json"
+        e1.write_text(json.dumps({"dirs": [[1, 0]]}))
+        argv = ["--domain", str(files["disk"]), "--dirs", str(e1)]
+        assert run(["xray-check", *argv, "--samples", "32"]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["ok"] is False
+        assert sorted(np.round(np.abs(payload["witnesses"]), 12).tolist()) == [[0, 1], [0, 1]]
+        assert run(["decompose", *argv, "--method", "xray"]) == 2
+        assert "does not x-ray" in capsys.readouterr().err
+
     def test_xray_square_axes_fails(self, files, capsys):
         code = run(["xray-check", "--domain", str(files["square"]),
                     "--dirs", str(files["axes"]), "--samples", "32"])
@@ -554,6 +566,27 @@ class TestBadValues:
                              r"linear program needs values below 1e\+20", err)
         else:
             assert json.loads(out)["error"] > 1e15
+
+    @pytest.mark.parametrize("side, code", [(1e7, 0), (1e8, 2)])
+    def test_inf_fit_design_too_large_for_the_lp_exit2(self, files, side, code, capsys):
+        # the order-2 basis holds xy, which reaches about side^2 on the plan;
+        # HiGHS rejects a matrix entry of 1e15 or more, which made the p=inf
+        # fit a "Model error"
+        fn = files["tmp"] / "x.json"
+        fn.write_text(json.dumps({"kind": "polynomial", "exponents": [[1, 0]],
+                                  "coeffs": [1.0]}))
+        big = files["tmp"] / "big_square.json"
+        big.write_text(json.dumps({"type": "polytope", "A": [[1, 0], [-1, 0], [0, 1], [0, -1]],
+                                   "b": [side] * 4}))
+        assert run(["approx", "--function", str(fn), "--domain", str(big), "--dirs",
+                    str(files["axes"]), "--order", "2", "--p", "inf", "--density", "256"]) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert out == "" and "did not converge" not in err
+            assert re.search(r"largest \|design-matrix entry\| on the plan is \d\.\d+e\+15; "
+                             r"the minimax linear program needs entries below 1e\+15", err)
+        else:
+            assert json.loads(out)["error"] < 1e-6 * side
 
     MODULUS = ["modulus", "--order", "1", "--density", "256"]
 

@@ -205,6 +205,11 @@ class TestXray:
         assert w.xray_verifies(cube, E, sample)[0] == \
             w.xray_verifies(cube, E.symmetrized(), sample)[0]
 
+    def test_affine_polytope_sample_has_its_vertices(self):
+        img = w.affine_image(w.box([-1, -1], [1, 1]), [[2, 1], [0, 1]], [0.5, 0])
+        sample = w.boundary_points(img, n=8, seed=0)
+        assert np.array_equal(sample[:4], img.vertices())
+
     def test_empty_sample_errors(self, unit_square, axes2):
         with pytest.raises(PreconditionError):
             w.xray_verifies(unit_square, axes2, np.zeros((0, 2)))
@@ -213,11 +218,26 @@ class TestXray:
 class TestDirectionSet:
     def test_axes_spread(self):
         assert w.direction_set(np.eye(2)).spread == pytest.approx(1 / math.sqrt(2), abs=1e-9)
-        assert w.direction_set(np.eye(3)).spread == pytest.approx(1 / math.sqrt(3), abs=1e-6)
+        assert w.direction_set(np.eye(3)).spread == pytest.approx(1 / math.sqrt(3), rel=1e-15)
+
+    @pytest.mark.parametrize("degrees", [1, 10, 30, 45, 60, 80, 90, 100, 120, 150, 179])
+    def test_pair_spread_closed_form(self, degrees):
+        # unit directions at angle a: the parallelogram |xi_i . y| <= 1 has
+        # half-diagonals 1 / cos(a/2) and 1 / sin(a/2)
+        a = math.radians(degrees)
+        spread = w.direction_set([[1.0, 0.0], [math.cos(a), math.sin(a)]]).spread
+        exact = min(math.sin(a / 2), math.cos(a / 2))
+        assert abs(spread - exact) <= 4 * math.ulp(exact)
 
     def test_span_deficient_spread_zero(self):
         E = w.direction_set([[1.0, 0.0], [-1.0, 0.0]])
         assert E.spread == 0.0
+
+    def test_unresolved_spread_is_zero(self):
+        # these pass the rank test, but every 3 rows have |det| below the vertex
+        # solver's 1e-12 cut (the spread is about 3.5e-10): 0, not a traceback
+        E = w.direction_set([[1, 0, 0], [1, 1e-9, 0], [1, 0, 1e-9]])
+        assert E.spans and E.spread == 0.0
 
     @pytest.mark.parametrize("dirs", [[], [[]]], ids=["no-rows", "empty-row"])
     def test_empty_set_is_named(self, dirs):

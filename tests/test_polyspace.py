@@ -83,7 +83,7 @@ class TestBuildBasis:
             w.build_basis(2, 2, E)
 
     def test_span_check_does_not_search_the_spread(self):
-        # for d >= 3 the spread is six Nelder-Mead searches; the rank test decides
+        # the spread enumerates the vertices of a polytope; the rank test decides
         ds = w.direction_set([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])
         w.build_basis(3, 1, ds)
         assert "spread" not in vars(ds)

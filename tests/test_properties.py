@@ -184,6 +184,17 @@ class TestGeometryProperties:
         assert a[0] == b[0]
         assert len(a[1]) == len(b[1])
 
+    @given(st.integers(min_value=0, max_value=10_000), st.sampled_from([2, 3]))
+    @settings(max_examples=30, deadline=None)
+    def test_spread_is_at_most_every_sampled_direction(self, seed, d):
+        # the spread is the minimum over unit x of max_i |xi_i . x|, so no
+        # sampled x may come in below it
+        rng = np.random.default_rng(seed)
+        E = w.direction_set(rng.standard_normal((int(rng.integers(d, 7)), d)))
+        x = rng.standard_normal((20_000, d))
+        x /= np.linalg.norm(x, axis=1)[:, None]
+        assert E.spread <= np.abs(x @ E.dirs.T).max(axis=1).min()
+
     @given(st.integers(min_value=0, max_value=100))
     @settings(max_examples=15, deadline=None)
     def test_chain_bound_recursion_matches_closed_form(self, seed):
