@@ -176,17 +176,11 @@ def verify_chain(chain, samples_per_piece=VERIFY_SAMPLES, seed=0, check_coverage
 # shared construction helpers
 # ---------------------------------------------------------------------------
 
-def _polytope_with_bbox(A, b, bbox):
-    return Domain(A.shape[1], PolytopeRep(np.asarray(A, float), np.asarray(b, float)),
-                  np.asarray(bbox, float))
-
-
 def _stack_with_polytope(A, b, bbox, dom):
     """Intersect a raw half-space system with ``dom`` (flattened if polytope)."""
-    clipped = intersection((_polytope_with_bbox(A, b, bbox), dom))
-    if isinstance(dom.rep, PolytopeRep):
-        return _polytope_with_bbox(np.vstack([A, dom.rep.A]),
-                                   np.concatenate([b, dom.rep.b]), clipped.bbox)
+    clipped = intersection((PolytopeRep(A, b, bbox), dom))
+    if isinstance(dom, PolytopeRep):
+        return PolytopeRep(np.vstack([A, dom.A]), np.concatenate([b, dom.b]), clipped.bbox)
     return clipped
 
 
@@ -208,9 +202,9 @@ def _perp_basis(xi):
 
 def _dilate(dom, c):
     """Dilation about the origin by factor c > 0 of a polytope or a ball."""
-    if isinstance(dom.rep, BallRep):
-        return ball(c * dom.rep.center, c * dom.rep.radius)
-    return _polytope_with_bbox(dom.rep.A, c * dom.rep.b, c * dom.bbox)
+    if isinstance(dom, BallRep):
+        return ball(c * dom.center, c * dom.radius)
+    return PolytopeRep(dom.A, c * dom.b, c * dom.bbox)
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +264,10 @@ def star_shaped_decomposition(dom, r, seed=0):
     _check_order(r)
     d = dom.dim
     _check_star_shaped(dom, seed)
-    if isinstance(dom.rep, PolytopeRep):
-        R = float(np.max(np.linalg.norm(dom.vertices(), axis=1)))
-    elif isinstance(dom.rep, BallRep):
-        R = float(np.linalg.norm(dom.rep.center) + dom.rep.radius)
+    if isinstance(dom, PolytopeRep):
+        R = float(np.max(np.linalg.norm(dom.vertices, axis=1)))
+    elif isinstance(dom, BallRep):
+        R = float(np.linalg.norm(dom.center) + dom.radius)
     else:
         R = float(np.max(np.linalg.norm(geo._bbox_corners(dom.bbox), axis=1)))
     centers = _sphere_cover(d, R, 1.0 / (2.0 * d), seed=seed)
@@ -290,10 +284,10 @@ def star_shaped_decomposition(dom, r, seed=0):
     for xi in xis:
         U = _perp_basis(xi)
         # extent of the domain inside this cone's extruded box
-        if isinstance(dom.rep, PolytopeRep):
+        if isinstance(dom, PolytopeRep):
             from scipy.optimize import linprog
-            A = np.vstack([U, -U, dom.rep.A])
-            b = np.concatenate([half * np.ones(2 * (d - 1)), dom.rep.b])
+            A = np.vstack([U, -U, dom.A])
+            b = np.concatenate([half * np.ones(2 * (d - 1)), dom.b])
             res = linprog(-xi, A_ub=A, b_ub=b, bounds=[(None, None)] * d, method="highs")
             t_max = -res.fun if res.status == 0 else 0.0
         else:
@@ -333,7 +327,7 @@ def _box_corners_frame(U, xi, half, t_lo, t_hi):
 
 def _parallelogram_dirs(dom):
     """Edge directions if the planar domain is a parallelogram, else None."""
-    verts = dom.rep.vertices
+    verts = dom.vertices
     if dom.dim != 2 or verts is None or len(verts) != 4:
         return None
     c = verts.mean(axis=0)
@@ -364,8 +358,8 @@ def planar_two_direction_chain(dom, r=1):
     _check_order(r)
     if dom.dim != 2:
         raise PreconditionError("planar chain requires dimension 2")
-    poly = isinstance(dom.rep, PolytopeRep)
-    if not poly and not isinstance(dom.rep, BallRep):
+    poly = isinstance(dom, PolytopeRep)
+    if not poly and not isinstance(dom, BallRep):
         raise PreconditionError("planar chain requires a convex polytope or ball")
 
     # a parallelepiped is its own base piece, whatever its scale
@@ -375,15 +369,15 @@ def planar_two_direction_chain(dom, r=1):
                                    "planar", target=dom)
         return chain, para
 
-    if dom.rep.signed_distance(np.zeros((1, 2)))[0] > -(1.0 - 1e-9):
+    if dom.signed_distance(np.zeros((1, 2)))[0] > -(1.0 - 1e-9):
         raise PreconditionError("domain must be normalized to contain the unit ball")
 
     if poly:  # the first pair at the largest vertex distance
-        verts = dom.vertices()
+        verts = dom.vertices
         dists = np.linalg.norm(verts[:, None, :] - verts[None, :, :], axis=2)
         a, b = verts[list(np.unravel_index(np.argmax(dists), dists.shape))]
     else:
-        c, rho = dom.rep.center, dom.rep.radius
+        c, rho = dom.center, dom.radius
         a, b = c - rho * np.array([0.0, 1.0]), c + rho * np.array([0.0, 1.0])
     L = float(np.linalg.norm(b - a))
     xi1 = (b - a) / L
@@ -394,7 +388,7 @@ def planar_two_direction_chain(dom, r=1):
     # domain's extents along both axes
     if poly:
         from scipy.optimize import linprog
-        A, bb = dom.rep.A, dom.rep.b
+        A, bb = dom.A, dom.b
         a1 = A @ xi1
         a2 = A @ xi2
         A_lp = np.vstack([np.column_stack([a1, s1 * a1 + s2 * a2])
@@ -421,12 +415,9 @@ def planar_two_direction_chain(dom, r=1):
         b_ = np.array([x2_hi, -x2_lo, x1_hi, -x1_lo])
         corners = np.array([[lo2, lo1] for lo2 in (x2_lo, x2_hi) for lo1 in (x1_lo, x1_hi)])
         pts = corners[:, 0][:, None] * xi2 + corners[:, 1][:, None] * xi1
-        bbox = np.vstack([pts.min(axis=0), pts.max(axis=0)])
-        return A, b_, bbox
+        return PolytopeRep(A, b_, np.vstack([pts.min(axis=0), pts.max(axis=0)]))
 
-    A_sq, b_sq, bbox_sq = frame_poly(x0 - w, x0 + w, y_c - w, y_c + w)
-    square = _polytope_with_bbox(A_sq, b_sq, bbox_sq)
-    pieces = [square]
+    pieces = [frame_poly(x0 - w, x0 + w, y_c - w, y_c + w)]  # the square
     shifts = []
     delta = 0.999 * w / r
 
@@ -437,11 +428,9 @@ def planar_two_direction_chain(dom, r=1):
             t_lo = lo_start + (i - 1) * delta
             t_hi = lo_start + i * delta
             lo, hi = (t_lo, t_hi) if sign > 0 else (-t_hi, -t_lo)
-            if axis_vec is xi1:
-                A_s, b_s, bb = frame_poly(x0 - w, x0 + w, lo, hi)
-            else:
-                A_s, b_s, bb = frame_poly(lo, hi, y_lo, y_hi)
-            piece = _stack_with_polytope(A_s, b_s, bb, dom)
+            slab = (frame_poly(x0 - w, x0 + w, lo, hi) if axis_vec is xi1
+                    else frame_poly(lo, hi, y_lo, y_hi))
+            piece = _stack_with_polytope(slab.A, slab.b, slab.bbox, dom)
             if not _piece_nonempty(piece, seed=1 + i):
                 break
             pieces.append(piece)
@@ -620,9 +609,8 @@ def lip2_ball_chain(dom, dirset, delta, r=1, seed=0):
     corners = np.array([c0 + delta * (z @ frame)
                         for z in geo._bbox_corners(np.vstack([-np.ones(d) / d,
                                                               np.ones(d) / d]))])
-    seedp = _polytope_with_bbox(A_h, b_h, np.vstack([corners.min(axis=0),
-                                                     corners.max(axis=0)]))
-    pieces.append(seedp)
+    pieces.append(PolytopeRep(A_h, b_h, np.vstack([corners.min(axis=0),
+                                                   corners.max(axis=0)])))
 
     def add_slices(center, rho):
         ps, ss = _slice_pieces(center, rho, sym, eps0, r, dom)
@@ -690,16 +678,16 @@ def _slab_thickness(dom, c0, c1, r, diam):
     """Largest delta in [0, diam] with c0 dom + B(r delta) inside c1 dom: for a
     convex body that is (c1 - c0) times the distance from the origin to the
     boundary, over r (zero when the origin lies outside)."""
-    depth = -float(dom.rep.signed_distance(np.zeros((1, dom.dim)))[0])
+    depth = -float(dom.signed_distance(np.zeros((1, dom.dim)))[0])
     return float(np.clip((c1 - c0) * depth / r, 0.0, diam))
 
 
 def _minkowski_segment(base, e, t1, t2, clip_dom):
     """(base + [-t2, -t1] e) clipped to ``clip_dom``, as a representable domain."""
     d = base.dim
-    if isinstance(base.rep, PolytopeRep):
+    if isinstance(base, PolytopeRep):
         from scipy.spatial import ConvexHull
-        verts = base.vertices()
+        verts = base.vertices
         pts = np.vstack([verts - t1 * e, verts - t2 * e])
         eq = ConvexHull(pts).equations  # one row per triangle of a facet
         key = np.column_stack([eq[:, :d], eq[:, d] / clip_dom.scale()])
@@ -712,8 +700,8 @@ def _minkowski_segment(base, e, t1, t2, clip_dom):
         b = np.min(np.where(same[lead], -eq[:, d], np.inf), axis=1)
         bbox = np.vstack([pts.min(axis=0), pts.max(axis=0)])
         return _stack_with_polytope(A, b, bbox, clip_dom)
-    if isinstance(base.rep, BallRep):
-        c, rho = base.rep.center, base.rep.radius
+    if isinstance(base, BallRep):
+        c, rho = base.center, base.radius
         p1, p2 = c - t1 * e, c - t2 * e
         parts = [ball(p1, rho), ball(p2, rho)]
         if d == 2:
@@ -722,9 +710,8 @@ def _minkowski_segment(base, e, t1, t2, clip_dom):
             A = np.vstack([u, -u, v, -v])
             b = np.array([u @ p2, -(u @ p1), v @ p1 + rho, -(v @ p1) + rho])
             corners = np.array([p + s * rho * v for p in (p1, p2) for s in (-1, 1)])
-            parts.append(_polytope_with_bbox(A, b,
-                                             np.vstack([corners.min(axis=0),
-                                                        corners.max(axis=0)])))
+            parts.append(PolytopeRep(A, b, np.vstack([corners.min(axis=0),
+                                                      corners.max(axis=0)])))
         else:
             for t in np.linspace(t1, t2, 33):
                 parts.append(ball(c - t * e, rho))
@@ -744,7 +731,7 @@ def xray_slab_decomposition(dom, dirset, n0=1, r=1, seed=0):
     d = dom.dim
     if n0 < 0:
         raise PreconditionError(f"shrink index n0 must be nonnegative, got {n0}")
-    if not isinstance(dom.rep, (PolytopeRep, BallRep)):
+    if not isinstance(dom, (PolytopeRep, BallRep)):
         raise PreconditionError("x-ray slabs support polytope and ball domains")
     if not dom.strictly_inside(np.zeros(d)):
         raise PreconditionError("the origin must be interior to the domain")

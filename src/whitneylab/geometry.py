@@ -1,9 +1,9 @@
 """Compact domains, direction sets, sample plans, and convex-geometry queries.
 
 Domains are immutable descriptions (half-space polytopes, balls, capped norm
-cones, unions, intersections, affine images) paired with a bounding box.  All
-membership queries accept a single point ``(d,)`` or a batch ``(n, d)`` and
-are deterministic.
+cones, unions, intersections, affine images), each one ``Domain`` object that
+carries its bounding box.  All membership queries accept a single point
+``(d,)`` or a batch ``(n, d)`` and are deterministic.
 
 The sampling and membership kernels run along the long point axis, never
 along the short coordinate axis, and give the same bits as the row-wise
@@ -58,15 +58,18 @@ def _as_points(x, dim):
 
 
 # ---------------------------------------------------------------------------
-# representations
+# domains
 # ---------------------------------------------------------------------------
-# Each answers member(pts, slack), violation(pts) (a lower bound of the
-# distance to the set, 0 on members) and spec(), and where it has exact answers
-# vertices, diameter(), signed_distance(pts), boundary(x, tol) -> (flag,
-# outward normals or None), anchor() (an interior point) and, for convex sets,
-# exit_distance(pts, xi, slack): per member point x, the largest u >= 0 with
-# x + u xi a member within ``slack``; None means none.  member is
-# coordinate-major, as the module docstring says.
+# Each of the six representations below is a ``Domain`` and defines
+# member(pts, slack) (coordinate-major, as the module docstring says),
+# violation(pts) (a lower bound of the distance to the set, 0 on members;
+# derived from signed_distance where there is one), spec() and bbox (a field
+# on polytopes, whose box costs LPs or is known to the caller; derived on
+# first read elsewhere).  Where it has exact answers it defines vertices,
+# diameter(), signed_distance(pts), boundary(x, tol) -> (flag, outward normals
+# or None), anchor() (an interior point) and, for convex sets,
+# _exit(pts, xi, slack): per member point x, the largest u >= 0 with x + u xi
+# a member within ``slack``; None means none.  Domain answers the queries.
 
 def _translate(pts, v):
     """pts + v for an (n, d) batch and a (d,) offset, column by column: the
@@ -97,8 +100,40 @@ def _row_norms(v, center=None):
     return np.sqrt(sq, out=sq)
 
 
-class _Rep:
+class Domain:
+    """A compact subset of R^d with a guaranteed axis-aligned bounding box
+    ``bbox`` ((2, d): [lo, hi]), and the membership slack its queries use."""
     vertices = None
+
+    @property
+    def dim(self):
+        return self.bbox.shape[1]
+
+    def contains(self, x, slack=None):
+        """Membership; true for points of the represented closed set."""
+        pts, single = _as_points(x, self.dim)
+        if not np.all(np.isfinite(pts)):
+            raise PreconditionError("membership query requires finite coordinates")
+        out = self.member(pts, self._slack() if slack is None else slack)
+        return bool(out[0]) if single else out
+
+    def exit_distance(self, x, xi):
+        """Per member point x, the largest u >= 0 with x + u xi in the domain
+        (within the membership slack), or None where the representation has
+        no closed form.  For a convex domain the points x + j u xi, j = 1..r,
+        all belong to it iff r u <= exit_distance."""
+        pts, _ = _as_points(x, self.dim)
+        return self._exit(pts, np.asarray(xi, dtype=float).ravel(), self._slack())
+
+    def strictly_inside(self, x, margin=None):
+        return self.contains(x, slack=-(margin if margin is not None else 1e-9 * self.scale()))
+
+    def scale(self):
+        ext = self.bbox[1] - self.bbox[0]
+        return float(max(np.max(ext), 1e-300))
+
+    def _slack(self):
+        return MEMBERSHIP_SLACK * max(1.0, self.scale())
 
     def diameter(self):
         if self.vertices is None:
@@ -107,16 +142,13 @@ class _Rep:
             raise PreconditionError("empty domain has no diameter")
         return _max_pairwise(self.vertices)
 
-    def signed_distance(self, pts):
-        return None
-
     def boundary(self, x, tol):
         return None
 
     def anchor(self):
         return None
 
-    def exit_distance(self, pts, xi, slack):
+    def _exit(self, pts, xi, slack):
         return None
 
     def violation(self, pts):
@@ -134,10 +166,11 @@ def _exit_root(a, beta, gamma):
 
 
 @dataclass(eq=False)
-class PolytopeRep(_Rep):
-    """Half-space intersection {x : A x <= b}."""
+class PolytopeRep(Domain):
+    """Half-space intersection {x : A x <= b}, with its bounding box."""
     A: np.ndarray
     b: np.ndarray
+    bbox: np.ndarray
 
     def member(self, pts, slack):
         if self.A.shape[0] == 0:
@@ -164,7 +197,7 @@ class PolytopeRep(_Rep):
     def anchor(self):
         return _chebyshev_ball(self.A, self.b)[0]
 
-    def exit_distance(self, pts, xi, slack):
+    def _exit(self, pts, xi, slack):
         rate = self.A @ xi
         ahead = rate > 0  # the rows a . xi <= 0 never bind for a member
         if not ahead.any():
@@ -174,9 +207,13 @@ class PolytopeRep(_Rep):
 
 
 @dataclass(eq=False)
-class BallRep(_Rep):
+class BallRep(Domain):
     center: np.ndarray
     radius: float
+
+    @cached_property
+    def bbox(self):
+        return np.vstack([self.center - self.radius, self.center + self.radius])
 
     def member(self, pts, slack):
         return _row_norms(pts, self.center) <= self.radius + slack
@@ -197,17 +234,29 @@ class BallRep(_Rep):
     def anchor(self):
         return self.center.copy()
 
-    def exit_distance(self, pts, xi, slack):
+    def _exit(self, pts, xi, slack):
         rel = pts - self.center
         return _exit_root(float(xi @ xi), rel @ xi,
                           np.einsum("ij,ij->i", rel, rel) - (self.radius + slack) ** 2)
 
 
 @dataclass(eq=False)
-class ConeBodyRep(_Rep):
+class ConeBodyRep(Domain):
     """Capped norm cone {x : ||x|| (1 - eps) <= x . xi <= 1}."""
     xi: np.ndarray
     eps: float
+
+    @cached_property
+    def bbox(self):
+        # extreme points: apex at 0 and the rim sphere {x.xi = 1, ||x|| = 1/(1-eps)}
+        rim_rho = math.sqrt(1.0 / (1.0 - self.eps) ** 2 - 1.0)
+        lo = np.empty(self.xi.size)
+        hi = np.empty(self.xi.size)
+        for i, x in enumerate(self.xi):
+            perp = math.sqrt(max(0.0, 1.0 - x ** 2))
+            hi[i] = max(0.0, x + rim_rho * perp)
+            lo[i] = min(0.0, x - rim_rho * perp)
+        return np.vstack([lo, hi])
 
     def member(self, pts, slack):
         proj = pts @ self.xi
@@ -233,7 +282,7 @@ class ConeBodyRep(_Rep):
         on_cone = abs(float(np.linalg.norm(x)) * (1.0 - self.eps) - proj) <= tol
         return abs(proj - 1.0) <= tol or on_cone, None
 
-    def exit_distance(self, pts, xi, slack):
+    def _exit(self, pts, xi, slack):
         # along y = x + u xi, with s = xi . axis: the cap binds when s > 0; the
         # lateral constraint k ||y|| <= y . axis + slack, squared, is a quadratic
         # in u; it never binds when xi lies in the opening (s >= k |xi|), and
@@ -256,8 +305,16 @@ class ConeBodyRep(_Rep):
 
 
 @dataclass(eq=False)
-class UnionRep(_Rep):
+class UnionRep(Domain):
+    """The union of ``parts``.  Its box is read only when asked for, so a
+    union built for its membership test alone costs no pass over the parts."""
     parts: tuple
+
+    @cached_property
+    def bbox(self):
+        lo = np.min([p.bbox[0] for p in self.parts], axis=0)
+        hi = np.max([p.bbox[1] for p in self.parts], axis=0)
+        return np.vstack([lo, hi])
 
     def member(self, pts, slack):
         out = np.zeros(len(pts), dtype=bool)
@@ -265,64 +322,74 @@ class UnionRep(_Rep):
             rem = (~out).nonzero()[0]
             if rem.size == 0:
                 break
-            out[rem] = part.rep.member(np.take(pts, rem, axis=0), slack)
+            out[rem] = part.member(np.take(pts, rem, axis=0), slack)
         return out
 
     def violation(self, pts):
-        return np.min([p.rep.violation(pts) for p in self.parts], axis=0)
+        return np.min([p.violation(pts) for p in self.parts], axis=0)
 
     def spec(self):
         return {"type": "union", "parts": [p.spec() for p in self.parts]}
 
 
 @dataclass(eq=False)
-class IntersectionRep(_Rep):
+class IntersectionRep(Domain):
     parts: tuple
 
     @cached_property
+    def bbox(self):
+        lo = np.max([p.bbox[0] for p in self.parts], axis=0)
+        hi = np.maximum(np.min([p.bbox[1] for p in self.parts], axis=0), lo)  # empty: flat box
+        return np.vstack([lo, hi])
+
+    @cached_property
     def _leaves(self):
-        """(plain, unions): the reps of the parts, nested intersections
-        flattened, with the unions apart in order."""
+        """(plain, unions): the parts, nested intersections flattened, with the
+        unions apart in order."""
         flat = []
         for part in self.parts:
-            rep = part.rep
-            if isinstance(rep, IntersectionRep):
-                flat.extend(rep._leaves[0] + rep._leaves[1])
+            if isinstance(part, IntersectionRep):
+                flat.extend(part._leaves[0] + part._leaves[1])
             else:
-                flat.append(rep)
-        unions = tuple(rep for rep in flat if isinstance(rep, UnionRep))
-        return tuple(rep for rep in flat if not isinstance(rep, UnionRep)), unions
+                flat.append(part)
+        unions = tuple(part for part in flat if isinstance(part, UnionRep))
+        return tuple(part for part in flat if not isinstance(part, UnionRep)), unions
 
     def member(self, pts, slack):
         plain, unions = self._leaves
         out = np.ones(len(pts), dtype=bool)
-        for rep in plain:
-            out &= rep.member(pts, slack)
-        for rep in unions:
+        for part in plain:
+            out &= part.member(pts, slack)
+        for part in unions:
             rem = out.nonzero()[0]
             if rem.size == 0:
                 break
-            out[rem] = rep.member(np.take(pts, rem, axis=0), slack)
+            out[rem] = part.member(np.take(pts, rem, axis=0), slack)
         return out
 
     def violation(self, pts):
-        return np.max([p.rep.violation(pts) for p in self.parts], axis=0)
+        return np.max([p.violation(pts) for p in self.parts], axis=0)
 
     def spec(self):
         return {"type": "intersection", "parts": [p.spec() for p in self.parts]}
 
-    def exit_distance(self, pts, xi, slack):
-        dists = [p.rep.exit_distance(pts, xi, slack) for p in self.parts]
+    def _exit(self, pts, xi, slack):
+        dists = [p._exit(pts, xi, slack) for p in self.parts]
         return None if any(d is None for d in dists) else np.min(dists, axis=0)
 
 
 @dataclass(eq=False)
-class AffineImageRep(_Rep):
+class AffineImageRep(Domain):
     """Image of ``base`` under x -> matrix @ x + shift (matrix invertible)."""
-    base: "Domain"
+    base: Domain
     matrix: np.ndarray
     shift: np.ndarray
     inverse: np.ndarray
+
+    @cached_property
+    def bbox(self):
+        img = _bbox_corners(self.base.bbox) @ self.matrix.T + self.shift
+        return np.vstack([img.min(axis=0), img.max(axis=0)])
 
     @cached_property
     def _singular_values(self):
@@ -348,11 +415,11 @@ class AffineImageRep(_Rep):
         return back
 
     def member(self, pts, slack):
-        return self.base.rep.member(self._back(pts),
-                                    slack / max(1.0, float(self._singular_values[0])))
+        return self.base.member(self._back(pts),
+                                slack / max(1.0, float(self._singular_values[0])))
 
     def violation(self, pts):
-        return float(self._singular_values[-1]) * self.base.rep.violation(self._back(pts))
+        return float(self._singular_values[-1]) * self.base.violation(self._back(pts))
 
     def spec(self):
         return {"type": "affine_image", "base": self.base.spec(),
@@ -360,60 +427,13 @@ class AffineImageRep(_Rep):
 
     @cached_property
     def vertices(self):
-        base = self.base.rep.vertices
+        base = self.base.vertices
         return None if base is None else base @ self.matrix.T + self.shift
 
     def diameter(self):
-        if isinstance(self.base.rep, BallRep):
-            return 2.0 * self.base.rep.radius * float(self._singular_values[0])
+        if isinstance(self.base, BallRep):
+            return 2.0 * self.base.radius * float(self._singular_values[0])
         return super().diameter()
-
-
-@dataclass(eq=False)
-class Domain:
-    """A compact subset of R^d with a guaranteed axis-aligned bounding box."""
-    dim: int
-    rep: _Rep
-    bbox: np.ndarray  # (2, d): [lo, hi]
-
-    # -- queries ------------------------------------------------------------
-
-    def contains(self, x, slack=None):
-        """Membership; true for points of the represented closed set."""
-        pts, single = _as_points(x, self.dim)
-        if not np.all(np.isfinite(pts)):
-            raise PreconditionError("membership query requires finite coordinates")
-        out = self.rep.member(pts, self._slack() if slack is None else slack)
-        return bool(out[0]) if single else out
-
-    def exit_distance(self, x, xi):
-        """Per member point x, the largest u >= 0 with x + u xi in the domain
-        (within the membership slack), or None where the representation has
-        no closed form.  For a convex domain the points x + j u xi, j = 1..r,
-        all belong to it iff r u <= exit_distance."""
-        pts, _ = _as_points(x, self.dim)
-        return self.rep.exit_distance(pts, np.asarray(xi, dtype=float).ravel(),
-                                      self._slack())
-
-    def strictly_inside(self, x, margin=None):
-        return self.contains(x, slack=-(margin if margin is not None else 1e-9 * self.scale()))
-
-    def scale(self):
-        ext = self.bbox[1] - self.bbox[0]
-        return float(max(np.max(ext), 1e-300))
-
-    def _slack(self):
-        return MEMBERSHIP_SLACK * max(1.0, self.scale())
-
-    def vertices(self):
-        """Vertex list for polytope-backed domains (enumerated once)."""
-        if self.rep.vertices is None:
-            raise PreconditionError("vertices only available for polytope domains")
-        return self.rep.vertices
-
-    def spec(self):
-        """JSON-serializable description."""
-        return self.rep.spec()
 
 
 # ---------------------------------------------------------------------------
@@ -431,21 +451,18 @@ def polytope(A, b, boxes=None):
     if A.shape[0] != b.shape[0]:
         raise PreconditionError("A and b row counts differ")
     if boxes is None:
-        return Domain(A.shape[1], PolytopeRep(A, b), _polytope_bbox(A, b))
+        return PolytopeRep(A, b, _polytope_bbox(A, b))
     key = (A.shape, A.tobytes(), b.tobytes())
     if key not in boxes:
         boxes[key] = _polytope_bbox(A, b)
-    return Domain(A.shape[1], PolytopeRep(A, b), boxes[key].copy())
+    return PolytopeRep(A, b, boxes[key].copy())
 
 
 def box(lo, hi):
     """Axis-aligned box [lo, hi] as a polytope domain."""
     lo = np.asarray(lo, dtype=float).ravel()
     hi = np.asarray(hi, dtype=float).ravel()
-    d = lo.size
-    A = np.vstack([np.eye(d), -np.eye(d)])
-    b = np.concatenate([hi, -lo])
-    return polytope(A, b)
+    return polytope(np.vstack([np.eye(lo.size), -np.eye(lo.size)]), np.concatenate([hi, -lo]))
 
 
 def ball(center, radius):
@@ -453,60 +470,50 @@ def ball(center, radius):
     radius = _finite("radius", float(radius)).item()
     if radius <= 0:
         raise PreconditionError("ball radius must be positive")
-    bbox = np.vstack([center - radius, center + radius])
-    return Domain(center.size, BallRep(center, radius), bbox)
+    return BallRep(center, radius)
 
 
 def cone_body(xi, eps):
     """The capped cone {x: ||x||(1-eps) <= x.xi <= 1} for a unit vector xi."""
     xi = _finite("xi", xi).ravel()
     eps = _finite("eps", float(eps)).item()
-    d = xi.size
-    if d < 2:
+    if xi.size < 2:
         raise PreconditionError("cone body needs dimension >= 2")
     nrm = np.linalg.norm(xi)
     if abs(nrm - 1.0) > 1e-9:
         raise PreconditionError("xi must be a unit vector")
-    xi = xi / nrm
     if not 0.0 < eps < 1.0:
         raise PreconditionError("eps must lie in (0, 1)")
-    # extreme points: apex at 0 and the rim sphere {x.xi = 1, ||x|| = 1/(1-eps)}
-    rim_rho = math.sqrt(1.0 / (1.0 - eps) ** 2 - 1.0)
-    lo = np.empty(d)
-    hi = np.empty(d)
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = 1.0
-        perp = math.sqrt(max(0.0, 1.0 - xi[i] ** 2))
-        hi[i] = max(0.0, xi[i] + rim_rho * perp)
-        lo[i] = min(0.0, xi[i] - rim_rho * perp)
-    return Domain(d, ConeBodyRep(xi, eps), np.vstack([lo, hi]))
+    return ConeBodyRep(xi / nrm, eps)
+
+
+def _parts(kind, parts):
+    """``parts`` as a tuple; a malformed spec (ValueError) unless nonempty and of one dimension."""
+    parts = tuple(parts)
+    if len({p.dim for p in parts}) != 1:
+        raise ValueError(f"{kind} parts must be nonempty and share one dimension, "
+                         f"got dimensions {[p.dim for p in parts]}")
+    return parts
 
 
 def union(parts):
-    parts = tuple(parts)
-    d = parts[0].dim
-    lo = np.min([p.bbox[0] for p in parts], axis=0)
-    hi = np.max([p.bbox[1] for p in parts], axis=0)
-    return Domain(d, UnionRep(parts), np.vstack([lo, hi]))
+    return UnionRep(_parts("union", parts))
 
 
 def intersection(parts):
-    parts = tuple(parts)
-    d = parts[0].dim
-    lo = np.max([p.bbox[0] for p in parts], axis=0)
-    hi = np.maximum(np.min([p.bbox[1] for p in parts], axis=0), lo)  # empty: flat box
-    return Domain(d, IntersectionRep(parts), np.vstack([lo, hi]))
+    return IntersectionRep(_parts("intersection", parts))
 
 
 def affine_image(base, matrix, shift):
+    """The image of ``base`` under x -> matrix @ x + shift; a malformed spec
+    (ValueError) unless matrix is d x d and shift has d entries, d = base.dim."""
     matrix = _finite("matrix", matrix)
     shift = _finite("shift", shift).ravel()
-    inv = np.linalg.inv(matrix)
-    corners = _bbox_corners(base.bbox)
-    img = corners @ matrix.T + shift
-    bbox = np.vstack([img.min(axis=0), img.max(axis=0)])
-    return Domain(base.dim, AffineImageRep(base, matrix, shift, inv), bbox)
+    d = base.dim
+    if matrix.shape != (d, d) or shift.shape != (d,):
+        raise ValueError(f"affine image of a {d}-d base needs a {d}x{d} matrix and {d} "
+                         f"shift entries, got shapes {matrix.shape} and {shift.shape}")
+    return AffineImageRep(base, matrix, shift, np.linalg.inv(matrix))
 
 
 def _finite(name, value):
@@ -789,7 +796,7 @@ def diameter(dom, plan=None):
     For other representations the maximum is taken over plan points and is a
     lower bound, reported with ``approximate=True``.
     """
-    exact = dom.rep.diameter()
+    exact = dom.diameter()
     if exact is not None:
         return DiameterResult(exact, False)
     if plan is None or len(plan) == 0:
@@ -819,9 +826,9 @@ def inscribed_ball(dom):
     The optimal-face midpoint refinement makes the center unique and
     deterministic when the largest inscribed ball is not.
     """
-    if not isinstance(dom.rep, PolytopeRep):
+    if not isinstance(dom, PolytopeRep):
         raise PreconditionError("inscribed_ball requires a polytope domain")
-    return _chebyshev_ball(dom.rep.A, dom.rep.b)
+    return _chebyshev_ball(dom.A, dom.b)
 
 
 def _chebyshev_ball(A, b):
@@ -877,7 +884,7 @@ def normalize(dom):
     matrix = np.eye(dom.dim) / rho
     shift = -c / rho
     amap = AffineMap(matrix, shift)
-    verts = dom.vertices()
+    verts = dom.vertices
     img = verts @ matrix.T + shift
     R = float(np.max(np.linalg.norm(img, axis=1)))
     return amap, R
@@ -885,11 +892,11 @@ def normalize(dom):
 
 def as_polytope(dom):
     """Flatten an affine image of a polytope into a direct half-space form."""
-    if isinstance(dom.rep, PolytopeRep):
+    if isinstance(dom, PolytopeRep):
         return dom
-    if isinstance(dom.rep, AffineImageRep) and isinstance(dom.rep.base.rep, PolytopeRep):
-        A = dom.rep.base.rep.A @ dom.rep.inverse
-        b = dom.rep.base.rep.b + A @ dom.rep.shift
+    if isinstance(dom, AffineImageRep) and isinstance(dom.base, PolytopeRep):
+        A = dom.base.A @ dom.inverse
+        b = dom.base.b + A @ dom.shift
         return polytope(A, b)
     raise PreconditionError("domain is not polytope-backed")
 
@@ -904,7 +911,7 @@ def _boundary_info(dom, x):
     x = np.asarray(x, dtype=float).ravel()
     if not dom.contains(x, slack=tol):
         return False, None
-    exact = dom.rep.boundary(x, tol)
+    exact = dom.boundary(x, tol)
     if exact is not None:
         return exact
     # generic: member but not strictly interior, probed on a small sphere
@@ -964,18 +971,23 @@ def xray_verifies(dom, dirset, boundary_sample):
     """Check that every boundary sample is illuminated by some +/- direction.
 
     Returns (ok, witnesses) where witnesses lists the unilluminated points.
-    A ball is x-rayed exactly when the directions span: otherwise c +/- rho n,
-    for a unit n orthogonal to every direction, are witnesses too (rays tangent
-    to the ball never enter it, and a rounded n . e need not be exactly 0).
+    A ball, or an affine image of one, is x-rayed exactly when the directions
+    span.  Otherwise, for a unit n orthogonal to every direction, the points
+    where n . x is extreme are witnesses too (no ray along a direction enters
+    from them, and a boundary sample rarely hits them): c +/- rho n on
+    B(c, rho), M c + s +/- rho M M^T n / |M^T n| on its image under M y + s.
     """
     pts = np.atleast_2d(np.asarray(boundary_sample, dtype=float))
     if len(pts) == 0:
         raise PreconditionError("boundary sample must be nonempty")
     sym = dirset.symmetrized()
     witnesses = [x.copy() for x in pts if not any(illuminated(dom, x, e) for e in sym.dirs)]
-    if isinstance(dom.rep, BallRep) and not dirset.spans:
+    ball = dom.base if isinstance(dom, AffineImageRep) else dom
+    if isinstance(ball, BallRep) and not dirset.spans:
         n = np.linalg.svd(dirset.dirs)[2][-1]
-        witnesses += [dom.rep.center + s * dom.rep.radius * n for s in (1.0, -1.0)]
+        m = n if ball is dom else dom.matrix.T @ n / np.linalg.norm(dom.matrix.T @ n)
+        ends = [ball.center + s * ball.radius * m for s in (1.0, -1.0)]
+        witnesses += ends if ball is dom else [dom.matrix @ y + dom.shift for y in ends]
     return len(witnesses) == 0, witnesses
 
 
@@ -991,8 +1003,8 @@ def boundary_points(dom, n=256, seed=0):
     dirs = rng.standard_normal((n, dom.dim))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     pts = anchor + _ray_exit(dom, anchor, dirs)[:, None] * dirs
-    if dom.rep.vertices is not None:
-        pts = np.vstack([dom.vertices(), pts])
+    if dom.vertices is not None:
+        pts = np.vstack([dom.vertices, pts])
     return pts
 
 
@@ -1014,7 +1026,7 @@ def _interior_anchor(dom, rng):
     proposals ``rng.uniform(lo, hi)`` strictly inside ``dom``.  Proposals are
     drawn and tested in growing blocks (the same bits as single draws), and
     ``rng`` is left just past the proposal returned, as single draws leave it."""
-    exact = dom.rep.anchor()
+    exact = dom.anchor()
     if exact is not None:
         return exact
     _require_volume(dom)

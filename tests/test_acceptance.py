@@ -446,7 +446,7 @@ def test_criterion_8_invariance_suite():
         ang = rng.uniform(0, math.pi, 2)
         Edirs = np.column_stack([np.cos(ang), np.sin(ang)])
         Ek = w.direction_set(Edirs)
-        sample = G.vertices()
+        sample = G.vertices
         a_ok, a_wit = w.xray_verifies(G, Ek, sample)
         b_ok, b_wit = w.xray_verifies(G, Ek.symmetrized(), sample)
         assert a_ok == b_ok and len(a_wit) == len(b_wit)

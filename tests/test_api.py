@@ -153,3 +153,55 @@ def test_benchmark_hooks_find_their_targets():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path}, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def _representations():
+    """Every subclass of ``geometry.Domain`` in the package, at any depth."""
+    from whitneylab.geometry import Domain
+    found, todo = [], [Domain]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            if cls.__module__.startswith("whitneylab."):
+                found.append(cls)
+                todo.append(cls)
+    return found
+
+
+def _defined_below_domain(cls, name):
+    """Whether ``cls`` or a base class of it below ``Domain`` defines ``name``,
+    as an attribute, a method or a dataclass field."""
+    from whitneylab.geometry import Domain
+    below = cls.__mro__[:cls.__mro__.index(Domain)]
+    return any(name in vars(k) or name in vars(k).get("__annotations__", {}) for k in below)
+
+
+def test_every_representation_keeps_the_domain_protocol():
+    # Domain derives violation from signed_distance, so either one will do
+    reps = _representations()
+    assert {cls.__name__ for cls in reps} >= {"PolytopeRep", "BallRep", "ConeBodyRep",
+                                              "UnionRep", "IntersectionRep", "AffineImageRep"}
+    missing = [f"{cls.__name__}.{name}" for cls in reps
+               for name in ("member", "spec", "bbox") if not _defined_below_domain(cls, name)]
+    missing += [f"{cls.__name__}.violation" for cls in reps
+                if not _defined_below_domain(cls, "violation")
+                and not _defined_below_domain(cls, "signed_distance")]
+    assert not missing, f"representations missing protocol members: {missing}"
+
+
+def test_no_representation_overrides_the_queries():
+    # perfbench/spans.py hooks Domain.contains on the class, tests patch it
+    # there, and the membership slack is set there: an override would bypass all three
+    reps = _representations()
+    assert reps
+    overridden = [f"{cls.__name__}.{name}" for cls in reps
+                  for name in ("dim", "contains", "exit_distance", "strictly_inside", "scale",
+                               "_slack") if _defined_below_domain(cls, name)]
+    assert not overridden, f"representations override Domain's queries: {overridden}"
+
+
+def test_no_src_module_reads_a_rep_attribute():
+    # a domain is one object: its representation is the domain itself
+    reads = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Attribute) and node.attr == "rep"]
+    assert not reads, f"reads of .rep: {reads}"

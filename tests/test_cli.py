@@ -158,6 +158,26 @@ class TestVerifyAndXray:
         assert run(["decompose", *argv, "--method", "xray"]) == 2
         assert "does not x-ray" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("matrix, shift, dirs, top", [
+        ([[2, 0], [0, 1]], [0, 0], [[1, 0]], [0, 1]),
+        ([[2, 0], [0, 1]], [0, 0], [[1, 0], [0, 1]], None),
+        ([[2, 1], [0.5, 1]], [0.5, -0.25], [[1, 0]], [2 / 1.25 ** 0.5, 1.25 ** 0.5])])
+    def test_xray_ellipse_is_exact(self, tmp_path, matrix, shift, dirs, top, capsys):
+        # an ellipse, like a disk, is x-rayed exactly when the directions span;
+        # otherwise no ray along them enters it from its highest and lowest
+        # points, s +/- M M^T e2 / |M^T e2|
+        dom, dirs_path = tmp_path / "ellipse.json", tmp_path / "dirs.json"
+        dom.write_text(json.dumps({"type": "affine_image", "matrix": matrix, "shift": shift,
+                                   "base": {"type": "ball", "center": [0, 0], "radius": 1.0}}))
+        dirs_path.write_text(json.dumps({"dirs": dirs}))
+        code = run(["xray-check", "--domain", str(dom), "--dirs", str(dirs_path),
+                    "--samples", "32"])
+        payload = json.loads(capsys.readouterr().out)
+        assert (code, payload["ok"]) == ((0, True) if top is None else (2, False))
+        if top is not None:
+            want = [np.add(shift, top), np.subtract(shift, top)]
+            assert np.allclose(payload["witnesses"][-2:], want, rtol=0, atol=1e-12)
+
     def test_xray_square_axes_fails(self, files, capsys):
         code = run(["xray-check", "--domain", str(files["square"]),
                     "--dirs", str(files["axes"]), "--samples", "32"])
@@ -589,6 +609,32 @@ class TestBadValues:
             assert json.loads(out)["error"] < 1e-6 * side
 
     MODULUS = ["modulus", "--order", "1", "--density", "256"]
+
+    @pytest.mark.parametrize("matrix, shift", [([[2, 0], [0, 1]], [0.5]),
+                                               (np.eye(3).tolist(), [0, 0, 0]),
+                                               ([2, 1], [0, 0])])
+    def test_affine_image_shapes_must_match_the_base(self, files, matrix, shift, capsys):
+        # the one-entry shift used to broadcast in the bounding box and end the
+        # first membership test in an IndexError
+        dom = files["tmp"] / "ellipse.json"
+        dom.write_text(json.dumps({"type": "affine_image", "matrix": matrix, "shift": shift,
+                                   "base": json.loads(files["disk"].read_text())}))
+        assert run(self.MODULUS + ["--function", str(files["fn"]), "--domain", str(dom),
+                                   "--dirs", str(files["axes"])]) == 1
+        err = capsys.readouterr().err
+        assert f"{dom}: malformed spec" in err and "2x2 matrix and 2 shift entries" in err
+
+    @pytest.mark.parametrize("kind", ["union", "intersection"])
+    def test_parts_of_mixed_dimension_are_a_config_error(self, files, kind, capsys):
+        dom = files["tmp"] / "mixed.json"
+        dom.write_text(json.dumps({"type": kind, "parts": [
+            {"type": "ball", "center": [0, 0], "radius": 1.0},
+            {"type": "ball", "center": [0, 0, 0], "radius": 1.0}]}))
+        assert run(self.MODULUS + ["--function", str(files["fn"]), "--domain", str(dom),
+                                   "--dirs", str(files["axes"])]) == 1
+        err = capsys.readouterr().err
+        assert f"{dom}: malformed spec" in err and "share one dimension" in err
+        assert "dimensions [2, 3]" in err
 
     @pytest.mark.parametrize("t", ["0", "nan", "inf"])
     def test_modulus_t_must_be_positive_and_finite(self, files, t, capsys):

@@ -37,6 +37,18 @@ class TestVerifyChain:
         quiet = verify_chain(chain, samples_per_piece=2000, seed=0)
         assert not quiet.ok and not chain.verified and quiet.witnesses == []
 
+    def test_prior_unions_build_no_bounding_box(self, monkeypatch):
+        # verify_chain builds a union of the prior pieces for every piece; an
+        # eager box would be a pass over them each time, O(pieces^2) in all
+        def no_box(self):
+            raise AssertionError("verify_chain read a union's bounding box")
+        monkeypatch.setattr(w.geometry.UnionRep, "bbox", property(no_box))
+        chain = DecompositionChain([w.box([0, 0], [1, 1]), w.box([1, 0], [2, 1])],
+                                   np.array([[0.5, 0.0]]), 2, E2, "test",
+                                   target=w.box([0, 0], [2, 1]))
+        res = verify_chain(chain, samples_per_piece=2000, seed=0)
+        assert not res.ok and res.worst_violation > 0.1 and res.coverage_ok
+
     def test_shift_direction_must_be_declared(self):
         K = w.box([0, 0], [1, 1])
         with pytest.raises(PreconditionError):
@@ -159,7 +171,7 @@ class TestBallSlices:
         assert frag.n_pieces == 5
         assert np.linalg.norm(frag.shifts, axis=1) == pytest.approx([math.sqrt(2) / 4] * 4,
                                                                     rel=1e-9)
-        assert frag.target.rep.radius == pytest.approx(1.125, rel=1e-9)
+        assert frag.target.radius == pytest.approx(1.125, rel=1e-9)
 
     def test_inclusion_by_sampling(self):
         frag = self._fragment([0.5, -0.25], 2.0, E2, 2)
@@ -220,7 +232,7 @@ class TestXray:
             [[1, 1, 1], [1, 1, -1], [1, -1, 1], [1, -1, -1]]) / math.sqrt(3))
         chain = w.xray_slab_decomposition(cube, diag, n0=1, r=1, seed=1)
         for piece in chain.pieces:  # the shrunken cube and its slabs, all polytopes
-            rows = np.column_stack([piece.rep.A, piece.rep.b])
+            rows = np.column_stack([piece.A, piece.b])
             gap = np.max(np.abs(rows[:, None] - rows[None]), axis=2)
             np.fill_diagonal(gap, np.inf)
             assert gap.min() > 1e-9
@@ -355,11 +367,11 @@ class TestChainSampler:
 
 def _slab_inequality(dom, c0, c1, r, delta):
     """Whether c0 dom + B(r delta) lies in c1 dom, as the slab chain needs it."""
-    if isinstance(dom.rep, w.geometry.PolytopeRep):
-        A, b = dom.rep.A, dom.rep.b
-        h = np.max(dom.vertices() @ A.T, axis=0)
+    if isinstance(dom, w.geometry.PolytopeRep):
+        A, b = dom.A, dom.b
+        h = np.max(dom.vertices @ A.T, axis=0)
         return bool(np.all(c0 * h + r * delta * np.linalg.norm(A, axis=1) <= c1 * b + 1e-15))
-    c, rho = dom.rep.center, dom.rep.radius
+    c, rho = dom.center, dom.radius
     return (c1 - c0) * np.linalg.norm(c) + c0 * rho + r * delta <= c1 * rho + 1e-15
 
 

@@ -159,7 +159,7 @@ class TestIllumination:
 
     def test_affine_invariance(self):
         poly = random_convex_polygon(7, normalized=False)
-        verts = poly.vertices()
+        verts = poly.vertices
         A = np.array([[1.4, 0.3], [-0.2, 0.9]])
         shift = np.array([0.7, -0.4])
         img = w.as_polytope(w.AffineMap(A, shift).apply_domain(poly))
@@ -208,7 +208,7 @@ class TestXray:
     def test_affine_polytope_sample_has_its_vertices(self):
         img = w.affine_image(w.box([-1, -1], [1, 1]), [[2, 1], [0, 1]], [0.5, 0])
         sample = w.boundary_points(img, n=8, seed=0)
-        assert np.array_equal(sample[:4], img.vertices())
+        assert np.array_equal(sample[:4], img.vertices)
 
     def test_empty_sample_errors(self, unit_square, axes2):
         with pytest.raises(PreconditionError):
@@ -345,7 +345,7 @@ class TestRepProtocol:
         dom = REP_DOMAINS[kind]()
         pts = np.random.default_rng(1).uniform(-2.5, 2.5, size=(2000, 2))
         inside = dom.contains(pts)
-        viol = dom.rep.violation(pts)
+        viol = dom.violation(pts)
         assert inside.any() and not inside.all()
         assert np.all(viol[inside] <= 1e-9)
         assert np.all(viol[~inside] > 0.0)
@@ -355,7 +355,7 @@ class TestRepProtocol:
         # the representations with a closed-form signed distance
         dom = REP_DOMAINS[kind]()
         pts = np.random.default_rng(2).uniform(-2.5, 2.5, size=(64, 2))
-        sd = dom.rep.signed_distance(pts)
+        sd = dom.signed_distance(pts)
         inside = dom.contains(pts)
         assert np.all(sd[inside] <= 1e-9) and np.all(sd[~inside] > -1e-9)
 
@@ -380,10 +380,10 @@ class TestExitDistance:
         rng = np.random.default_rng(3)
         plan = w.sample_plan(dom, 600, seed=1)
         dirs = rng.standard_normal((8, dom.dim))
-        if isinstance(dom.rep, w.geometry.ConeBodyRep):
+        if isinstance(dom, w.geometry.ConeBodyRep):
             # the axis points (apex and cap included), and directions inside,
             # along and against the opening
-            axis = dom.rep.xi
+            axis = dom.xi
             plan = w.SamplePlan(np.vstack([plan.points, np.outer(np.linspace(0, 1, 5), axis)]),
                                 np.ones(len(plan) + 5))
             dirs = np.vstack([dirs, axis, -axis, axis + 0.05 * dirs[0], -axis + 0.3 * dirs[1]])
@@ -428,7 +428,7 @@ class TestNonFiniteSpecs:
 def _member_by_levels(dom, pts, slack):
     """Membership as it was computed before the kernels went coordinate-major:
     row-wise leaf formulas, and a survivor gather at every nesting level."""
-    rep = dom.rep
+    rep = dom
     geo = w.geometry
     if isinstance(rep, geo.PolytopeRep):
         if rep.A.shape[0] == 0:
@@ -483,7 +483,7 @@ class TestCoordinateMajorKernels:
         rng = np.random.default_rng(10 * rows + d)
         A = rng.standard_normal((rows, d))
         b = rng.uniform(0.5, 2.0, rows)
-        rep = w.geometry.PolytopeRep(A, b)
+        rep = w.geometry.PolytopeRep(A, b, None)
         pts = _facet_points(A, b, rng, self.SLACK) if rows else rng.standard_normal((50, d))
         pts = np.vstack([pts, rng.uniform(-2.0, 2.0, size=(500, d))])
         for slack in (0.0, self.SLACK, -self.SLACK):
@@ -504,9 +504,9 @@ class TestCoordinateMajorKernels:
         pts = np.vstack([on, np.nextafter(on, np.inf), np.nextafter(on, -np.inf)])
         dom = w.ball(center, radius)
         for slack in (0.0, self.SLACK, -self.SLACK):
-            assert np.array_equal(dom.rep.member(pts, slack),
+            assert np.array_equal(dom.member(pts, slack),
                                   _member_by_levels(dom, pts, slack))
-        assert np.array_equal(dom.rep.signed_distance(pts),
+        assert np.array_equal(dom.signed_distance(pts),
                               np.linalg.norm(pts - center, axis=1) - radius)
 
     @pytest.mark.parametrize("d", [2, 3, 9])
@@ -528,7 +528,7 @@ class TestCoordinateMajorKernels:
         pts = np.vstack([base, np.nextafter(base, np.inf), np.nextafter(base, -np.inf),
                          rng.uniform(*dom.bbox, size=(2000, d))])
         for slack in (0.0, self.SLACK, -self.SLACK):
-            got = dom.rep.member(pts, slack)
+            got = dom.member(pts, slack)
             assert np.array_equal(got, _member_by_levels(dom, pts, slack))
         assert 0 < got.sum() < len(pts)
 
@@ -545,9 +545,9 @@ class TestCoordinateMajorKernels:
             assert np.array_equal(got, _member_by_levels(dom, pts, slack))
         assert 0 < got.sum() < len(pts)
         assert json.dumps(dom.spec()) == spec  # flattening leaves the parts alone
-        plain, unions = dom.rep._leaves
+        plain, unions = dom._leaves
         assert [type(r).__name__ for r in plain] == ["BallRep", "AffineImageRep", "PolytopeRep"]
-        assert unions == (stadium.rep,)
+        assert unions == (stadium,)
 
     def test_lip2_stadium_slices(self):
         stadium = w.union([w.ball([0, 0], 1.0), w.ball([1, 0], 1.0), w.box([0, -1], [1, 1])])
@@ -621,7 +621,7 @@ class TestCoordinateMajorKernels:
         d = len(matrix)
         rng = np.random.default_rng(d)
         shift = rng.standard_normal(d)
-        rep = w.affine_image(w.ball(np.zeros(d), 1.0), matrix, shift).rep
+        rep = w.affine_image(w.ball(np.zeros(d), 1.0), matrix, shift)
         assert (rep._inverse_diagonal is not None) == diagonal
         pts = np.vstack([rng.standard_normal((20_000, d)) * 3.0, shift, shift + 1e-300])
         assert np.array_equal(rep._back(pts), (pts - rep.shift) @ rep.inverse.T)

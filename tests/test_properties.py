@@ -178,7 +178,7 @@ class TestGeometryProperties:
         from conftest import random_convex_polygon
         G = random_convex_polygon(seed % 50, normalized=False)
         E = w.direction_set([[1, 0], [0.6, 0.8]])
-        sample = G.vertices()
+        sample = G.vertices
         a = w.xray_verifies(G, E, sample)
         b = w.xray_verifies(G, E.symmetrized(), sample)
         assert a[0] == b[0]
