@@ -257,7 +257,7 @@ def _cmd_decompose(args):
         chain = decompose.xray_slab_decomposition(dom, dirs, n0=args.n0,
                                                   r=args.order, seed=seed)
     res = decompose.verify_chain(chain, seed=seed)
-    return (0, {"n_pieces": chain.n_pieces, "verified": res.ok,
+    return (0, {"n_pieces": chain.n_pieces, "verified": res.ok, "method": res.method,
                 "worst_violation": res.worst_violation,
                 "coverage_miss_rate": res.coverage_miss_rate, "chain": chain.spec()},
             ["n_pieces", "verified", "worst_violation"],
@@ -268,7 +268,7 @@ def _cmd_verify_chain(args):
     res = decompose.verify_chain(_load_chain(args.chain), samples_per_piece=args.density,
                                  seed=args.seed)
     return (0 if res.ok else 2,
-            {"ok": res.ok, "worst_violation": res.worst_violation,
+            {"ok": res.ok, "method": res.method, "worst_violation": res.worst_violation,
              "witnesses": res.witnesses, "n_sampled": res.n_sampled,
              "coverage_miss_rate": res.coverage_miss_rate},
             ["ok", "worst_violation", "n_sampled"],

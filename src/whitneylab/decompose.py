@@ -4,8 +4,10 @@ Every construction here outputs a ``DecompositionChain``: an ordered list of
 pieces (E_0, ..., E_m) with one shift vector per later piece such that each
 piece, translated backwards by 1..r multiples of its shift, lands inside the
 union of the earlier pieces.  ``verify_chain`` checks that condition (and
-coverage of a target domain) by rejection sampling.  The geometry is
-geometry.py's: its one rejection sampler, union test, intersection and ray march.
+coverage of a target domain) by rejection sampling, except for the lip2
+slices whose construction record proves it (``SliceRounds``).  The geometry
+is geometry.py's: its one rejection sampler, union test, intersection and ray
+march.
 """
 from __future__ import annotations
 
@@ -18,7 +20,8 @@ import numpy as np
 from .errors import PreconditionError, SpanDeficiencyError
 from . import geometry as geo
 from .geometry import (
-    Domain, DirectionSet, PolytopeRep, BallRep, UnionRep,
+    Domain, DirectionSet, PolytopeRep, BallRep, ConeBodyRep, UnionRep, IntersectionRep,
+    AffineImageRep,
     ball, cone_body, direction_set, intersection, union, affine_image,
     domain_from_spec,
 )
@@ -35,6 +38,29 @@ XRAY_N0_CAP = 12  # the largest shrink index an x-ray slab chain tries
 # chain container and verification
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True, eq=False)
+class SliceRound:
+    """One round of lip2 slices: ``pieces`` (chain indices) shift back into
+    B(center, rho), which lies in the seed piece (``cover == "seed"``) or in
+    the slices of the earlier round ``cover``, and in the inner ball at
+    ``SliceRounds.hosts[host]``."""
+    center: np.ndarray
+    rho: float
+    pieces: tuple
+    cover: object  # "seed" or an earlier round's index
+    host: int
+
+
+@dataclass(frozen=True, eq=False)
+class SliceRounds:
+    """Why each lip2 slice's backward shifts land in earlier pieces: the
+    inner-ball centres the builder accepted, their radius, and one
+    ``SliceRound`` per round, in build order."""
+    hosts: np.ndarray
+    delta: float
+    entries: tuple
+
+
 @dataclass(eq=False)
 class DecompositionChain:
     pieces: list
@@ -44,6 +70,7 @@ class DecompositionChain:
     provenance: str
     target: Optional[Domain] = None
     verified: bool = field(default=False, repr=False)
+    rounds: Optional[SliceRounds] = field(default=None, repr=False)  # lip2 only; not in spec()
 
     def __post_init__(self):
         _check_order(self.order)
@@ -97,6 +124,7 @@ class VerifyResult:
     n_sampled: int
     coverage_ok: Optional[bool]
     coverage_miss_rate: Optional[float]
+    method: str  # "construction" when the lip2 record proves every piece, else "sampled"
 
 
 def _sample_in(dom, n, seed, max_factor=60):
@@ -118,10 +146,13 @@ def _candidate_order(k, r):
 
 
 def verify_chain(chain, samples_per_piece=VERIFY_SAMPLES, seed=0, check_coverage=True):
-    """Sample each piece and check its backward shifts land in the prior union.
+    """Check that each piece's backward shifts land in the prior union.
 
-    A piece with no sample fails the check unless its bounding box is flat,
-    which proves it empty (``intersection`` of disjoint parts gives one)."""
+    A piece that the lip2 construction record proves (``_certified_pieces``)
+    is not sampled; every other piece is, and ``method`` says which way the
+    chain passed.  A sampled piece with no sample fails the check unless its
+    bounding box is flat, which proves it empty (``intersection`` of disjoint
+    parts gives one).  Coverage of the target is always sampled."""
     scale = chain.target.scale() if chain.target is not None else \
         max(p.scale() for p in chain.pieces)
     tol = VERIFY_TOL_REL * scale
@@ -131,7 +162,10 @@ def verify_chain(chain, samples_per_piece=VERIFY_SAMPLES, seed=0, check_coverage
     witnesses = []
     unsampled = False
     n_sampled = 0
+    certified = _certified_pieces(chain, tol)
     for k in range(1, chain.n_pieces):
+        if k in certified:
+            continue
         piece = chain.pieces[k]
         pts = _sample_in(piece, samples_per_piece, seed + 17 * k)
         if len(pts) == 0:
@@ -169,7 +203,116 @@ def verify_chain(chain, samples_per_piece=VERIFY_SAMPLES, seed=0, check_coverage
             cov_ok = miss_rate <= COVERAGE_MISS_MAX
     ok = worst == 0.0 and not unsampled  # witnesses are capped, failures are not
     chain.verified = ok
-    return VerifyResult(ok, worst, witnesses, n_sampled, cov_ok, miss_rate)
+    method = "construction" if chain.rounds is not None and \
+        len(certified) == chain.n_pieces - 1 else "sampled"
+    return VerifyResult(ok, worst, witnesses, n_sampled, cov_ok, miss_rate, method)
+
+
+# ---------------------------------------------------------------------------
+# the lip2 construction certificate
+# ---------------------------------------------------------------------------
+# A slice S = {x in target : |x - c| <= R, (x - c) . xi >= e |x - c|} with
+# shift h, translated back by j h (j = 1..r), must land in B(c, rho); that
+# ball must lie in the inner ball B(c*, delta), so in the target, and in the
+# seed piece or in B(c', R'), which the slices of an earlier round cover when
+# their openings e' reach every direction (e' <= spread, one slice per
+# direction of the symmetric set).  Each inequality below is read off the
+# pieces' own parts and the chain's shifts; its excess is how far a point can
+# end up outside (a distance, 0 when it holds).  Pieces whose excesses sum to
+# at most ``tol`` land within tol of the earlier pieces, which is what
+# sampling accepts.
+
+def _slice_shape(piece, target):
+    """(center, R, xi, e) when ``piece`` is ball(c, R) intersected with
+    c + R cone_body(xi, 1 - e) and then with ``target`` itself, else None."""
+    match piece:
+        case IntersectionRep(parts=(IntersectionRep(parts=(
+                BallRep(center=c, radius=R),
+                AffineImageRep(base=ConeBodyRep(xi=xi, eps=eps), matrix=M, shift=s))), clip)):
+            if clip is target and np.array_equal(s, c) and np.array_equal(M, R * np.eye(c.size)):
+                return c, R, xi, 1.0 - eps
+    return None
+
+
+def _round_shapes(chain, rnd):
+    """The ``_slice_shape`` of each piece of a round when all of them are
+    slices about ``rnd.center`` of one radius, else None."""
+    if not rnd.pieces or not all(0 < k < chain.n_pieces for k in rnd.pieces):
+        return None
+    shapes = [_slice_shape(chain.pieces[k], chain.target) for k in rnd.pieces]
+    if any(sh is None or not np.array_equal(sh[0], rnd.center) or sh[1] != shapes[0][1]
+           for sh in shapes):
+        return None
+    return shapes
+
+
+def _slice_excess(R, xi, e, h, rho, r):
+    """max over the slice (R, xi, e) about c and j = 1..r of |x - c - j h|,
+    less rho.  With s = |x - c|, (x - c) . h >= k s for
+    k = min(e a, a) - |h - a xi|, a = h . xi, so |x - c - j h|^2 is at most
+    s^2 - 2 j k s + j^2 |h|^2: convex in s, largest at s = 0 or s = R."""
+    a = float(h @ xi)
+    k = min(e * a, a) - float(np.linalg.norm(h - a * xi))
+    j = np.arange(1, r + 1, dtype=float)
+    hh = float(h @ h)
+    far = np.sqrt(np.maximum(R * R - 2.0 * j * k * R + j * j * hh, 0.0))
+    return float(np.max(np.maximum(far, j * math.sqrt(hh)))) - rho
+
+
+def _seed_excess(seed, c, rho):
+    """How far B(c, rho) reaches out of a polytope seed: the largest
+    (a_i . c + rho |a_i| - b_i) / |a_i|; inf for any other seed."""
+    match seed:
+        case PolytopeRep(A=A, b=b):
+            norms = np.linalg.norm(A, axis=1)
+            return float(np.max((A @ c + rho * norms - b) / norms))
+    return math.inf
+
+
+def _certified_pieces(chain, tol):
+    """The pieces whose backward shifts ``chain.rounds`` proves to land in
+    earlier pieces; empty for a chain without the record (every chain but a
+    freshly built lip2 chain).  The inner balls B(hosts, delta) are the one
+    sampled premise, re-tested here with the builder's ``_ball_inside``."""
+    rec = chain.rounds
+    if rec is None or chain.target is None:
+        return set()
+    hosted = _ball_inside(chain.target, rec.hosts, rec.delta)
+    spread = chain.dirset.spread
+    signed = np.vstack([chain.dirset.dirs, -chain.dirset.dirs])
+    shapes = [_round_shapes(chain, rnd) for rnd in rec.entries]
+
+    def cover_excess(i):
+        """How far round i's ball reaches out of the seed piece or out of
+        what the slices of its cover round reach (inf when that round does
+        not precede it or its slices miss a direction)."""
+        rnd, j = rec.entries[i], rec.entries[i].cover
+        if j == "seed":
+            return max(_seed_excess(chain.pieces[0], rnd.center, rnd.rho), 0.0)
+        if not (0 <= j < i and shapes[j] is not None
+                and max(rec.entries[j].pieces) < min(rnd.pieces)):
+            return math.inf
+        xis = np.array([sh[2] for sh in shapes[j]])
+        if np.any(np.linalg.norm(signed[:, None, :] - xis[None, :, :], axis=2).min(axis=1)
+                  > 1e-12):
+            return math.inf
+        R, e = shapes[j][0][1], max(sh[3] for sh in shapes[j])
+        # an opening past the spread misses directions by an angle of at most
+        # (e - spread) / sqrt(1 - e^2): by points within R times that
+        return max(float(np.linalg.norm(rnd.center - rec.entries[j].center)) + rnd.rho - R,
+                   0.0) + R * max(e - spread, 0.0) / math.sqrt(1.0 - e * e)
+
+    out = set()
+    for i, rnd in enumerate(rec.entries):
+        if shapes[i] is None or not (0 <= rnd.host < len(rec.hosts) and hosted[rnd.host]):
+            continue
+        excess = max(float(np.linalg.norm(rnd.center - rec.hosts[rnd.host])) + rnd.rho
+                     - rec.delta, 0.0) + cover_excess(i)
+        for k, (_, R, xi, e) in zip(rnd.pieces, shapes[i]):
+            slice_excess = _slice_excess(R, xi, e, chain.shifts[k - 1], rnd.rho, chain.order)
+            if excess + max(slice_excess, 0.0) <= tol:
+                out.add(k)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +605,9 @@ def _slice_pieces(center, rho, symdirs, eps0, r, clip_to):
     around (center, rho).
 
     Each slice translated backwards by 1..r steps of (eps0 rho / 2r) along its
-    direction lands inside the undilated ball.
+    direction lands inside the undilated ball.  A slice contains its apex, the
+    center, so it is sampled for emptiness only when the center lies outside
+    ``clip_to``.
     """
     sigma = _dilation(eps0, r)
     pieces = []
@@ -473,7 +618,7 @@ def _slice_pieces(center, rho, symdirs, eps0, r, clip_to):
                                   affine_image(cone, sigma * rho * np.eye(len(center)),
                                                np.asarray(center, float))))
         slice_dom = intersection((slice_dom, clip_to))
-        if not _piece_nonempty(slice_dom, seed=7):
+        if not clip_to.contains(center) and not _piece_nonempty(slice_dom, seed=7):
             continue
         pieces.append(slice_dom)
         shifts.append((eps0 / (2.0 * r)) * rho * xi)
@@ -520,7 +665,12 @@ def lip2_ball_chain(dom, dirset, delta, r=1, seed=0):
     Checks the inner-ball property by sampling (failure names a witness
     point), covers the domain with overlapping inner balls ordered into a
     connected walk, and expands each link with directional ball slices so
-    that every shift direction comes from the given set.
+    that every shift direction comes from the given set.  The chain's
+    ``rounds`` records, per round of slices, the ball B(c, rho) they shift
+    into, the inner ball that holds it, and the seed piece or earlier round
+    that covers it: the walk's first ball at a new center lies in the last
+    ball at the previous one, and every other ball in the seed or in the
+    sigma-dilated ball of the round before.
     """
     _check_order(r)
     if not 0.0 < delta < math.inf:
@@ -612,48 +762,57 @@ def lip2_ball_chain(dom, dirset, delta, r=1, seed=0):
     pieces.append(PolytopeRep(A_h, b_h, np.vstack([corners.min(axis=0),
                                                    corners.max(axis=0)])))
 
-    def add_slices(center, rho):
+    rounds = []
+    last = {}  # center index -> its round at the full radius delta
+
+    def add_slices(center, rho, host, cover):
+        """One round; a ball inside the seed piece is covered by it."""
+        if not rounds or _seed_excess(pieces[0], center, rho) <= 0.0:
+            cover = "seed"
         ps, ss = _slice_pieces(center, rho, sym, eps0, r, dom)
+        rounds.append(SliceRound(np.asarray(center, dtype=float), rho,
+                                 tuple(range(len(pieces), len(pieces) + len(ps))), cover, host))
         pieces.extend(ps)
         shifts.extend(ss)
 
-    def grow(center, rho_from, rho_to):
+    def grow(center, rho_from, rho_to, host):
         rho = rho_from
         while rho < rho_to - 1e-12 * delta:
-            add_slices(center, rho)
+            add_slices(center, rho, host, len(rounds) - 1)
             rho = min(sigma * rho, rho_to)
 
-    def walk_ball(c_from, c_to, rho):
+    def walk_ball(c_from, c_to, rho, host, cover):
         step = 0.98 * (sigma - 1.0) * rho
         vec = c_to - c_from
         dist = float(np.linalg.norm(vec))
         n_steps = int(math.ceil(dist / step)) if dist > 0 else 0
         m = c_from
         for i in range(1, n_steps + 1):
-            add_slices(m, rho)
+            add_slices(m, rho, host, cover if i == 1 else len(rounds) - 1)
             m = c_from + vec * min(i * step / dist, 1.0)
-        return m
 
     # grow the seed ball to the full shell at the first center
-    grow(c0, eps0 * delta / d, delta)
-    add_slices(c0, delta)
+    grow(c0, eps0 * delta / d, delta, walk[0])
+    add_slices(c0, delta, walk[0], len(rounds) - 1)
+    last[walk[0]] = len(rounds) - 1
 
-    covered = {walk[0]}
     for prev, nxt in zip(walk[:-1], walk[1:]):
-        if nxt in covered:
+        if nxt in last:
             continue
         c_prev, c_next = centers[prev], centers[nxt]
         gap = float(np.linalg.norm(c_next - c_prev))
         rho0 = delta - 0.5 * gap
         if rho0 <= 0.05 * delta:
             raise PreconditionError("cover walk step too large for the overlap ball")
-        m = 0.5 * (c_prev + c_next)
-        m = walk_ball(m, c_next, rho0)
-        grow(c_next, rho0, delta)
-        add_slices(c_next, delta)
-        covered.add(nxt)
+        # B(m, rho0) at the midpoint lies in B(c_prev, delta), and every ball
+        # of the walk in the inner ball at c_next
+        walk_ball(0.5 * (c_prev + c_next), c_next, rho0, nxt, last[prev])
+        grow(c_next, rho0, delta, nxt)
+        add_slices(c_next, delta, nxt, len(rounds) - 1)
+        last[nxt] = len(rounds) - 1
 
-    return DecompositionChain(pieces, np.array(shifts), r, sym, "lip2", target=dom)
+    return DecompositionChain(pieces, np.array(shifts), r, sym, "lip2", target=dom,
+                              rounds=SliceRounds(centers, delta, tuple(rounds)))
 
 
 def _independent_subset(dirs, d):

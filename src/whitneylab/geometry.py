@@ -43,6 +43,7 @@ from .errors import PreconditionError
 MEMBERSHIP_SLACK = 1e-12
 BOUNDARY_TOL = 1e-8  # relative to bbox scale
 RAY_SAMPLES = 10_000
+VERTEX_BLOCK = 4096  # d-row subsystems per stacked solve in _polytope_vertices
 
 
 def _as_points(x, dim):
@@ -549,17 +550,23 @@ def _polytope_bbox(A, b):
 
 
 def _polytope_vertices(A, b):
+    """The feasible solutions of every nonsingular d-row subsystem, deduped,
+    in the order of ``itertools.combinations``; the subsystems go to one
+    stacked det and one stacked solve per block of VERTEX_BLOCK, which give
+    the bits of one call per subsystem."""
     m, d = A.shape
     tol = 1e-9  # relative to the largest |b_i|, at least 1
     scale = max(1.0, float(np.max(np.abs(b))) if b.size else 1.0)
     verts = []
-    for idx in itertools.combinations(range(m), d):
-        sub = A[list(idx)]
-        if abs(np.linalg.det(sub)) < 1e-12:
-            continue
-        v = np.linalg.solve(sub, b[list(idx)])
-        if np.all(A @ v <= b + tol * scale):
-            verts.append(v)
+    subsets = itertools.combinations(range(m), d)
+    while True:
+        idx = np.array(list(itertools.islice(subsets, VERTEX_BLOCK)), dtype=np.intp)
+        if idx.size == 0:
+            break
+        sub = A[idx]
+        keep = ~(np.abs(np.linalg.det(sub)) < 1e-12)
+        v = np.linalg.solve(sub[keep], b[idx[keep]][:, :, None])[:, :, 0]
+        verts.extend(v[np.all(A @ v.T <= (b + tol * scale)[:, None], axis=0)])
     if not verts:
         return np.zeros((0, d))
     verts = np.array(verts)
@@ -971,23 +978,27 @@ def xray_verifies(dom, dirset, boundary_sample):
     """Check that every boundary sample is illuminated by some +/- direction.
 
     Returns (ok, witnesses) where witnesses lists the unilluminated points.
-    A ball, or an affine image of one, is x-rayed exactly when the directions
-    span.  Otherwise, for a unit n orthogonal to every direction, the points
-    where n . x is extreme are witnesses too (no ray along a direction enters
-    from them, and a boundary sample rarely hits them): c +/- rho n on
-    B(c, rho), M c + s +/- rho M M^T n / |M^T n| on its image under M y + s.
+    A ball, or an affine image of one at any depth, is x-rayed exactly when
+    the directions span.  Otherwise, for a unit n orthogonal to every
+    direction, the points where n . x is extreme are witnesses too (no ray
+    along a direction enters from them, and a boundary sample rarely hits
+    them): c +/- rho n on B(c, rho), M c + s +/- rho M M^T n / |M^T n| on its
+    image under y -> M y + s, where nested images compose into one M and s.
     """
     pts = np.atleast_2d(np.asarray(boundary_sample, dtype=float))
     if len(pts) == 0:
         raise PreconditionError("boundary sample must be nonempty")
     sym = dirset.symmetrized()
     witnesses = [x.copy() for x in pts if not any(illuminated(dom, x, e) for e in sym.dirs)]
-    ball = dom.base if isinstance(dom, AffineImageRep) else dom
+    ball, M, s = dom, None, None  # dom = M ball + s; None stands for the identity
+    while isinstance(ball, AffineImageRep):
+        M, s = (ball.matrix, ball.shift) if M is None else (M @ ball.matrix, M @ ball.shift + s)
+        ball = ball.base
     if isinstance(ball, BallRep) and not dirset.spans:
         n = np.linalg.svd(dirset.dirs)[2][-1]
-        m = n if ball is dom else dom.matrix.T @ n / np.linalg.norm(dom.matrix.T @ n)
-        ends = [ball.center + s * ball.radius * m for s in (1.0, -1.0)]
-        witnesses += ends if ball is dom else [dom.matrix @ y + dom.shift for y in ends]
+        m = n if M is None else M.T @ n / np.linalg.norm(M.T @ n)
+        ends = [ball.center + sign * ball.radius * m for sign in (1.0, -1.0)]
+        witnesses += ends if M is None else [M @ y + s for y in ends]
     return len(witnesses) == 0, witnesses
 
 

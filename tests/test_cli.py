@@ -141,6 +141,20 @@ class TestVerifyAndXray:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["ok"] is True
 
+    def test_lip2_method_is_construction_until_written(self, files, capsys):
+        # a built lip2 chain passes by its construction record; its file has
+        # no record, so verify-chain samples every piece
+        out = files["tmp"] / "lip2.json"
+        assert run(["decompose", "--domain", str(files["disk"]), "--method", "lip2",
+                    "--dirs", str(files["axes"]), "--delta", "0.9", "--out", str(out)]) == 0
+        built = json.loads(out.read_text())
+        assert (built["verified"], built["method"]) == (True, "construction")
+        assert "rounds" not in built["chain"]
+        assert run(["verify-chain", "--chain", str(out), "--density", "200"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["ok"], payload["method"]) == (True, "sampled")
+        assert payload["n_sampled"] == 200 * (built["n_pieces"] - 1)
+
     def test_verify_bad_chain_exit2(self, files, capsys):
         code = run(["verify-chain", "--chain", str(files["badchain"]),
                     "--density", "500"])
@@ -177,6 +191,21 @@ class TestVerifyAndXray:
         if top is not None:
             want = [np.add(shift, top), np.subtract(shift, top)]
             assert np.allclose(payload["witnesses"][-2:], want, rtol=0, atol=1e-12)
+
+    def test_xray_nested_image_is_exact(self, tmp_path, capsys):
+        # the identity image of the diag(2, 1) ellipse: the images compose
+        # down to the disk, so (0, +/-1) are witnesses as for the ellipse
+        ellipse = {"type": "affine_image", "matrix": [[2, 0], [0, 1]], "shift": [0, 0],
+                   "base": {"type": "ball", "center": [0, 0], "radius": 1.0}}
+        dom, dirs_path = tmp_path / "nested.json", tmp_path / "e1.json"
+        dom.write_text(json.dumps({"type": "affine_image", "matrix": [[1, 0], [0, 1]],
+                                   "shift": [0, 0], "base": ellipse}))
+        dirs_path.write_text(json.dumps({"dirs": [[1, 0]]}))
+        code = run(["xray-check", "--domain", str(dom), "--dirs", str(dirs_path),
+                    "--samples", "32"])
+        payload = json.loads(capsys.readouterr().out)
+        assert (code, payload["ok"]) == (2, False)
+        assert np.allclose(payload["witnesses"][-2:], [[0, 1], [0, -1]], rtol=0, atol=1e-12)
 
     def test_xray_square_axes_fails(self, files, capsys):
         code = run(["xray-check", "--domain", str(files["square"]),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -202,6 +203,124 @@ class TestLip2:
         cusp = w.union([w.ball([-1, 0], 1.0), w.ball([1, 0], 1.0)])
         with pytest.raises(PreconditionError):
             w.lip2_ball_chain(cusp, E2, delta=0.5, r=1, seed=0)
+
+
+@pytest.fixture(scope="module")
+def lip2_chains():
+    """The lip2 stadium and radius-2 ball chains of criterion 7, built once."""
+    return {"stadium": w.lip2_ball_chain(stadium_domain(), E2, delta=1.0, r=1, seed=0),
+            "ball": w.lip2_ball_chain(w.ball([0, 0], 2.0), E2, delta=1.0, r=1, seed=0)}
+
+
+def _certified(chain):
+    return dc._certified_pieces(chain, dc.VERIFY_TOL_REL * chain.target.scale())
+
+
+def _with(chain, shifts=None, rounds=None):
+    """A copy of ``chain`` with other shifts or another construction record."""
+    return DecompositionChain(chain.pieces, chain.shifts if shifts is None else shifts,
+                              chain.order, chain.dirset, chain.provenance, chain.target,
+                              rounds=chain.rounds if rounds is None else rounds)
+
+
+def _with_entry(chain, i, **changes):
+    rec = chain.rounds
+    entries = list(rec.entries)
+    entries[i] = dataclasses.replace(entries[i], **changes)
+    return _with(chain, rounds=dc.SliceRounds(rec.hosts, rec.delta, tuple(entries)))
+
+
+class TestLip2Certificate:
+    def test_record_covers_every_slice_once(self, lip2_chains):
+        # 130 rounds of 4 slices on the stadium, 3 of them inside the seed square
+        chain = lip2_chains["stadium"]
+        entries = chain.rounds.entries
+        assert (len(entries), {len(e.pieces) for e in entries}) == (130, {4})
+        assert [e.cover for e in entries].count("seed") == 3
+        assert sorted(k for e in entries for k in e.pieces) == list(range(1, chain.n_pieces))
+        assert all(e.cover == "seed" or e.cover < i for i, e in enumerate(entries))
+        assert "rounds" not in chain.spec()
+
+    @pytest.mark.parametrize("name", ["stadium", "ball"])
+    def test_certified_and_reloaded_runs_agree(self, lip2_chains, name):
+        chain = lip2_chains[name]
+        cert = verify_chain(chain, samples_per_piece=1000, seed=0)
+        assert cert.ok and cert.method == "construction" and cert.n_sampled == 0
+        # a chain file carries no record: every piece is sampled, as before
+        back = w.chain_from_spec(chain.spec())
+        assert back.rounds is None
+        res = verify_chain(back, samples_per_piece=1000, seed=0)
+        assert res.ok and res.method == "sampled", res.witnesses[:2]
+        assert res.n_sampled == 1000 * (chain.n_pieces - 1)
+        assert res.coverage_miss_rate == cert.coverage_miss_rate
+
+    @pytest.mark.parametrize("r, worst", [(1, 0.910), (2, 0.946)])
+    def test_slice_bound_is_the_sampled_maximum(self, r, worst):
+        # the closed form bounds max |x - c - j h| / rho over a slice from
+        # above, and the slice's corners, on its rim and its cone, attain it
+        c, rho = np.array([0.5, -0.25]), 2.0
+        eps0, sym = E2.spread, E2.symmetrized()
+        pieces, shifts = dc._slice_pieces(c, rho, sym, eps0, r, w.ball(c, 10.0))
+        for piece, h in zip(pieces, shifts):
+            _, R, xi, e = dc._slice_shape(piece, piece.parts[1])
+            bound = (dc._slice_excess(R, xi, e, h, rho, r) + rho) / rho
+            pts = dc._sample_in(piece, 20_000, 3)
+            corners = c + R * (e * xi + math.sqrt(1.0 - e * e) * np.outer([1, -1], [-xi[1], xi[0]]))
+            assert piece.contains(corners).all()
+
+            def reach(x):
+                return max(np.linalg.norm(x - c - j * h, axis=1).max()
+                           for j in range(1, r + 1)) / rho
+            assert reach(pts) <= bound and reach(corners) == pytest.approx(bound, abs=1e-12)
+            assert bound == pytest.approx(worst, abs=1e-3)
+
+    def test_doubled_dilation_is_rejected(self, monkeypatch):
+        # sigma = 1 + eps0^2 / 2r: the slices reach past B(c, rho) after one shift
+        monkeypatch.setattr(dc, "_dilation", lambda eps0, r: 1.0 + eps0 * eps0 / (2.0 * r))
+        chain = w.lip2_ball_chain(w.ball([0, 0], 2.0), E2, delta=1.0, r=1, seed=0)
+        assert _certified(chain) == set()
+        assert verify_chain(chain, samples_per_piece=20, seed=0,
+                            check_coverage=False).method == "sampled"
+
+    def test_quadrupled_shift_is_rejected(self, lip2_chains):
+        # at s = 0 the shifted apex sits 2 eps0 rho = 1.41 rho from c
+        chain = _with(lip2_chains["stadium"], shifts=4.0 * lip2_chains["stadium"].shifts)
+        assert _certified(chain) == set()
+
+    def test_opening_above_the_spread_is_rejected(self):
+        # the slices of a round no longer reach the diagonals, so only the
+        # rounds inside the seed square keep their certificate
+        E = w.direction_set(E2.dirs)
+        E.__dict__["spread"] = 1.05 * E2.spread
+        chain = w.lip2_ball_chain(w.ball([0, 0], 2.0), E, delta=1.0, r=1, seed=0)
+        assert chain.dirset.spread == E2.spread
+        seeded = {k for e in chain.rounds.entries if e.cover == "seed" for k in e.pieces}
+        assert seeded and _certified(chain) == seeded
+
+    def test_bad_cover_index_is_rejected(self, lip2_chains):
+        chain = lip2_chains["stadium"]
+        entries = chain.rounds.entries
+        everything = set(range(1, chain.n_pieces))
+        assert _certified(chain) == everything
+        i = len(entries) // 2
+        later = _with_entry(chain, i, cover=i + 1)
+        assert _certified(later) == everything - set(entries[i].pieces)
+        # round 0 is the smallest ball, at the first center
+        far = max(range(1, len(entries)),
+                  key=lambda i: np.linalg.norm(entries[i].center - entries[0].center))
+        smaller = _with_entry(chain, far, cover=0)
+        assert _certified(smaller) == everything - set(entries[far].pieces)
+        assert verify_chain(smaller, samples_per_piece=20, seed=0,
+                            check_coverage=False).method == "sampled"
+
+    def test_apex_in_the_domain_skips_the_emptiness_probe(self, monkeypatch):
+        probed = []
+        monkeypatch.setattr(dc, "_piece_nonempty", lambda piece, seed: probed.append(1) or True)
+        sym = E2.symmetrized()
+        dc._slice_pieces(np.array([0.0, 0.0]), 0.5, sym, E2.spread, 1, w.ball([0, 0], 1.0))
+        assert probed == []
+        dc._slice_pieces(np.array([1.2, 0.0]), 0.5, sym, E2.spread, 1, w.ball([0, 0], 1.0))
+        assert len(probed) == 4
 
 
 class TestXray:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -205,6 +206,18 @@ class TestXray:
         assert w.xray_verifies(cube, E, sample)[0] == \
             w.xray_verifies(cube, E.symmetrized(), sample)[0]
 
+    def test_nested_ball_images_compose(self):
+        # two affine levels over a disk give the witnesses of the one image
+        # of the composed map y -> M2 (M1 y + s1) + s2
+        M1, s1, M2, s2 = [[2.0, 0.0], [0.0, 1.0]], [0.5, 0.0], [[1.0, 1.0], [0.0, 1.0]], [1.0, -1.0]
+        nested = w.affine_image(w.affine_image(w.ball([0.2, 0.1], 0.8), M1, s1), M2, s2)
+        flat = w.affine_image(w.ball([0.2, 0.1], 0.8), np.dot(M2, M1), np.dot(M2, s1) + s2)
+        E = w.direction_set([[1.0, 0.0]])
+        pts = w.boundary_points(flat, n=4, seed=0)
+        got, want = w.xray_verifies(nested, E, pts), w.xray_verifies(flat, E, pts)
+        assert got[0] is want[0] is False
+        assert np.allclose(got[1][-2:], want[1][-2:], rtol=0, atol=1e-12)
+
     def test_affine_polytope_sample_has_its_vertices(self):
         img = w.affine_image(w.box([-1, -1], [1, 1]), [[2, 1], [0, 1]], [0.5, 0])
         sample = w.boundary_points(img, n=8, seed=0)
@@ -272,6 +285,42 @@ class TestDirectionSet:
     def test_symmetrized_keeps_the_spread(self, dirs):
         E = w.direction_set(dirs)
         assert E.symmetrized().spread == E.spread > 0.0
+
+
+def _vertices_one_subset_at_a_time(A, b):
+    """The vertex enumeration as one det and one solve per d-row subset."""
+    m, d = A.shape
+    scale = max(1.0, float(np.max(np.abs(b))))
+    verts = []
+    for idx in itertools.combinations(range(m), d):
+        sub = A[list(idx)]
+        if abs(np.linalg.det(sub)) < 1e-12:
+            continue
+        v = np.linalg.solve(sub, b[list(idx)])
+        if np.all(A @ v <= b + 1e-9 * scale):
+            verts.append(v)
+    keep = []
+    for v in verts:
+        if not any(np.linalg.norm(v - u) < 1e-9 * scale for u in keep):
+            keep.append(v)
+    return np.array(keep).reshape(-1, d)
+
+
+class TestPolytopeVertices:
+    @pytest.mark.parametrize("d, k", [(2, 3), (2, 12), (3, 4), (3, 12)])
+    def test_stacked_solves_give_the_bits_of_one_solve_per_subset(self, monkeypatch, d, k):
+        # a block of 7 subsets makes the blocks end mid-stream
+        monkeypatch.setattr(w.geometry, "VERTEX_BLOCK", 7)
+        rng = np.random.default_rng(10 * d + k)
+        dirs = rng.standard_normal((k, d))
+        A = np.vstack([dirs, -dirs, dirs[:1]])  # a repeated row: singular subsets
+        b = np.concatenate([rng.uniform(0.5, 2.0, 2 * k), [1.0]])
+        got = w.geometry._polytope_vertices(A, b)
+        want = _vertices_one_subset_at_a_time(A, b)
+        assert len(got) > 0 and got.tobytes() == want.tobytes()
+
+    def test_fewer_rows_than_the_dimension(self):
+        assert w.geometry._polytope_vertices(np.ones((1, 2)), np.ones(1)).shape == (0, 2)
 
 
 class TestSamplePlan:
