@@ -1,14 +1,17 @@
 """Run the benchmark on two source trees in alternating pairs; summarise it.
 
     python3 scripts/bench_pairs.py PARENT_TREE CHANGE_TREE --out BENCH_<n>.json \\
-        --workloads chains,estimate,certificate --pairs 10 --seconds 25 --first-seed 101
+        --first-seed 101
 
-Pair i runs ``perfbench/run.py --workload W --seed S --seconds T --trace 0``
+For every workload of the change tree's ``BENCHMARK.json``, pair i of
+``PAIRS`` runs ``perfbench/run.py --workload W --seed S --seconds T --trace 0``
 once in each tree, from the tree's root, one process at a time, at the same
-seed S = first seed + i. The tree that runs first alternates from pair to
-pair, so a drift in the machine's speed falls on both sides alike. Each tree
-runs its own ``perfbench/`` on its own sources; the end-to-end metrics and
-their better direction are read from the change tree's ``BENCHMARK.json``.
+seed S = first seed + i and the benchmark's own run length T
+(``run_seconds``). The tree that runs first alternates from pair to pair, so
+a drift in the machine's speed falls on both sides alike. Each tree runs its
+own ``perfbench/`` on its own sources; the end-to-end metrics and their
+better direction are also read from the change tree's ``BENCHMARK.json``.
+Use first seeds that the change was not tuned on.
 
 The output file holds, per workload and end-to-end metric, the median and
 quartiles of each side over the pairs, the relative change of the medians,
@@ -26,6 +29,7 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+PAIRS = 10
 
 
 def run_once(tree, workload, seed, seconds):
@@ -65,33 +69,30 @@ def main(argv=None):
     ap.add_argument("parent_tree")
     ap.add_argument("change_tree")
     ap.add_argument("--out", required=True, help="the summary JSON file to write")
-    ap.add_argument("--workloads", default="chains,estimate,certificate")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=25.0)
-    ap.add_argument("--first-seed", type=int, default=101)
+    ap.add_argument("--first-seed", type=int, required=True,
+                    help="the seed of the first pair; pair i runs at this plus i")
     args = ap.parse_args(argv)
     trees = dict(zip(SIDES, (Path(args.parent_tree).resolve(),
                              Path(args.change_tree).resolve())))
     for tree in trees.values():
         if not (tree / "perfbench" / "run.py").is_file():
             ap.error(f"no perfbench/run.py under {tree}")
-    if args.pairs < 2:
-        ap.error("--pairs must be at least 2 for quartiles")
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     metrics = {m["name"]: m for m in spec["end_to_end"]}
+    seconds = spec["run_seconds"]
 
-    report = {"pairs": args.pairs, "seconds": args.seconds,
+    report = {"pairs": PAIRS, "seconds": seconds,
               "machine": {"cpus": os.cpu_count(), "platform": platform.platform(),
                           "python": platform.python_version()},
               "workloads": {}}
-    for workload in args.workloads.split(","):
+    for workload in (w["name"] for w in spec["workloads"]):
         runs = []
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             seed = args.first_seed + i
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             run = {"pair": i, "seed": seed, "first": order[0]}
             for side in order:
-                run[side] = run_once(trees[side], workload, seed, args.seconds)
+                run[side] = run_once(trees[side], workload, seed, seconds)
             runs.append(run)
             print(f"{workload} pair {i} seed {seed}: " + ", ".join(
                 f"{side} wall_s {run[side]['metrics']['wall_s']['value']:.3f} "

@@ -4,8 +4,8 @@ Every construction here outputs a ``DecompositionChain``: an ordered list of
 pieces (E_0, ..., E_m) with one shift vector per later piece such that each
 piece, translated backwards by 1..r multiples of its shift, lands inside the
 union of the earlier pieces.  ``verify_chain`` checks that condition (and
-coverage of a target domain) by rejection sampling, except for the lip2
-slices whose construction record proves it (``SliceRounds``).  The geometry
+coverage of a target domain) by rejection sampling, except for the ball
+slices that closed-form inequalities prove (``_certified_pieces``).  The geometry
 is geometry.py's: its one rejection sampler, union test, intersection and ray
 march.
 """
@@ -38,29 +38,6 @@ XRAY_N0_CAP = 12  # the largest shrink index an x-ray slab chain tries
 # chain container and verification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class SliceRound:
-    """One round of lip2 slices: ``pieces`` (chain indices) shift back into
-    B(center, rho), which lies in the seed piece (``cover == "seed"``) or in
-    the slices of the earlier round ``cover``, and in the inner ball at
-    ``SliceRounds.hosts[host]``."""
-    center: np.ndarray
-    rho: float
-    pieces: tuple
-    cover: object  # "seed" or an earlier round's index
-    host: int
-
-
-@dataclass(frozen=True, eq=False)
-class SliceRounds:
-    """Why each lip2 slice's backward shifts land in earlier pieces: the
-    inner-ball centres the builder accepted, their radius, and one
-    ``SliceRound`` per round, in build order."""
-    hosts: np.ndarray
-    delta: float
-    entries: tuple
-
-
 @dataclass(eq=False)
 class DecompositionChain:
     pieces: list
@@ -70,7 +47,6 @@ class DecompositionChain:
     provenance: str
     target: Optional[Domain] = None
     verified: bool = field(default=False, repr=False)
-    rounds: Optional[SliceRounds] = field(default=None, repr=False)  # lip2 only; not in spec()
 
     def __post_init__(self):
         _check_order(self.order)
@@ -124,7 +100,7 @@ class VerifyResult:
     n_sampled: int
     coverage_ok: Optional[bool]
     coverage_miss_rate: Optional[float]
-    method: str  # "construction" when the lip2 record proves every piece, else "sampled"
+    method: str  # "construction" when _certified_pieces proves every piece, else "sampled"
 
 
 def _sample_in(dom, n, seed, max_factor=60):
@@ -148,11 +124,16 @@ def _candidate_order(k, r):
 def verify_chain(chain, samples_per_piece=VERIFY_SAMPLES, seed=0, check_coverage=True):
     """Check that each piece's backward shifts land in the prior union.
 
-    A piece that the lip2 construction record proves (``_certified_pieces``)
-    is not sampled; every other piece is, and ``method`` says which way the
-    chain passed.  A sampled piece with no sample fails the check unless its
-    bounding box is flat, which proves it empty (``intersection`` of disjoint
-    parts gives one).  Coverage of the target is always sampled."""
+    A ball slice that ``_certified_pieces`` proves is not sampled; every other
+    piece is, and ``method`` says which way the chain passed.  That proof
+    rests on one premise it cannot get in closed form for every target: each
+    ball B(c, rho) it shifts into lies in the target.  It is exact for a
+    polytope or ball target and otherwise as strong as ``_ball_inside``'s
+    probes, the test the lip2 builder accepts its inner balls by, so a notch
+    thinner than the probe spacing passes both.  A sampled piece with no
+    sample fails the check unless its bounding box is flat, which proves it
+    empty (``intersection`` of disjoint parts gives one).  Coverage of the
+    target is always sampled."""
     scale = chain.target.scale() if chain.target is not None else \
         max(p.scale() for p in chain.pieces)
     tol = VERIFY_TOL_REL * scale
@@ -203,116 +184,122 @@ def verify_chain(chain, samples_per_piece=VERIFY_SAMPLES, seed=0, check_coverage
             cov_ok = miss_rate <= COVERAGE_MISS_MAX
     ok = worst == 0.0 and not unsampled  # witnesses are capped, failures are not
     chain.verified = ok
-    method = "construction" if chain.rounds is not None and \
-        len(certified) == chain.n_pieces - 1 else "sampled"
+    method = "construction" if certified and len(certified) == chain.n_pieces - 1 \
+        else "sampled"
     return VerifyResult(ok, worst, witnesses, n_sampled, cov_ok, miss_rate, method)
 
 
 # ---------------------------------------------------------------------------
-# the lip2 construction certificate
+# the ball-slice certificate
 # ---------------------------------------------------------------------------
 # A slice S = {x in target : |x - c| <= R, (x - c) . xi >= e |x - c|} with
-# shift h, translated back by j h (j = 1..r), must land in B(c, rho); that
-# ball must lie in the inner ball B(c*, delta), so in the target, and in the
-# seed piece or in B(c', R'), which the slices of an earlier round cover when
-# their openings e' reach every direction (e' <= spread, one slice per
-# direction of the symmetric set).  Each inequality below is read off the
-# pieces' own parts and the chain's shifts; its excess is how far a point can
-# end up outside (a distance, 0 when it holds).  Pieces whose excesses sum to
-# at most ``tol`` land within tol of the earlier pieces, which is what
-# sampling accepts.
+# shift h, translated back by j h (j = 1..r), stays in B(c, rho), rho its
+# reach (``_slice_reach``).  A round, a run of consecutive slices about one
+# centre with one radius, shifts into the ball B(c, rho) of its largest
+# reach.  That ball lies in earlier pieces when it lies in the seed polytope,
+# or in the target and in B(c', R') of an earlier round whose slices reach
+# every direction (one per direction of the symmetric set, openings
+# e' <= spread): those slices cover B(c', R') within the target.  Each
+# inequality is read off the pieces' own parts and the chain's shifts; its
+# excess is how far a point can end up outside (a distance, <= 0 when it
+# holds).  A round whose excess is at most ``tol`` lands within tol of the
+# earlier pieces, which is what sampling accepts.  The cover search's
+# argmins are the rounds' dependency edges.
 
 def _slice_shape(piece, target):
     """(center, R, xi, e) when ``piece`` is ball(c, R) intersected with
-    c + R cone_body(xi, 1 - e) and then with ``target`` itself, else None."""
+    c + R cone_body(xi, 1 - e) and then with ``target`` (the same object, or
+    one with the same spec, as in a chain read back from its file), else None."""
     match piece:
         case IntersectionRep(parts=(IntersectionRep(parts=(
                 BallRep(center=c, radius=R),
                 AffineImageRep(base=ConeBodyRep(xi=xi, eps=eps), matrix=M, shift=s))), clip)):
-            if clip is target and np.array_equal(s, c) and np.array_equal(M, R * np.eye(c.size)):
+            if np.array_equal(s, c) and np.array_equal(M, R * np.eye(c.size)) \
+                    and (clip is target or clip.spec() == target.spec()):
                 return c, R, xi, 1.0 - eps
     return None
 
 
-def _round_shapes(chain, rnd):
-    """The ``_slice_shape`` of each piece of a round when all of them are
-    slices about ``rnd.center`` of one radius, else None."""
-    if not rnd.pieces or not all(0 < k < chain.n_pieces for k in rnd.pieces):
-        return None
-    shapes = [_slice_shape(chain.pieces[k], chain.target) for k in rnd.pieces]
-    if any(sh is None or not np.array_equal(sh[0], rnd.center) or sh[1] != shapes[0][1]
-           for sh in shapes):
-        return None
-    return shapes
-
-
-def _slice_excess(R, xi, e, h, rho, r):
-    """max over the slice (R, xi, e) about c and j = 1..r of |x - c - j h|,
-    less rho.  With s = |x - c|, (x - c) . h >= k s for
-    k = min(e a, a) - |h - a xi|, a = h . xi, so |x - c - j h|^2 is at most
-    s^2 - 2 j k s + j^2 |h|^2: convex in s, largest at s = 0 or s = R."""
+def _slice_reach(R, xi, e, h, r):
+    """max over the slice (R, xi, e) about c and j = 1..r of |x - c - j h|.
+    With s = |x - c|, (x - c) . h >= k s for k = min(e a, a) - |h - a xi|,
+    a = h . xi, so |x - c - j h|^2 is at most s^2 - 2 j k s + j^2 |h|^2:
+    convex in s, largest at s = 0 or s = R."""
     a = float(h @ xi)
     k = min(e * a, a) - float(np.linalg.norm(h - a * xi))
     j = np.arange(1, r + 1, dtype=float)
     hh = float(h @ h)
     far = np.sqrt(np.maximum(R * R - 2.0 * j * k * R + j * j * hh, 0.0))
-    return float(np.max(np.maximum(far, j * math.sqrt(hh)))) - rho
+    return float(np.max(np.maximum(far, j * math.sqrt(hh))))
 
 
-def _seed_excess(seed, c, rho):
-    """How far B(c, rho) reaches out of a polytope seed: the largest
-    (a_i . c + rho |a_i| - b_i) / |a_i|; inf for any other seed."""
-    match seed:
+def _ball_excess(dom, centers, radii):
+    """Per row, how far B(centers[i], radii[i]) reaches out of a polytope or
+    a ball ``dom``; None for any other domain."""
+    match dom:
         case PolytopeRep(A=A, b=b):
-            norms = np.linalg.norm(A, axis=1)
-            return float(np.max((A @ c + rho * norms - b) / norms))
-    return math.inf
+            return np.max((centers @ A.T - b) / np.linalg.norm(A, axis=1), axis=1) + radii
+        case BallRep(center=c0, radius=R0):
+            return np.linalg.norm(centers - c0, axis=1) + radii - R0
+    return None
+
+
+def _slice_rounds(chain):
+    """The rounds of ``chain``: [first piece, stop, shapes] per run of
+    consecutive ``_slice_shape`` pieces about one centre with one radius."""
+    rounds = []
+    for k in range(1, chain.n_pieces):
+        sh = _slice_shape(chain.pieces[k], chain.target)
+        if sh is None:
+            continue
+        if rounds and rounds[-1][1] == k and rounds[-1][2][0][1] == sh[1] \
+                and np.array_equal(rounds[-1][2][0][0], sh[0]):
+            rounds[-1][1] = k + 1
+            rounds[-1][2].append(sh)
+        else:
+            rounds.append([k, k + 1, [sh]])
+    return rounds
 
 
 def _certified_pieces(chain, tol):
-    """The pieces whose backward shifts ``chain.rounds`` proves to land in
-    earlier pieces; empty for a chain without the record (every chain but a
-    freshly built lip2 chain).  The inner balls B(hosts, delta) are the one
-    sampled premise, re-tested here with the builder's ``_ball_inside``."""
-    rec = chain.rounds
-    if rec is None or chain.target is None:
+    """The ball slices whose backward shifts provably land in earlier pieces
+    (see above); empty for a chain without a target or without slices.
+    Whether B(c, rho) lies in the target is exact for a polytope or a ball
+    and decided by ``_ball_inside``'s probes otherwise."""
+    rounds = _slice_rounds(chain) if chain.target is not None else []
+    if not rounds:
         return set()
-    hosted = _ball_inside(chain.target, rec.hosts, rec.delta)
+    centers = np.array([sh[0][0] for _, _, sh in rounds])
+    radii = np.array([sh[0][1] for _, _, sh in rounds])
+    reach = np.array([max(_slice_reach(R, xi, e, chain.shifts[k - 1], chain.order)
+                          for k, (_, R, xi, e) in enumerate(sh, start))
+                      for start, _, sh in rounds])
+    # how far a round's slices miss B(c', R') within the target: inf when a
+    # direction has no slice; an opening past the spread misses directions
+    # by an angle of at most (e - spread) / sqrt(1 - e^2), so by points
+    # within R' times that
     spread = chain.dirset.spread
     signed = np.vstack([chain.dirset.dirs, -chain.dirset.dirs])
-    shapes = [_round_shapes(chain, rnd) for rnd in rec.entries]
-
-    def cover_excess(i):
-        """How far round i's ball reaches out of the seed piece or out of
-        what the slices of its cover round reach (inf when that round does
-        not precede it or its slices miss a direction)."""
-        rnd, j = rec.entries[i], rec.entries[i].cover
-        if j == "seed":
-            return max(_seed_excess(chain.pieces[0], rnd.center, rnd.rho), 0.0)
-        if not (0 <= j < i and shapes[j] is not None
-                and max(rec.entries[j].pieces) < min(rnd.pieces)):
-            return math.inf
-        xis = np.array([sh[2] for sh in shapes[j]])
-        if np.any(np.linalg.norm(signed[:, None, :] - xis[None, :, :], axis=2).min(axis=1)
-                  > 1e-12):
-            return math.inf
-        R, e = shapes[j][0][1], max(sh[3] for sh in shapes[j])
-        # an opening past the spread misses directions by an angle of at most
-        # (e - spread) / sqrt(1 - e^2): by points within R times that
-        return max(float(np.linalg.norm(rnd.center - rec.entries[j].center)) + rnd.rho - R,
-                   0.0) + R * max(e - spread, 0.0) / math.sqrt(1.0 - e * e)
-
-    out = set()
-    for i, rnd in enumerate(rec.entries):
-        if shapes[i] is None or not (0 <= rnd.host < len(rec.hosts) and hosted[rnd.host]):
-            continue
-        excess = max(float(np.linalg.norm(rnd.center - rec.hosts[rnd.host])) + rnd.rho
-                     - rec.delta, 0.0) + cover_excess(i)
-        for k, (_, R, xi, e) in zip(rnd.pieces, shapes[i]):
-            slice_excess = _slice_excess(R, xi, e, chain.shifts[k - 1], rnd.rho, chain.order)
-            if excess + max(slice_excess, 0.0) <= tol:
-                out.add(k)
-    return out
+    miss = np.full(len(rounds), math.inf)
+    for i, (_, _, sh) in enumerate(rounds):
+        xis = np.array([s[2] for s in sh])
+        if np.linalg.norm(signed[:, None, :] - xis[None, :, :], axis=2).min(axis=1).max() \
+                <= 1e-12:
+            e = max(s[3] for s in sh)
+            miss[i] = radii[i] * max(e - spread, 0.0) / math.sqrt(1.0 - e * e)
+    cover = np.full(len(rounds), math.inf)  # the best earlier round's excess
+    for i in range(1, len(rounds)):
+        gap = np.linalg.norm(centers[:i] - centers[i], axis=1) + reach[i] - radii[:i]
+        cover[i] = np.min(np.maximum(gap, 0.0) + miss[:i])
+    seed = _ball_excess(chain.pieces[0], centers, reach)
+    if seed is None:
+        seed = np.full(len(rounds), math.inf)
+    host = _ball_excess(chain.target, centers, reach)
+    if host is None:
+        host = np.where(_ball_inside(chain.target, centers, reach), 0.0, math.inf)
+    ok = (seed <= tol) | (np.maximum(host, 0.0) + cover <= tol)
+    return {k for (start, stop, _), good in zip(rounds, ok) if good
+            for k in range(start, stop)}
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +617,8 @@ def _slice_pieces(center, rho, symdirs, eps0, r, clip_to):
 # ---------------------------------------------------------------------------
 
 def _ball_inside(dom, centers, delta):
-    """Whether the closed delta-ball at each center lies inside the domain."""
+    """Whether the closed delta-ball at each center lies inside the domain, by
+    probes on its sphere; ``delta`` is one radius or one per center."""
     centers = np.atleast_2d(centers)
     d = dom.dim
     if d == 2:
@@ -645,7 +633,9 @@ def _ball_inside(dom, centers, delta):
         idx = ok.nonzero()[0]
         if idx.size == 0:
             break
-        ok[idx] = dom.contains(geo._translate(np.take(centers, idx, axis=0), delta * u))
+        pts = np.take(centers, idx, axis=0)
+        ok[idx] = dom.contains(geo._translate(pts, delta * u) if np.isscalar(delta)
+                               else pts + delta[idx, None] * u)
     return ok
 
 
@@ -665,12 +655,7 @@ def lip2_ball_chain(dom, dirset, delta, r=1, seed=0):
     Checks the inner-ball property by sampling (failure names a witness
     point), covers the domain with overlapping inner balls ordered into a
     connected walk, and expands each link with directional ball slices so
-    that every shift direction comes from the given set.  The chain's
-    ``rounds`` records, per round of slices, the ball B(c, rho) they shift
-    into, the inner ball that holds it, and the seed piece or earlier round
-    that covers it: the walk's first ball at a new center lies in the last
-    ball at the previous one, and every other ball in the seed or in the
-    sigma-dilated ball of the round before.
+    that every shift direction comes from the given set.
     """
     _check_order(r)
     if not 0.0 < delta < math.inf:
@@ -762,57 +747,48 @@ def lip2_ball_chain(dom, dirset, delta, r=1, seed=0):
     pieces.append(PolytopeRep(A_h, b_h, np.vstack([corners.min(axis=0),
                                                    corners.max(axis=0)])))
 
-    rounds = []
-    last = {}  # center index -> its round at the full radius delta
-
-    def add_slices(center, rho, host, cover):
-        """One round; a ball inside the seed piece is covered by it."""
-        if not rounds or _seed_excess(pieces[0], center, rho) <= 0.0:
-            cover = "seed"
+    def add_slices(center, rho):
         ps, ss = _slice_pieces(center, rho, sym, eps0, r, dom)
-        rounds.append(SliceRound(np.asarray(center, dtype=float), rho,
-                                 tuple(range(len(pieces), len(pieces) + len(ps))), cover, host))
         pieces.extend(ps)
         shifts.extend(ss)
 
-    def grow(center, rho_from, rho_to, host):
+    def grow(center, rho_from, rho_to):
         rho = rho_from
         while rho < rho_to - 1e-12 * delta:
-            add_slices(center, rho, host, len(rounds) - 1)
+            add_slices(center, rho)
             rho = min(sigma * rho, rho_to)
 
-    def walk_ball(c_from, c_to, rho, host, cover):
+    def walk_ball(c_from, c_to, rho):
         step = 0.98 * (sigma - 1.0) * rho
         vec = c_to - c_from
         dist = float(np.linalg.norm(vec))
         n_steps = int(math.ceil(dist / step)) if dist > 0 else 0
         m = c_from
         for i in range(1, n_steps + 1):
-            add_slices(m, rho, host, cover if i == 1 else len(rounds) - 1)
+            add_slices(m, rho)
             m = c_from + vec * min(i * step / dist, 1.0)
+        return m
 
     # grow the seed ball to the full shell at the first center
-    grow(c0, eps0 * delta / d, delta, walk[0])
-    add_slices(c0, delta, walk[0], len(rounds) - 1)
-    last[walk[0]] = len(rounds) - 1
+    grow(c0, eps0 * delta / d, delta)
+    add_slices(c0, delta)
 
+    covered = {walk[0]}
     for prev, nxt in zip(walk[:-1], walk[1:]):
-        if nxt in last:
+        if nxt in covered:
             continue
         c_prev, c_next = centers[prev], centers[nxt]
         gap = float(np.linalg.norm(c_next - c_prev))
         rho0 = delta - 0.5 * gap
         if rho0 <= 0.05 * delta:
             raise PreconditionError("cover walk step too large for the overlap ball")
-        # B(m, rho0) at the midpoint lies in B(c_prev, delta), and every ball
-        # of the walk in the inner ball at c_next
-        walk_ball(0.5 * (c_prev + c_next), c_next, rho0, nxt, last[prev])
-        grow(c_next, rho0, delta, nxt)
-        add_slices(c_next, delta, nxt, len(rounds) - 1)
-        last[nxt] = len(rounds) - 1
+        m = 0.5 * (c_prev + c_next)
+        m = walk_ball(m, c_next, rho0)
+        grow(c_next, rho0, delta)
+        add_slices(c_next, delta)
+        covered.add(nxt)
 
-    return DecompositionChain(pieces, np.array(shifts), r, sym, "lip2", target=dom,
-                              rounds=SliceRounds(centers, delta, tuple(rounds)))
+    return DecompositionChain(pieces, np.array(shifts), r, sym, "lip2", target=dom)
 
 
 def _independent_subset(dirs, d):

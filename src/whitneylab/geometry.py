@@ -43,7 +43,6 @@ from .errors import PreconditionError
 MEMBERSHIP_SLACK = 1e-12
 BOUNDARY_TOL = 1e-8  # relative to bbox scale
 RAY_SAMPLES = 10_000
-VERTEX_BLOCK = 4096  # d-row subsystems per stacked solve in _polytope_vertices
 
 
 def _as_points(x, dim):
@@ -552,24 +551,18 @@ def _polytope_bbox(A, b):
 def _polytope_vertices(A, b):
     """The feasible solutions of every nonsingular d-row subsystem, deduped,
     in the order of ``itertools.combinations``; the subsystems go to one
-    stacked det and one stacked solve per block of VERTEX_BLOCK, which give
-    the bits of one call per subsystem."""
+    stacked det and one stacked solve, which give the bits of one call per
+    subsystem."""
     m, d = A.shape
     tol = 1e-9  # relative to the largest |b_i|, at least 1
     scale = max(1.0, float(np.max(np.abs(b))) if b.size else 1.0)
-    verts = []
-    subsets = itertools.combinations(range(m), d)
-    while True:
-        idx = np.array(list(itertools.islice(subsets, VERTEX_BLOCK)), dtype=np.intp)
-        if idx.size == 0:
-            break
-        sub = A[idx]
-        keep = ~(np.abs(np.linalg.det(sub)) < 1e-12)
-        v = np.linalg.solve(sub[keep], b[idx[keep]][:, :, None])[:, :, 0]
-        verts.extend(v[np.all(A @ v.T <= (b + tol * scale)[:, None], axis=0)])
-    if not verts:
+    idx = np.array(list(itertools.combinations(range(m), d)), dtype=np.intp).reshape(-1, d)
+    sub = A[idx]
+    keep = ~(np.abs(np.linalg.det(sub)) < 1e-12)
+    v = np.linalg.solve(sub[keep], b[idx[keep]][:, :, None])[:, :, 0]
+    verts = v[np.all(A @ v.T <= (b + tol * scale)[:, None], axis=0)]
+    if not len(verts):
         return np.zeros((0, d))
-    verts = np.array(verts)
     # dedupe
     keep = []
     for v in verts:

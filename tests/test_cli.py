@@ -141,19 +141,17 @@ class TestVerifyAndXray:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["ok"] is True
 
-    def test_lip2_method_is_construction_until_written(self, files, capsys):
-        # a built lip2 chain passes by its construction record; its file has
-        # no record, so verify-chain samples every piece
+    def test_lip2_chain_file_verifies_by_construction(self, files, capsys):
+        # the chain read back from its file has the slices of the built one,
+        # so verify-chain proves them and samples nothing
         out = files["tmp"] / "lip2.json"
         assert run(["decompose", "--domain", str(files["disk"]), "--method", "lip2",
                     "--dirs", str(files["axes"]), "--delta", "0.9", "--out", str(out)]) == 0
         built = json.loads(out.read_text())
         assert (built["verified"], built["method"]) == (True, "construction")
-        assert "rounds" not in built["chain"]
         assert run(["verify-chain", "--chain", str(out), "--density", "200"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert (payload["ok"], payload["method"]) == (True, "sampled")
-        assert payload["n_sampled"] == 200 * (built["n_pieces"] - 1)
+        assert (payload["ok"], payload["method"], payload["n_sampled"]) == (True, "construction", 0)
 
     def test_verify_bad_chain_exit2(self, files, capsys):
         code = run(["verify-chain", "--chain", str(files["badchain"]),

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -216,46 +215,67 @@ def _certified(chain):
     return dc._certified_pieces(chain, dc.VERIFY_TOL_REL * chain.target.scale())
 
 
-def _with(chain, shifts=None, rounds=None):
-    """A copy of ``chain`` with other shifts or another construction record."""
-    return DecompositionChain(chain.pieces, chain.shifts if shifts is None else shifts,
-                              chain.order, chain.dirset, chain.provenance, chain.target,
-                              rounds=chain.rounds if rounds is None else rounds)
+def _seeded(chain):
+    """The slices of the rounds whose ball B(c, reach) lies in the seed piece."""
+    rounds = dc._slice_rounds(chain)
+    centers = np.array([sh[0][0] for _, _, sh in rounds])
+    reach = np.array([max(dc._slice_reach(R, xi, e, chain.shifts[k - 1], chain.order)
+                          for k, (_, R, xi, e) in enumerate(sh, start))
+                      for start, _, sh in rounds])
+    inside = dc._ball_excess(chain.pieces[0], centers, reach) <= 0.0
+    return {k for (start, stop, _), ok in zip(rounds, inside) if ok for k in range(start, stop)}
 
 
-def _with_entry(chain, i, **changes):
-    rec = chain.rounds
-    entries = list(rec.entries)
-    entries[i] = dataclasses.replace(entries[i], **changes)
-    return _with(chain, rounds=dc.SliceRounds(rec.hosts, rec.delta, tuple(entries)))
+def _stray_pieces(chain, ks, n=100):
+    """The pieces among ``ks`` with a sampled point whose backward shifts
+    leave the earlier pieces."""
+    stray = []
+    for k in ks:
+        pts = dc._sample_in(chain.pieces[k], n, k)
+        prior = w.union(chain.pieces[:k])
+        if not all(prior.contains(pts - j * chain.shifts[k - 1]).all()
+                   for j in range(1, chain.order + 1)):
+            stray.append(k)
+    return stray
+
+
+def _with(chain, keep=None, shifts=None):
+    """A copy of ``chain`` with only the pieces ``keep`` or other shifts."""
+    keep = range(chain.n_pieces) if keep is None else keep
+    shifts = chain.shifts if shifts is None else shifts
+    return DecompositionChain([chain.pieces[k] for k in keep],
+                              np.array([shifts[k - 1] for k in keep[1:]]),
+                              chain.order, chain.dirset, chain.provenance, chain.target)
 
 
 class TestLip2Certificate:
-    def test_record_covers_every_slice_once(self, lip2_chains):
-        # 130 rounds of 4 slices on the stadium, 3 of them inside the seed square
+    def test_rounds_cover_every_slice_once(self, lip2_chains):
+        # 130 rounds of 4 slices on the stadium, the first 4 inside the seed square
         chain = lip2_chains["stadium"]
-        entries = chain.rounds.entries
-        assert (len(entries), {len(e.pieces) for e in entries}) == (130, {4})
-        assert [e.cover for e in entries].count("seed") == 3
-        assert sorted(k for e in entries for k in e.pieces) == list(range(1, chain.n_pieces))
-        assert all(e.cover == "seed" or e.cover < i for i, e in enumerate(entries))
-        assert "rounds" not in chain.spec()
+        rounds = dc._slice_rounds(chain)
+        assert (len(rounds), {len(sh) for _, _, sh in rounds}) == (130, {4})
+        assert [k for start, stop, _ in rounds for k in range(start, stop)] == \
+            list(range(1, chain.n_pieces))
+        assert _seeded(chain) == set(range(1, 17))
 
     @pytest.mark.parametrize("name", ["stadium", "ball"])
-    def test_certified_and_reloaded_runs_agree(self, lip2_chains, name):
+    def test_certified_reloaded_and_sampled_runs_agree(self, lip2_chains, name, monkeypatch):
         chain = lip2_chains[name]
         cert = verify_chain(chain, samples_per_piece=1000, seed=0)
         assert cert.ok and cert.method == "construction" and cert.n_sampled == 0
-        # a chain file carries no record: every piece is sampled, as before
+        # a chain read back from its file has slices of the same shape
         back = w.chain_from_spec(chain.spec())
-        assert back.rounds is None
-        res = verify_chain(back, samples_per_piece=1000, seed=0)
+        assert back.pieces[1].parts[1] is not back.target
+        assert verify_chain(back, samples_per_piece=1000, seed=0) == cert
+        # without the certificate every piece is sampled and passes as before
+        monkeypatch.setattr(dc, "_certified_pieces", lambda chain, tol: set())
+        res = verify_chain(chain, samples_per_piece=1000, seed=0)
         assert res.ok and res.method == "sampled", res.witnesses[:2]
         assert res.n_sampled == 1000 * (chain.n_pieces - 1)
         assert res.coverage_miss_rate == cert.coverage_miss_rate
 
     @pytest.mark.parametrize("r, worst", [(1, 0.910), (2, 0.946)])
-    def test_slice_bound_is_the_sampled_maximum(self, r, worst):
+    def test_slice_reach_is_the_sampled_maximum(self, r, worst):
         # the closed form bounds max |x - c - j h| / rho over a slice from
         # above, and the slice's corners, on its rim and its cone, attain it
         c, rho = np.array([0.5, -0.25]), 2.0
@@ -263,7 +283,7 @@ class TestLip2Certificate:
         pieces, shifts = dc._slice_pieces(c, rho, sym, eps0, r, w.ball(c, 10.0))
         for piece, h in zip(pieces, shifts):
             _, R, xi, e = dc._slice_shape(piece, piece.parts[1])
-            bound = (dc._slice_excess(R, xi, e, h, rho, r) + rho) / rho
+            bound = dc._slice_reach(R, xi, e, h, r) / rho
             pts = dc._sample_in(piece, 20_000, 3)
             corners = c + R * (e * xi + math.sqrt(1.0 - e * e) * np.outer([1, -1], [-xi[1], xi[0]]))
             assert piece.contains(corners).all()
@@ -275,17 +295,25 @@ class TestLip2Certificate:
             assert bound == pytest.approx(worst, abs=1e-3)
 
     def test_doubled_dilation_is_rejected(self, monkeypatch):
-        # sigma = 1 + eps0^2 / 2r: the slices reach past B(c, rho) after one shift
+        # sigma = 1 + eps0^2 / 2r: the slices reach past the ball that the
+        # next round's slices were sized to fill; what stays certified lands
         monkeypatch.setattr(dc, "_dilation", lambda eps0, r: 1.0 + eps0 * eps0 / (2.0 * r))
         chain = w.lip2_ball_chain(w.ball([0, 0], 2.0), E2, delta=1.0, r=1, seed=0)
-        assert _certified(chain) == set()
+        cert = _certified(chain)
+        assert _seeded(chain) < cert < set(range(1, chain.n_pieces))
+        assert _stray_pieces(chain, sorted(cert)) == []
         assert verify_chain(chain, samples_per_piece=20, seed=0,
                             check_coverage=False).method == "sampled"
 
     def test_quadrupled_shift_is_rejected(self, lip2_chains):
-        # at s = 0 the shifted apex sits 2 eps0 rho = 1.41 rho from c
-        chain = _with(lip2_chains["stadium"], shifts=4.0 * lip2_chains["stadium"].shifts)
-        assert _certified(chain) == set()
+        # at s = 0 the shifted apex sits 2 eps0 rho = 1.41 rho from c: only
+        # the small rounds of the walks still fit in an earlier round's ball
+        chain = lip2_chains["stadium"]
+        moved = _with(chain, shifts=4.0 * chain.shifts)
+        cert = _certified(moved)
+        assert _seeded(moved) < cert and len(cert) < chain.n_pieces // 4
+        assert _stray_pieces(moved, sorted(cert)) == []
+        assert len(_stray_pieces(moved, range(1, chain.n_pieces), n=50)) > chain.n_pieces // 3
 
     def test_opening_above_the_spread_is_rejected(self):
         # the slices of a round no longer reach the diagonals, so only the
@@ -294,24 +322,23 @@ class TestLip2Certificate:
         E.__dict__["spread"] = 1.05 * E2.spread
         chain = w.lip2_ball_chain(w.ball([0, 0], 2.0), E, delta=1.0, r=1, seed=0)
         assert chain.dirset.spread == E2.spread
-        seeded = {k for e in chain.rounds.entries if e.cover == "seed" for k in e.pieces}
-        assert seeded and _certified(chain) == seeded
+        assert _seeded(chain) and _certified(chain) == _seeded(chain)
 
-    def test_bad_cover_index_is_rejected(self, lip2_chains):
+    def test_round_missing_a_direction_covers_nothing(self, lip2_chains):
+        # one direction's slices taken out of every round: only the rounds
+        # inside the seed square keep their certificate
         chain = lip2_chains["stadium"]
-        entries = chain.rounds.entries
-        everything = set(range(1, chain.n_pieces))
-        assert _certified(chain) == everything
-        i = len(entries) // 2
-        later = _with_entry(chain, i, cover=i + 1)
-        assert _certified(later) == everything - set(entries[i].pieces)
-        # round 0 is the smallest ball, at the first center
-        far = max(range(1, len(entries)),
-                  key=lambda i: np.linalg.norm(entries[i].center - entries[0].center))
-        smaller = _with_entry(chain, far, cover=0)
-        assert _certified(smaller) == everything - set(entries[far].pieces)
-        assert verify_chain(smaller, samples_per_piece=20, seed=0,
+        gone = _with(chain, keep=[0] + [k for k in range(1, chain.n_pieces) if k % 4 != 1])
+        assert {len(sh) for _, _, sh in dc._slice_rounds(gone)} == {3}
+        assert _certified(gone) == _seeded(gone) == set(range(1, 13))
+        assert verify_chain(gone, samples_per_piece=20, seed=0,
                             check_coverage=False).method == "sampled"
+
+    def test_slices_of_another_domain_are_sampled(self, lip2_chains):
+        chain = lip2_chains["ball"]
+        wider = DecompositionChain(chain.pieces, chain.shifts, chain.order, chain.dirset,
+                                   chain.provenance, w.ball([0, 0], 2.5))
+        assert dc._slice_rounds(wider) == [] and _certified(wider) == set()
 
     def test_apex_in_the_domain_skips_the_emptiness_probe(self, monkeypatch):
         probed = []

@@ -308,9 +308,7 @@ def _vertices_one_subset_at_a_time(A, b):
 
 class TestPolytopeVertices:
     @pytest.mark.parametrize("d, k", [(2, 3), (2, 12), (3, 4), (3, 12)])
-    def test_stacked_solves_give_the_bits_of_one_solve_per_subset(self, monkeypatch, d, k):
-        # a block of 7 subsets makes the blocks end mid-stream
-        monkeypatch.setattr(w.geometry, "VERTEX_BLOCK", 7)
+    def test_stacked_solves_give_the_bits_of_one_solve_per_subset(self, d, k):
         rng = np.random.default_rng(10 * d + k)
         dirs = rng.standard_normal((k, d))
         A = np.vstack([dirs, -dirs, dirs[:1]])  # a repeated row: singular subsets
