@@ -168,11 +168,12 @@ def _plan(args, dom):
 
 
 def _verify(chain, seed, **kw):
-    """Run ``verify_chain`` on ``chain`` (without coverage); a failing chain is
-    a precondition failure that carries the witnesses."""
+    """Run ``verify_chain`` on ``chain`` (without coverage) and return its
+    method; a failing chain is a precondition failure that carries the witnesses."""
     res = decompose.verify_chain(chain, seed=seed, check_coverage=False, **kw)
     if not res.ok:
         raise PreconditionError("chain failed verification", witnesses=res.witnesses)
+    return res.method
 
 
 # One function per subcommand: each returns (exit code, payload fields, CSV
@@ -223,9 +224,9 @@ def _cmd_chain_bound(args):
     chain = _load_chain(args.chain)
     if args.skip_verify:
         chain.verified = True
+        verification = "skipped"
     else:
-        _verify(chain, args.seed, samples_per_piece=args.density)
-    verification = "skipped" if args.skip_verify else "sampled"
+        verification = _verify(chain, args.seed, samples_per_piece=args.density)
     bound = whitney.chain_upper_bound(chain, args.w0, p)
     if not args.out and args.format == "json":  # the bare value, and no payload
         if args.skip_verify:  # the bare value alone would read as verified

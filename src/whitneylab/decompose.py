@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy.optimize import linprog
+from scipy.spatial import ConvexHull
 
 from .errors import PreconditionError, SpanDeficiencyError
 from . import geometry as geo
@@ -112,13 +114,9 @@ def _sample_in(dom, n, seed, max_factor=60):
 
 
 def _candidate_order(k, r):
-    """Check the most recent pieces first, then the base, then the rest."""
-    recent = list(range(k - 1, max(-1, k - 2 - 2 * r), -1))
-    seen = set(recent)
-    order = recent + ([0] if 0 not in seen else [])
-    seen.add(0)
-    order.extend(j for j in range(k - 1, 0, -1) if j not in seen)
-    return order
+    """Check the 2r + 1 most recent pieces first, then the base, then the rest."""
+    lo = max(0, k - 1 - 2 * r)
+    return [*range(k - 1, lo - 1, -1), *([0] if lo > 0 else []), *range(lo - 1, 0, -1)]
 
 
 def verify_chain(chain, samples_per_piece=VERIFY_SAMPLES, seed=0, check_coverage=True):
@@ -233,17 +231,6 @@ def _slice_reach(R, xi, e, h, r):
     return float(np.max(np.maximum(far, j * math.sqrt(hh))))
 
 
-def _ball_excess(dom, centers, radii):
-    """Per row, how far B(centers[i], radii[i]) reaches out of a polytope or
-    a ball ``dom``; None for any other domain."""
-    match dom:
-        case PolytopeRep(A=A, b=b):
-            return np.max((centers @ A.T - b) / np.linalg.norm(A, axis=1), axis=1) + radii
-        case BallRep(center=c0, radius=R0):
-            return np.linalg.norm(centers - c0, axis=1) + radii - R0
-    return None
-
-
 def _slice_rounds(chain):
     """The rounds of ``chain``: [first piece, stop, shapes] per run of
     consecutive ``_slice_shape`` pieces about one centre with one radius."""
@@ -291,12 +278,12 @@ def _certified_pieces(chain, tol):
     for i in range(1, len(rounds)):
         gap = np.linalg.norm(centers[:i] - centers[i], axis=1) + reach[i] - radii[:i]
         cover[i] = np.min(np.maximum(gap, 0.0) + miss[:i])
-    seed = _ball_excess(chain.pieces[0], centers, reach)
-    if seed is None:
-        seed = np.full(len(rounds), math.inf)
-    host = _ball_excess(chain.target, centers, reach)
-    if host is None:
-        host = np.where(_ball_inside(chain.target, centers, reach), 0.0, math.inf)
+    # B(c, rho) lies in a domain with a signed distance sd iff sd(c) + rho <= 0
+    seed = chain.pieces[0].signed_distance(centers) + reach \
+        if hasattr(chain.pieces[0], "signed_distance") else np.full(len(rounds), math.inf)
+    host = chain.target.signed_distance(centers) + reach \
+        if hasattr(chain.target, "signed_distance") \
+        else np.where(_ball_inside(chain.target, centers, reach), 0.0, math.inf)
     ok = (seed <= tol) | (np.maximum(host, 0.0) + cover <= tol)
     return {k for (start, stop, _), good in zip(rounds, ok) if good
             for k in range(start, stop)}
@@ -316,6 +303,17 @@ def _stack_with_polytope(A, b, bbox, dom):
 
 def _piece_nonempty(piece, seed):
     return len(_sample_in(piece, 1, seed, max_factor=512)) > 0
+
+
+def _march(pieces, shifts, n, piece_at, shift, seed):
+    """Append piece_at(i) with ``shift`` for i = 1..n, up to the first piece
+    that ``_piece_nonempty`` at seed + i finds empty."""
+    for i in range(1, n + 1):
+        piece = piece_at(i)
+        if not _piece_nonempty(piece, seed=seed + i):
+            break
+        pieces.append(piece)
+        shifts.append(shift)
 
 
 def _perp_basis(xi):
@@ -410,12 +408,12 @@ def star_shaped_decomposition(dom, r, seed=0):
     delta = 0.999 * math.sqrt(3.0 * d + 1.0) / (2.0 * d * r)
     half = 1.0 / (2.0 * d)
 
-    plan_pts = _sample_in(dom, 4096, seed + 1)
+    # the plan measures extents only where no LP gives them
+    plan_pts = None if isinstance(dom, PolytopeRep) else _sample_in(dom, 4096, seed + 1)
     for xi in xis:
         U = _perp_basis(xi)
         # extent of the domain inside this cone's extruded box
-        if isinstance(dom, PolytopeRep):
-            from scipy.optimize import linprog
+        if plan_pts is None:
             A = np.vstack([U, -U, dom.A])
             b = np.concatenate([half * np.ones(2 * (d - 1)), dom.b])
             res = linprog(-xi, A_ub=A, b_ub=b, bounds=[(None, None)] * d, method="highs")
@@ -423,32 +421,20 @@ def star_shaped_decomposition(dom, r, seed=0):
         else:
             mask = np.all(np.abs(plan_pts @ U.T) <= half, axis=1)
             t_max = float(np.max(plan_pts[mask] @ xi, initial=0.0)) + delta
-        n_slab = int(math.ceil(max(t_max, 0.0) / delta))
-        for i in range(1, n_slab + 1):
-            A_slab = np.vstack([U, -U, xi[None, :], -xi[None, :]])
-            b_slab = np.concatenate([half * np.ones(2 * (d - 1)),
-                                     [i * delta, -(i - 1) * delta]])
-            corners = _box_corners_frame(U, xi, half, (i - 1) * delta, i * delta)
+        frame = np.vstack([U, xi])
+        A_slab = np.vstack([U, -U, xi[None, :], -xi[None, :]])
+
+        def slab(i):
+            b_slab = np.concatenate([half * np.ones(2 * (d - 1)), [i * delta, -(i - 1) * delta]])
+            corners = geo._bbox_corners(np.array([[-half] * (d - 1) + [(i - 1) * delta],
+                                                  [half] * (d - 1) + [i * delta]])) @ frame
             bbox = np.vstack([corners.min(axis=0), corners.max(axis=0)])
-            piece = _stack_with_polytope(A_slab, b_slab, bbox, dom)
-            if not _piece_nonempty(piece, seed=seed + i):
-                break
-            pieces.append(piece)
-            shifts.append(delta * xi)
+            return _stack_with_polytope(A_slab, b_slab, bbox, dom)
+
+        _march(pieces, shifts, int(math.ceil(max(t_max, 0.0) / delta)), slab, delta * xi, seed)
     chain = DecompositionChain(pieces, np.array(shifts), r,
                                direction_set(xis), "star_shaped", target=dom)
     return chain
-
-
-def _box_corners_frame(U, xi, half, t_lo, t_hi):
-    dm1 = U.shape[0]
-    corners = []
-    for k in range(1 << dm1):
-        y = np.array([half if (k >> i) & 1 else -half for i in range(dm1)])
-        base = y @ U
-        corners.append(base + t_lo * xi)
-        corners.append(base + t_hi * xi)
-    return np.array(corners)
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +503,6 @@ def planar_two_direction_chain(dom, r=1):
     # largest square centered on the chord line, axes (xi2, xi1), and the
     # domain's extents along both axes
     if poly:
-        from scipy.optimize import linprog
         A, bb = dom.A, dom.b
         a1 = A @ xi1
         a2 = A @ xi2
@@ -543,8 +528,7 @@ def planar_two_direction_chain(dom, r=1):
     def frame_poly(x2_lo, x2_hi, x1_lo, x1_hi):
         A = np.vstack([xi2, -xi2, xi1, -xi1])
         b_ = np.array([x2_hi, -x2_lo, x1_hi, -x1_lo])
-        corners = np.array([[lo2, lo1] for lo2 in (x2_lo, x2_hi) for lo1 in (x1_lo, x1_hi)])
-        pts = corners[:, 0][:, None] * xi2 + corners[:, 1][:, None] * xi1
+        pts = geo._bbox_corners(np.array([[x2_lo, x1_lo], [x2_hi, x1_hi]])) @ np.array([xi2, xi1])
         return PolytopeRep(A, b_, np.vstack([pts.min(axis=0), pts.max(axis=0)]))
 
     pieces = [frame_poly(x0 - w, x0 + w, y_c - w, y_c + w)]  # the square
@@ -553,18 +537,16 @@ def planar_two_direction_chain(dom, r=1):
 
     def add_slabs(lo_start, extent_hi, axis_vec, sign):
         """March slabs of thickness delta from lo_start towards extent_hi."""
-        n = int(math.ceil(max(extent_hi - lo_start, 0.0) / delta))
-        for i in range(1, n + 1):
+        def slab_at(i):
             t_lo = lo_start + (i - 1) * delta
             t_hi = lo_start + i * delta
             lo, hi = (t_lo, t_hi) if sign > 0 else (-t_hi, -t_lo)
             slab = (frame_poly(x0 - w, x0 + w, lo, hi) if axis_vec is xi1
                     else frame_poly(lo, hi, y_lo, y_hi))
-            piece = _stack_with_polytope(slab.A, slab.b, slab.bbox, dom)
-            if not _piece_nonempty(piece, seed=1 + i):
-                break
-            pieces.append(piece)
-            shifts.append(sign * delta * axis_vec)
+            return _stack_with_polytope(slab.A, slab.b, slab.bbox, dom)
+
+        _march(pieces, shifts, int(math.ceil(max(extent_hi - lo_start, 0.0) / delta)),
+               slab_at, sign * delta * axis_vec, 1)
 
     # vertical slabs over the chord strip, up then down (signed coordinates)
     add_slabs(y_c + w, y_hi, xi1, +1.0)
@@ -620,6 +602,7 @@ def _ball_inside(dom, centers, delta):
     """Whether the closed delta-ball at each center lies inside the domain, by
     probes on its sphere; ``delta`` is one radius or one per center."""
     centers = np.atleast_2d(centers)
+    delta = np.broadcast_to(delta, len(centers))
     d = dom.dim
     if d == 2:
         th = np.linspace(0.0, 2.0 * math.pi, 128, endpoint=False)
@@ -634,8 +617,8 @@ def _ball_inside(dom, centers, delta):
         if idx.size == 0:
             break
         pts = np.take(centers, idx, axis=0)
-        ok[idx] = dom.contains(geo._translate(pts, delta * u) if np.isscalar(delta)
-                               else pts + delta[idx, None] * u)
+        # the (d, n) product keeps numpy's inner loop on the long axis
+        ok[idx] = dom.contains(pts + (delta[idx] * u[:, None]).T)
     return ok
 
 
@@ -705,29 +688,13 @@ def lip2_ball_chain(dom, dirset, delta, r=1, seed=0):
         if np.linalg.norm(centers - feas[j], axis=1).min() > 1e-9 * delta:
             centers = np.vstack([centers, feas[j]])
 
-    # depth-first walk with explicit backtracking (pieces may repeat) over the
-    # cover graph at the first threshold that connects it
-    n = len(centers)
+    # depth-first order over the cover graph at the first threshold that
+    # connects it; each centre is reached from its parent in the search
     for threshold in (0.95 * delta, 1.3 * delta, 1.9 * delta):
         adj = np.linalg.norm(centers[:, None, :] - centers[None, :, :], axis=2) <= threshold
         np.fill_diagonal(adj, False)
-        walk = [0]
-        visited = {0}
-        dfs_stack = [(0, iter(np.nonzero(adj[0])[0]))]
-        while dfs_stack:
-            u, neighbors = dfs_stack[-1]
-            for v in neighbors:
-                v = int(v)
-                if v not in visited:
-                    visited.add(v)
-                    walk.append(v)
-                    dfs_stack.append((v, iter(np.nonzero(adj[v])[0])))
-                    break
-            else:
-                dfs_stack.pop()
-                if dfs_stack:
-                    walk.append(dfs_stack[-1][0])
-        if len(visited) == n:
+        order, pred = _depth_first(adj)
+        if len(order) == len(centers):
             break
     else:
         raise PreconditionError("disconnected cover graph at the requested radius")
@@ -736,7 +703,7 @@ def lip2_ball_chain(dom, dirset, delta, r=1, seed=0):
     shifts = []
 
     # seed: parallelepiped spanned by d independent directions at the first center
-    c0 = centers[walk[0]]
+    c0 = centers[0]
     frame = _independent_subset(dirset.dirs, d)
     Binv = np.linalg.inv(frame.T)
     A_h = np.vstack([Binv, -Binv])
@@ -773,11 +740,8 @@ def lip2_ball_chain(dom, dirset, delta, r=1, seed=0):
     grow(c0, eps0 * delta / d, delta)
     add_slices(c0, delta)
 
-    covered = {walk[0]}
-    for prev, nxt in zip(walk[:-1], walk[1:]):
-        if nxt in covered:
-            continue
-        c_prev, c_next = centers[prev], centers[nxt]
+    for v in order[1:]:
+        c_prev, c_next = centers[pred[v]], centers[v]
         gap = float(np.linalg.norm(c_next - c_prev))
         rho0 = delta - 0.5 * gap
         if rho0 <= 0.05 * delta:
@@ -786,9 +750,21 @@ def lip2_ball_chain(dom, dirset, delta, r=1, seed=0):
         m = walk_ball(m, c_next, rho0)
         grow(c_next, rho0, delta)
         add_slices(c_next, delta)
-        covered.add(nxt)
 
     return DecompositionChain(pieces, np.array(shifts), r, sym, "lip2", target=dom)
+
+
+def _depth_first(adj):
+    """The depth-first preorder of the graph ``adj`` from vertex 0, neighbours
+    in index order, and the vertex each one was reached from (0 from 0)."""
+    order, pred, stack = [], {}, [(0, 0)]
+    while stack:
+        v, u = stack.pop()
+        if v not in pred:
+            order.append(v)
+            pred[v] = u
+            stack.extend((w, v) for w in np.flatnonzero(adj[v])[::-1].tolist())
+    return order, pred
 
 
 def _independent_subset(dirs, d):
@@ -821,7 +797,6 @@ def _minkowski_segment(base, e, t1, t2, clip_dom):
     """(base + [-t2, -t1] e) clipped to ``clip_dom``, as a representable domain."""
     d = base.dim
     if isinstance(base, PolytopeRep):
-        from scipy.spatial import ConvexHull
         verts = base.vertices
         pts = np.vstack([verts - t1 * e, verts - t2 * e])
         eq = ConvexHull(pts).equations  # one row per triangle of a facet
@@ -905,13 +880,7 @@ def xray_slab_decomposition(dom, dirset, n0=1, r=1, seed=0):
     pieces = [S1]
     shifts = []
     for e in sym.dirs:
-        max_j = int(math.ceil(diam / delta)) + 2
-        for j in range(1, max_j + 1):
-            t1 = (r + j - 1) * delta
-            t2 = (r + j) * delta
-            piece = _minkowski_segment(S0, e, t1, t2, dom)
-            if not _piece_nonempty(piece, seed=seed + j):
-                break
-            pieces.append(piece)
-            shifts.append(-delta * e)
+        _march(pieces, shifts, int(math.ceil(diam / delta)) + 2,
+               lambda j: _minkowski_segment(S0, e, (r + j - 1) * delta, (r + j) * delta, dom),
+               -delta * e, seed)
     return DecompositionChain(pieces, np.array(shifts), r, sym, "xray", target=dom)

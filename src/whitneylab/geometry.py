@@ -37,6 +37,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.spatial import ConvexHull, QhullError
 
 from .errors import PreconditionError
 
@@ -560,16 +561,16 @@ def _polytope_vertices(A, b):
     sub = A[idx]
     keep = ~(np.abs(np.linalg.det(sub)) < 1e-12)
     v = np.linalg.solve(sub[keep], b[idx[keep]][:, :, None])[:, :, 0]
-    verts = v[np.all(A @ v.T <= (b + tol * scale)[:, None], axis=0)]
-    if not len(verts):
-        return np.zeros((0, d))
-    # dedupe
+    return _dedupe(v[np.all(A @ v.T <= (b + tol * scale)[:, None], axis=0)], tol * scale)
+
+
+def _dedupe(rows, tol):
+    """In order, the rows at distance ``tol`` or more from every row kept before."""
     keep = []
-    for v in verts:
-        if not any(np.linalg.norm(v - verts[k]) < tol * scale for k in keep):
-            keep.append(len(keep))
-            verts[len(keep) - 1] = v
-    return verts[: len(keep)]
+    for v in rows:
+        if not any(np.linalg.norm(v - w) < tol for w in keep):
+            keep.append(v)
+    return np.array(keep).reshape(-1, rows.shape[1])
 
 
 # ---------------------------------------------------------------------------
@@ -630,12 +631,7 @@ class DirectionSet:
 
     def symmetrized(self):
         """The set closed under negation, with duplicates removed."""
-        allv = np.vstack([self.dirs, -self.dirs])
-        keep = []
-        for v in allv:
-            if not any(np.linalg.norm(v - w) < 1e-12 for w in keep):
-                keep.append(v)
-        return direction_set(np.array(keep))
+        return direction_set(_dedupe(np.vstack([self.dirs, -self.dirs]), 1e-12))
 
     def spec(self):
         return {"dirs": self.dirs.tolist()}
@@ -807,9 +803,8 @@ def diameter(dom, plan=None):
 def _max_pairwise(pts):
     if len(pts) > 64 and pts.shape[1] in (2, 3):
         try:
-            from scipy.spatial import ConvexHull
             pts = pts[ConvexHull(pts).vertices]
-        except Exception:
+        except QhullError:  # a degenerate set, such as collinear points
             pass
     best = 0.0
     chunk = 512

@@ -37,7 +37,8 @@ import numpy as np
 
 from .errors import PreconditionError
 from .geometry import _translate
-from .polyspace import _exponent_index, monomial_exponents, monomial_matrix
+from .polyspace import (_exponent_index, derivative_lowerings, monomial_exponents,
+                        monomial_matrix)
 
 N_SHIFT_DEFAULT = 64
 MIN_VALID_POINTS = 8
@@ -105,15 +106,7 @@ class PolynomialFunction(SampledFunction):
         np.add.at(coeffs[:, 0], [row[tuple(a)] for a in exps.tolist()], self.coeffs)
         # D_xi takes each frame row to the rows one exponent lower, so
         # c_k = D_xi c_{k-1} / k needs no dense matrix
-        lowerings = []
-        for axis, x in enumerate(np.asarray(xi, dtype=float).ravel()):
-            src = np.flatnonzero(frame[:, axis] > 0)
-            if x == 0.0 or src.size == 0:
-                continue
-            lowered = frame[src]
-            lowered[:, axis] -= 1
-            lowerings.append((src, [row[tuple(a)] for a in lowered.tolist()],
-                              x * frame[src, axis]))
+        lowerings = derivative_lowerings(frame, xi)
         for k in range(1, deg + 1):
             for src, dst, scale in lowerings:
                 coeffs[dst, k] += scale * coeffs[src, k - 1] / k

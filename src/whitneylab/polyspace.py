@@ -40,29 +40,26 @@ def _exponent_index(exponents):
     return {tuple(a): i for i, a in enumerate(exponents)}
 
 
-def differentiation_matrix(exponents, axis):
-    """Matrix of d/dx_axis on the monomial frame (frame is closed downward)."""
-    idx = _exponent_index(exponents)
-    n = len(exponents)
-    D = np.zeros((n, n))
-    for j, a in enumerate(exponents):
-        if a[axis] == 0:
+def derivative_lowerings(frame, xi):
+    """D_xi on a monomial frame closed downward: per axis with xi_axis != 0,
+    (src, dst, scale) with D_xi sending row src[i] to scale[i] times row dst[i]."""
+    row = _exponent_index(frame.tolist())
+    out = []
+    for axis, x in enumerate(np.asarray(xi, dtype=float).ravel()):
+        src = np.flatnonzero(frame[:, axis] > 0)
+        if x == 0.0 or src.size == 0:
             continue
-        target = list(a)
-        target[axis] -= 1
-        i = idx.get(tuple(target))
-        if i is None:
-            raise PreconditionError("exponent list is not closed under differentiation")
-        D[i, j] = a[axis]
-    return D
+        lowered = frame[src]
+        lowered[:, axis] -= 1
+        out.append((src, [row[tuple(a)] for a in lowered.tolist()], x * frame[src, axis]))
+    return out
 
 
 def directional_derivative_matrix(exponents, xi):
-    xi = np.asarray(xi, dtype=float).ravel()
+    """D_xi as a dense matrix; the axes lower a monomial to distinct rows."""
     D = np.zeros((len(exponents), len(exponents)))
-    for axis in range(xi.size):
-        if xi[axis] != 0.0:
-            D += xi[axis] * differentiation_matrix(exponents, axis)
+    for src, dst, scale in derivative_lowerings(exponents, xi):
+        D[dst, src] = scale
     return D
 
 

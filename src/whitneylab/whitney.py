@@ -65,7 +65,7 @@ class WhitneyEstimate:
 
 def _family_functions(kind, dim, r, budget, seed, basis):
     """(function, spec) pairs: random polynomials of degree d (r - 1) + 3, or
-    flat-space basis elements with noise on their coefficients."""
+    flat-space basis elements with noise on their coefficients (one stream)."""
     if kind == "random_poly":
         degree = dim * (r - 1) + 3
         for k in range(budget):
@@ -73,11 +73,11 @@ def _family_functions(kind, dim, r, budget, seed, basis):
                    {"kind": "random_poly", "degree": degree, "seed": seed + k})
     elif kind == "perturbed_basis":
         rng = np.random.default_rng(seed)
-        for k in range(budget):
+        for _ in range(budget):
             row = rng.integers(0, basis.n_basis)
             coeffs = basis.coeffs[row] + 0.3 * rng.standard_normal(len(basis.exponents))
-            yield (PolynomialFunction(basis.exponents, coeffs),
-                   {"kind": "perturbed_basis", "row": int(row), "seed": seed + k})
+            f = PolynomialFunction(basis.exponents, coeffs)
+            yield f, f.spec()
     else:
         raise PreconditionError(f"unknown family kind {kind!r}")
 

@@ -205,3 +205,12 @@ def test_no_src_module_reads_a_rep_attribute():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Attribute) and node.attr == "rep"]
     assert not reads, f"reads of .rep: {reads}"
+
+
+def test_no_src_function_imports():
+    # every import sits at a module's top, where a reader looks for what it loads
+    inner = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+             for fn in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+             for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not inner, f"imports inside functions: {sorted(set(inner))}"

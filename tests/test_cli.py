@@ -103,6 +103,41 @@ class TestChainBound:
         assert row.split(",")[-1] == label
 
 
+    @pytest.mark.parametrize("method, extra, skip, label", [
+        ("lip2", ["--delta", "0.9"], False, "construction"),
+        ("planar", [], False, "sampled"),
+        ("lip2", ["--delta", "0.9"], True, "skipped"),
+    ])
+    def test_reports_how_a_built_chain_was_verified(self, files, method, extra, skip, label):
+        chain = files["tmp"] / "built.json"
+        assert run(["decompose", "--domain", str(files["disk"]), "--method", method,
+                    "--dirs", str(files["axes"]), *extra, "--out", str(chain)]) == 0
+        argv = ["chain-bound", "--chain", str(chain), "--w0", "1", "--p", "inf",
+                "--density", "500"] + (["--skip-verify"] if skip else [])
+        out = files["tmp"] / "bound.json"
+        assert run(argv + ["--out", str(out)]) == 0
+        assert json.loads(out.read_text())["verification"] == label
+        csv_out = files["tmp"] / "bound.csv"
+        assert run(argv + ["--out", str(csv_out), "--format", "csv"]) == 0
+        assert csv_out.read_text().splitlines()[1].split(",")[-1] == label
+
+
+class TestWhitneyEstimateCommand:
+    def test_perturbed_basis_witness_replays(self, files):
+        out = files["tmp"] / "estimate.json"
+        argv = ["whitney-estimate", "--domain", str(files["square"]), "--dirs",
+                str(files["axes"]), "--order", "2", "--family", "perturbed_basis",
+                "--budget", "6", "--density", "512", "--seed", "7", "--out", str(out)]
+        assert run(argv) == 0
+        witness = json.loads(out.read_text())["witness"]
+        f = w.function_from_spec(witness["function"], 2)
+        dom = w.domain_from_spec(json.loads(files["square"].read_text()))
+        dirs = w.direction_set([[1, 0], [0, 1]])
+        ratio = w.whitney_ratio(f, dom, w.sample_plan(dom, 512, seed=7), dirs,
+                                w.build_basis(2, 2, dirs), 2, math.inf)
+        assert ratio == pytest.approx(witness["ratio"], rel=1e-12)
+
+
 class TestCounterexampleCommand:
     def test_csv_monotone_floor(self, files, capsys):
         out = files["tmp"] / "cert.csv"

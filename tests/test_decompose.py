@@ -222,7 +222,7 @@ def _seeded(chain):
     reach = np.array([max(dc._slice_reach(R, xi, e, chain.shifts[k - 1], chain.order)
                           for k, (_, R, xi, e) in enumerate(sh, start))
                       for start, _, sh in rounds])
-    inside = dc._ball_excess(chain.pieces[0], centers, reach) <= 0.0
+    inside = chain.pieces[0].signed_distance(centers) + reach <= 0.0
     return {k for (start, stop, _), ok in zip(rounds, inside) if ok for k in range(start, stop)}
 
 
@@ -543,3 +543,61 @@ class TestSlabThickness:
     def test_origin_outside_the_shrink_gives_zero(self):
         off = w.box([0.5, 0.5], [1.5, 1.5])
         assert dc._slab_thickness(off, 2 / 3, 0.8, 1, 2.0) == 0.0
+
+
+def _walk_links(adj):
+    """The reference for ``_depth_first``: the (prev, next) links of a walk
+    with explicit backtracking, a centre linked where it first appears, and
+    whether the walk reached every centre."""
+    walk, visited = [0], {0}
+    stack = [(0, iter(np.nonzero(adj[0])[0]))]
+    while stack:
+        u, neighbors = stack[-1]
+        for v in neighbors:
+            v = int(v)
+            if v not in visited:
+                visited.add(v)
+                walk.append(v)
+                stack.append((v, iter(np.nonzero(adj[v])[0])))
+                break
+        else:
+            stack.pop()
+            if stack:
+                walk.append(stack[-1][0])
+    links, covered = [], {0}
+    for prev, nxt in zip(walk[:-1], walk[1:]):
+        if nxt not in covered:
+            links.append((prev, nxt))
+            covered.add(nxt)
+    return links, len(visited) == len(adj)
+
+
+def _candidate_order_by_sets(k, r):
+    """The reference for ``_candidate_order``'s closed form, built with sets."""
+    recent = list(range(k - 1, max(-1, k - 2 - 2 * r), -1))
+    seen = set(recent)
+    order = recent + ([0] if 0 not in seen else [])
+    seen.add(0)
+    order.extend(j for j in range(k - 1, 0, -1) if j not in seen)
+    return order
+
+
+class TestReferenceCopies:
+    def test_depth_first_order_links_as_the_walk(self):
+        rng = np.random.default_rng(0)
+        connected = 0
+        for _ in range(300):
+            pts = rng.random((int(rng.integers(1, 60)), 2))
+            adj = np.linalg.norm(pts[:, None] - pts[None], axis=2) <= rng.uniform(0.05, 0.5)
+            np.fill_diagonal(adj, False)
+            order, pred = dc._depth_first(adj)
+            links, reached = _walk_links(adj)
+            assert [(pred[v], v) for v in order[1:]] == links
+            assert (len(order) == len(adj)) == reached
+            connected += reached
+        assert 30 < connected < 270  # both verdicts occur
+
+    def test_candidate_order_closed_form(self):
+        for r in range(1, 6):
+            for k in range(1, 700):
+                assert dc._candidate_order(k, r) == _candidate_order_by_sets(k, r)

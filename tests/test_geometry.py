@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull, QhullError
 
 import whitneylab as w
 from whitneylab.errors import PreconditionError
@@ -82,6 +83,14 @@ class TestDiameter:
         res = w.diameter(dom, plan)
         assert res.approximate
         assert 3.6 < res.value <= 4.0  # true diameter 4, sampled from below
+
+    def test_collinear_points_take_the_pairwise_fallback(self):
+        # more than 64 points: the hull is tried first, and Qhull rejects a flat set
+        x = np.random.default_rng(0).permutation(100).astype(float)
+        pts = np.column_stack([x, 2.0 * x])
+        with pytest.raises(QhullError):
+            ConvexHull(pts)
+        assert w.geometry._max_pairwise(pts) == math.sqrt(99.0 ** 2 + 198.0 ** 2)
 
 
 class TestInscribedBall:

@@ -25,7 +25,33 @@ def _power_derivative(poly, xi, r, exponents):
     return np.linalg.matrix_power(directional_derivative_matrix(exponents, xi), r) @ poly
 
 
+def _summed_axis_matrices(exponents, xi):
+    """The reference for ``directional_derivative_matrix``: the sum over axes
+    of xi_axis times the matrix of d/dx_axis."""
+    idx = {tuple(a): i for i, a in enumerate(exponents.tolist())}
+    D = np.zeros((len(exponents), len(exponents)))
+    for axis in range(xi.size):
+        if xi[axis] != 0.0:
+            Da = np.zeros_like(D)
+            for j, a in enumerate(exponents.tolist()):
+                if a[axis]:
+                    Da[idx[tuple(a[:axis] + [a[axis] - 1] + a[axis + 1:])], j] = a[axis]
+            D += xi[axis] * Da
+    return D
+
+
 class TestDirectionalPowerDerivative:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_lowering_table_keeps_the_summed_bits(self, d):
+        rng = np.random.default_rng(d)
+        xis = [rng.standard_normal(d) for _ in range(8)] + list(np.eye(d)) + list(-np.eye(d))
+        for deg in range(7):
+            exps = monomial_exponents(d, deg)
+            for xi in xis:
+                want = _summed_axis_matrices(exps, xi)
+                got = directional_derivative_matrix(exps, xi)
+                assert got.tobytes() == want.tobytes()
+
     def test_x_squared_along_axis(self):
         exps = monomial_exponents(1, 2)
         out = _power_derivative(_unit_vec(exps, (2,)), [1.0], 2, exps)
