@@ -168,11 +168,13 @@ def _plan(args, dom):
 
 
 def _verify(chain, seed, **kw):
-    """Run ``verify_chain`` on ``chain`` (without coverage) and return its
-    method; a failing chain is a precondition failure that carries the witnesses."""
-    res = decompose.verify_chain(chain, seed=seed, check_coverage=False, **kw)
+    """Run ``verify_chain`` on ``chain`` and return its method; a failing
+    chain, or one that misses its target, is a precondition failure."""
+    res = decompose.verify_chain(chain, seed=seed, **kw)
     if not res.ok:
         raise PreconditionError("chain failed verification", witnesses=res.witnesses)
+    if not chain.verified:
+        raise PreconditionError(f"chain misses {res.coverage_miss_rate:.4g} of its target")
     return res.method
 
 
@@ -258,17 +260,17 @@ def _cmd_decompose(args):
         chain = decompose.xray_slab_decomposition(dom, dirs, n0=args.n0,
                                                   r=args.order, seed=seed)
     res = decompose.verify_chain(chain, seed=seed)
-    return (0, {"n_pieces": chain.n_pieces, "verified": res.ok, "method": res.method,
+    return (0, {"n_pieces": chain.n_pieces, "verified": chain.verified, "method": res.method,
                 "worst_violation": res.worst_violation,
                 "coverage_miss_rate": res.coverage_miss_rate, "chain": chain.spec()},
             ["n_pieces", "verified", "worst_violation"],
-            [[chain.n_pieces, res.ok, res.worst_violation]])
+            [[chain.n_pieces, chain.verified, res.worst_violation]])
 
 
 def _cmd_verify_chain(args):
-    res = decompose.verify_chain(_load_chain(args.chain), samples_per_piece=args.density,
-                                 seed=args.seed)
-    return (0 if res.ok else 2,
+    chain = _load_chain(args.chain)
+    res = decompose.verify_chain(chain, samples_per_piece=args.density, seed=args.seed)
+    return (0 if chain.verified else 2,
             {"ok": res.ok, "method": res.method, "worst_violation": res.worst_violation,
              "witnesses": res.witnesses, "n_sampled": res.n_sampled,
              "coverage_miss_rate": res.coverage_miss_rate},
@@ -338,7 +340,7 @@ def _cmd_report(args):
             if chain is not None and chain.order == r:
                 upper = whitney.chain_upper_bound(chain, args.w0, p).value
                 est.attach_upper_bound(upper)
-                w0_note = f"w0={_fmt(args.w0)}"
+                w0_note = f"w0={_fmt(args.w0)}" + (" contradicted" if est.inconsistent else "")
             rows.append([dom_id, e_id, r, p_text, est.lower_bound, upper, w0_note,
                          json.dumps(est.witness["function"], sort_keys=True)])
     header = ["domain_id", "E_id", "r", "p", "lower_bound", "upper_bound",

@@ -119,19 +119,16 @@ def _candidate_order(k, r):
     return [*range(k - 1, lo - 1, -1), *([0] if lo > 0 else []), *range(lo - 1, 0, -1)]
 
 
-def verify_chain(chain, samples_per_piece=VERIFY_SAMPLES, seed=0, check_coverage=True):
+def verify_chain(chain, samples_per_piece=VERIFY_SAMPLES, seed=0):
     """Check that each piece's backward shifts land in the prior union.
 
     A ball slice that ``_certified_pieces`` proves is not sampled; every other
-    piece is, and ``method`` says which way the chain passed.  That proof
-    rests on one premise it cannot get in closed form for every target: each
-    ball B(c, rho) it shifts into lies in the target.  It is exact for a
-    polytope or ball target and otherwise as strong as ``_ball_inside``'s
-    probes, the test the lip2 builder accepts its inner balls by, so a notch
-    thinner than the probe spacing passes both.  A sampled piece with no
-    sample fails the check unless its bounding box is flat, which proves it
-    empty (``intersection`` of disjoint parts gives one).  Coverage of the
-    target is always sampled."""
+    piece is, and ``method`` says which way the chain passed.  A sampled piece
+    with no sample fails unless its bounding box is flat, which proves it
+    empty (``intersection`` of disjoint parts gives one); a sampled point that
+    misses counts by the prior union's signed distance.  Coverage of the
+    target is sampled.  ``ok`` is the shift condition, and ``chain.verified``
+    needs the coverage too."""
     scale = chain.target.scale() if chain.target is not None else \
         max(p.scale() for p in chain.pieces)
     tol = VERIFY_TOL_REL * scale
@@ -161,7 +158,7 @@ def verify_chain(chain, samples_per_piece=VERIFY_SAMPLES, seed=0, check_coverage
             shifted = geo._translate(pts, -j * h)
             inside = prior.member(shifted, slack)
             if not inside.all():
-                dists = prior.violation(shifted[~inside])
+                dists = prior.signed_distance(shifted[~inside])
                 real = dists > tol
                 if real.any():
                     worst = max(worst, float(dists.max()))
@@ -171,7 +168,7 @@ def verify_chain(chain, samples_per_piece=VERIFY_SAMPLES, seed=0, check_coverage
                                               "point": x.tolist(),
                                               "violation": float(dval)})
     cov_ok = miss_rate = None
-    if check_coverage and chain.target is not None:
+    if chain.target is not None:
         tpts = _sample_in(chain.target, COVERAGE_SAMPLES, seed + 9999)
         if len(tpts):
             cover = UnionRep(tuple(chain.pieces[::-1]))
@@ -181,7 +178,7 @@ def verify_chain(chain, samples_per_piece=VERIFY_SAMPLES, seed=0, check_coverage
             miss_rate = float(1.0 - inside.mean())
             cov_ok = miss_rate <= COVERAGE_MISS_MAX
     ok = worst == 0.0 and not unsampled  # witnesses are capped, failures are not
-    chain.verified = ok
+    chain.verified = ok and cov_ok is not False
     method = "construction" if certified and len(certified) == chain.n_pieces - 1 \
         else "sampled"
     return VerifyResult(ok, worst, witnesses, n_sampled, cov_ok, miss_rate, method)
@@ -251,8 +248,8 @@ def _slice_rounds(chain):
 def _certified_pieces(chain, tol):
     """The ball slices whose backward shifts provably land in earlier pieces
     (see above); empty for a chain without a target or without slices.
-    Whether B(c, rho) lies in the target is exact for a polytope or a ball
-    and decided by ``_ball_inside``'s probes otherwise."""
+    Whether B(c, rho) lies in the seed or the target is read off their
+    signed distances, for the target through ``_ball_excess``."""
     rounds = _slice_rounds(chain) if chain.target is not None else []
     if not rounds:
         return set()
@@ -278,15 +275,30 @@ def _certified_pieces(chain, tol):
     for i in range(1, len(rounds)):
         gap = np.linalg.norm(centers[:i] - centers[i], axis=1) + reach[i] - radii[:i]
         cover[i] = np.min(np.maximum(gap, 0.0) + miss[:i])
-    # B(c, rho) lies in a domain with a signed distance sd iff sd(c) + rho <= 0
-    seed = chain.pieces[0].signed_distance(centers) + reach \
-        if hasattr(chain.pieces[0], "signed_distance") else np.full(len(rounds), math.inf)
-    host = chain.target.signed_distance(centers) + reach \
-        if hasattr(chain.target, "signed_distance") \
-        else np.where(_ball_inside(chain.target, centers, reach), 0.0, math.inf)
+    seed = chain.pieces[0].signed_distance(centers) + reach
+    host = _ball_excess(chain.target, centers, reach)
     ok = (seed <= tol) | (np.maximum(host, 0.0) + cover <= tol)
     return {k for (start, stop, _), good in zip(rounds, ok) if good
             for k in range(start, stop)}
+
+
+def _ball_excess(dom, centers, radii):
+    """Per ball B(c, rho), sd(c) + rho for ``dom``'s signed distance sd, or 0
+    where a grid proves the ball inside: the cells of side s = rho / 25 about
+    the grid points y within rho + h of c, h = s sqrt(d) / 2, cover the ball,
+    and each lies in B(y, h), inside when sd(y) <= -h."""
+    excess = dom.signed_distance(centers) + radii
+    d = centers.shape[1]
+    if d > 3:  # the grid's 51^d points would outgrow memory
+        return excess
+    half = math.sqrt(d) / 2.0  # h / s, below 1, so no grid point has |k_i| > 25
+    unit = np.stack(np.meshgrid(*[np.arange(-25.0, 26.0)] * d), axis=-1).reshape(-1, d)
+    unit = unit[np.linalg.norm(unit, axis=1) <= 25.0 + half]
+    for i in np.flatnonzero(excess > 0.0):
+        s = radii[i] / 25.0
+        if np.all(dom.signed_distance(geo._translate(s * unit, centers[i])) <= -s * half):
+            excess[i] = 0.0
+    return excess
 
 
 # ---------------------------------------------------------------------------
@@ -600,9 +612,8 @@ def _slice_pieces(center, rho, symdirs, eps0, r, clip_to):
 
 def _ball_inside(dom, centers, delta):
     """Whether the closed delta-ball at each center lies inside the domain, by
-    probes on its sphere; ``delta`` is one radius or one per center."""
-    centers = np.atleast_2d(centers)
-    delta = np.broadcast_to(delta, len(centers))
+    probes on its sphere: the lip2 builder's filter of candidate centres,
+    which a notch thinner than the probe spacing passes."""
     d = dom.dim
     if d == 2:
         th = np.linspace(0.0, 2.0 * math.pi, 128, endpoint=False)
@@ -616,9 +627,7 @@ def _ball_inside(dom, centers, delta):
         idx = ok.nonzero()[0]
         if idx.size == 0:
             break
-        pts = np.take(centers, idx, axis=0)
-        # the (d, n) product keeps numpy's inner loop on the long axis
-        ok[idx] = dom.contains(pts + (delta[idx] * u[:, None]).T)
+        ok[idx] = dom.contains(geo._translate(np.take(centers, idx, axis=0), delta * u))
     return ok
 
 

@@ -63,14 +63,15 @@ def _as_points(x, dim):
 # ---------------------------------------------------------------------------
 # Each of the six representations below is a ``Domain`` and defines
 # member(pts, slack) (coordinate-major, as the module docstring says),
-# violation(pts) (a lower bound of the distance to the set, 0 on members;
-# derived from signed_distance where there is one), spec() and bbox (a field
-# on polytopes, whose box costs LPs or is known to the caller; derived on
-# first read elsewhere).  Where it has exact answers it defines vertices,
-# diameter(), signed_distance(pts), boundary(x, tol) -> (flag, outward normals
-# or None), anchor() (an interior point) and, for convex sets,
-# _exit(pts, xi, slack): per member point x, the largest u >= 0 with x + u xi
-# a member within ``slack``; None means none.  Domain answers the queries.
+# signed_distance(pts) (exact on polytopes and balls, else off to the safe side:
+# on members at least the true value, so -sd(y) >= h puts B(y, h) in the set,
+# elsewhere at most the distance to the set), spec() and bbox (a field on
+# polytopes, whose box costs LPs or is known to the caller; derived on first
+# read elsewhere).  Where it has exact answers it defines vertices, diameter(),
+# boundary(x, tol) -> (flag, outward normals or None), anchor() (an interior
+# point) and, for convex sets, _exit(pts, xi, slack): per member point x, the
+# largest u >= 0 with x + u xi a member within ``slack``; None means none.
+# Domain answers the queries.
 
 def _translate(pts, v):
     """pts + v for an (n, d) batch and a (d,) offset, column by column: the
@@ -151,9 +152,6 @@ class Domain:
 
     def _exit(self, pts, xi, slack):
         return None
-
-    def violation(self, pts):
-        return np.maximum(self.signed_distance(pts), 0.0)
 
 
 def _exit_root(a, beta, gamma):
@@ -272,11 +270,10 @@ class ConeBodyRep(Domain):
         rim_rho = math.sqrt(1.0 / (1.0 - self.eps) ** 2 - 1.0)
         return max(2.0 * rim_rho, 1.0 / (1.0 - self.eps))
 
-    def violation(self, pts):
+    def signed_distance(self, pts):
+        # both constraints over their Lipschitz constants (2 and 1)
         proj = pts @ self.xi
-        nrm = _row_norms(pts)
-        excess = np.maximum(nrm * (1.0 - self.eps) - proj, 0.0) / 2.0
-        return np.maximum(np.maximum(excess, proj - 1.0), 0.0)
+        return np.maximum((_row_norms(pts) * (1.0 - self.eps) - proj) / 2.0, proj - 1.0)
 
     def boundary(self, x, tol):
         proj = float(x @ self.xi)
@@ -326,8 +323,8 @@ class UnionRep(Domain):
             out[rem] = part.member(np.take(pts, rem, axis=0), slack)
         return out
 
-    def violation(self, pts):
-        return np.min([p.violation(pts) for p in self.parts], axis=0)
+    def signed_distance(self, pts):
+        return np.min([p.signed_distance(pts) for p in self.parts], axis=0)
 
     def spec(self):
         return {"type": "union", "parts": [p.spec() for p in self.parts]}
@@ -368,8 +365,8 @@ class IntersectionRep(Domain):
             out[rem] = part.member(np.take(pts, rem, axis=0), slack)
         return out
 
-    def violation(self, pts):
-        return np.max([p.violation(pts) for p in self.parts], axis=0)
+    def signed_distance(self, pts):
+        return np.max([p.signed_distance(pts) for p in self.parts], axis=0)
 
     def spec(self):
         return {"type": "intersection", "parts": [p.spec() for p in self.parts]}
@@ -419,8 +416,8 @@ class AffineImageRep(Domain):
         return self.base.member(self._back(pts),
                                 slack / max(1.0, float(self._singular_values[0])))
 
-    def violation(self, pts):
-        return float(self._singular_values[-1]) * self.base.violation(self._back(pts))
+    def signed_distance(self, pts):
+        return float(self._singular_values[-1]) * self.base.signed_distance(self._back(pts))
 
     def spec(self):
         return {"type": "affine_image", "base": self.base.spec(),

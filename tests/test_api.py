@@ -176,16 +176,24 @@ def _defined_below_domain(cls, name):
 
 
 def test_every_representation_keeps_the_domain_protocol():
-    # Domain derives violation from signed_distance, so either one will do
     reps = _representations()
     assert {cls.__name__ for cls in reps} >= {"PolytopeRep", "BallRep", "ConeBodyRep",
                                               "UnionRep", "IntersectionRep", "AffineImageRep"}
     missing = [f"{cls.__name__}.{name}" for cls in reps
-               for name in ("member", "spec", "bbox") if not _defined_below_domain(cls, name)]
-    missing += [f"{cls.__name__}.violation" for cls in reps
-                if not _defined_below_domain(cls, "violation")
-                and not _defined_below_domain(cls, "signed_distance")]
+               for name in ("member", "signed_distance", "spec", "bbox")
+               if not _defined_below_domain(cls, name)]
     assert not missing, f"representations missing protocol members: {missing}"
+
+
+def test_no_src_violation_method_or_hasattr():
+    # every domain answers signed_distance, so no caller asks which it has,
+    # and a clamped copy of it would be a second distance to keep in step
+    found = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.FunctionDef) and node.name == "violation"
+             or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "hasattr"]
+    assert not found, f"violation methods or hasattr calls: {found}"
 
 
 def test_no_representation_overrides_the_queries():

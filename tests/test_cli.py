@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -120,6 +121,60 @@ class TestChainBound:
         csv_out = files["tmp"] / "bound.csv"
         assert run(argv + ["--out", str(csv_out), "--format", "csv"]) == 0
         assert csv_out.read_text().splitlines()[1].split(",")[-1] == label
+
+
+class TestCoverageGate:
+    """A chain whose one piece [0, 1]^2 covers half of its target [0, 2] x [0, 1]:
+    its shifts pass, its coverage does not."""
+
+    @pytest.fixture()
+    def half(self, files):
+        chain = DecompositionChain([w.box([0, 0], [1, 1])], np.zeros((0, 2)), 1,
+                                   w.direction_set([[1.0, 0.0], [0.0, 1.0]]), "test",
+                                   target=w.box([0, 0], [2, 1]))
+        path = files["tmp"] / "half.json"
+        path.write_text(json.dumps(chain.spec()))
+        return path
+
+    def test_verify_chain_exits_2_with_its_payload(self, files, half, capsys):
+        assert run(["verify-chain", "--chain", str(half)]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["ok"] is True and payload["worst_violation"] == 0.0
+        assert payload["coverage_miss_rate"] == pytest.approx(0.5, abs=0.01)
+
+    @pytest.mark.parametrize("command", ["chain-bound", "report"])
+    def test_bound_commands_refuse_the_chain(self, files, half, command, capsys):
+        argv = ["chain-bound", "--p", "inf"] if command == "chain-bound" else \
+            ["report", "--domain", str(files["square"]), "--dirs", str(files["axes"]),
+             "--r-list", "1", "--p-list", "inf", "--budget", "4", "--density", "256"]
+        assert run(argv + ["--chain", str(half), "--w0", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and re.search(r"chain misses 0\.50\d* of its target", err), err
+
+    def test_decompose_reports_the_coverage_in_verified(self, files, monkeypatch, capsys):
+        monkeypatch.setattr(w.decompose, "COVERAGE_MISS_MAX", -1.0)
+        assert run(["decompose", "--domain", str(files["square"]), "--method", "planar"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["verified"] is False and payload["worst_violation"] == 0.0
+
+    def test_report_marks_a_contradicted_w0(self, files):
+        # the lower bound on the unit square exceeds the bound w0 = 0.01 gives
+        square = files["tmp"] / "unit.json"
+        square.write_text(json.dumps(w.box([0, 0], [1, 1]).spec()))
+        chain = files["tmp"] / "unit_chain.json"
+        assert run(["decompose", "--domain", str(square), "--method", "planar",
+                    "--out", str(chain)]) == 0
+        assert json.loads(chain.read_text())["n_pieces"] == 1
+        out = files["tmp"] / "report.csv"
+        argv = ["report", "--domain", str(square), "--dirs", str(files["axes"]),
+                "--r-list", "1", "--p-list", "inf", "--budget", "4", "--density", "1024",
+                "--chain", str(chain), "--out", str(out)]
+        assert run(argv + ["--w0", "0.01"]) == 0
+        row = dict(zip(*csv.reader(out.read_text().splitlines())))
+        assert float(row["lower_bound"]) > float(row["upper_bound"]) == 0.01
+        assert row["w0_assumption"] == "w0=0.01 contradicted"
+        assert run(argv + ["--w0", "10"]) == 0
+        assert dict(zip(*csv.reader(out.read_text().splitlines())))["w0_assumption"] == "w0=10"
 
 
 class TestWhitneyEstimateCommand:

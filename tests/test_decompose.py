@@ -215,13 +215,19 @@ def _certified(chain):
     return dc._certified_pieces(chain, dc.VERIFY_TOL_REL * chain.target.scale())
 
 
-def _seeded(chain):
-    """The slices of the rounds whose ball B(c, reach) lies in the seed piece."""
+def _host_balls(chain):
+    """The rounds of ``chain`` and the centre and reach of each one's ball."""
     rounds = dc._slice_rounds(chain)
     centers = np.array([sh[0][0] for _, _, sh in rounds])
     reach = np.array([max(dc._slice_reach(R, xi, e, chain.shifts[k - 1], chain.order)
                           for k, (_, R, xi, e) in enumerate(sh, start))
                       for start, _, sh in rounds])
+    return rounds, centers, reach
+
+
+def _seeded(chain):
+    """The slices of the rounds whose ball B(c, reach) lies in the seed piece."""
+    rounds, centers, reach = _host_balls(chain)
     inside = chain.pieces[0].signed_distance(centers) + reach <= 0.0
     return {k for (start, stop, _), ok in zip(rounds, inside) if ok for k in range(start, stop)}
 
@@ -274,6 +280,44 @@ class TestLip2Certificate:
         assert res.n_sampled == 1000 * (chain.n_pieces - 1)
         assert res.coverage_miss_rate == cert.coverage_miss_rate
 
+    @pytest.mark.parametrize("name", ["stadium", "ball"])
+    def test_host_balls_are_proved_without_probes(self, lip2_chains, name, monkeypatch):
+        def probe(*args):
+            raise AssertionError("the certificate ran _ball_inside's probes")
+        monkeypatch.setattr(dc, "_ball_inside", probe)
+        res = verify_chain(lip2_chains[name], samples_per_piece=1000, seed=0)
+        assert res.ok and res.method == "construction" and res.n_sampled == 0
+
+    def test_stadium_host_balls_need_the_grid(self, lip2_chains):
+        # the union's signed distance at the centre proves 89 of the 130
+        # host balls; the grid proves the other 41
+        chain = lip2_chains["stadium"]
+        _, centers, reach = _host_balls(chain)
+        one_point = chain.target.signed_distance(centers) + reach <= 0.0
+        assert one_point.sum() == 89
+        assert np.all(dc._ball_excess(chain.target, centers, reach) <= 0.0)
+
+    def test_a_slot_between_the_probes_is_refused(self):
+        # [-1, 1]^2 less the slot {x > 0.5, 0.017 < y < 0.027}, 0.01 wide,
+        # which B(0, 0.9) crosses between the probes at angles 0 and 2 pi / 128
+        slotted = w.union([w.box([-1, -1], [1, 0.017]), w.box([-1, 0.027], [1, 1]),
+                           w.box([-1, 0.017], [0.5, 0.027])])
+        center, radius = np.zeros((1, 2)), np.array([0.9])
+        assert not slotted.contains([0.7, 0.022])
+        assert dc._ball_inside(slotted, center, 0.9).all()
+        assert dc._ball_excess(slotted, center, radius)[0] > 0.0
+
+    @pytest.mark.parametrize("d, proved", [(2, True), (3, True), (4, False)])
+    def test_grid_proves_a_ball_across_overlapping_parts(self, d, proved):
+        # [0, 0.7] x [0, 1]^(d-1) and [0.3, 1] x [0, 1]^(d-1): each part is 0.2
+        # deep at the centre, the union 0.5, so B(c, 0.3) needs the grid,
+        # which past d = 3 is not tried
+        parts = w.union([w.box([0.0] * d, [0.7] + [1.0] * (d - 1)),
+                         w.box([0.3] + [0.0] * (d - 1), [1.0] * d)])
+        center = np.full((1, d), 0.5)
+        assert parts.signed_distance(center)[0] + 0.3 > 0.0
+        assert (dc._ball_excess(parts, center, np.array([0.3]))[0] == 0.0) == proved
+
     @pytest.mark.parametrize("r, worst", [(1, 0.910), (2, 0.946)])
     def test_slice_reach_is_the_sampled_maximum(self, r, worst):
         # the closed form bounds max |x - c - j h| / rho over a slice from
@@ -302,8 +346,7 @@ class TestLip2Certificate:
         cert = _certified(chain)
         assert _seeded(chain) < cert < set(range(1, chain.n_pieces))
         assert _stray_pieces(chain, sorted(cert)) == []
-        assert verify_chain(chain, samples_per_piece=20, seed=0,
-                            check_coverage=False).method == "sampled"
+        assert verify_chain(chain, samples_per_piece=20, seed=0).method == "sampled"
 
     def test_quadrupled_shift_is_rejected(self, lip2_chains):
         # at s = 0 the shifted apex sits 2 eps0 rho = 1.41 rho from c: only
@@ -331,8 +374,7 @@ class TestLip2Certificate:
         gone = _with(chain, keep=[0] + [k for k in range(1, chain.n_pieces) if k % 4 != 1])
         assert {len(sh) for _, _, sh in dc._slice_rounds(gone)} == {3}
         assert _certified(gone) == _seeded(gone) == set(range(1, 13))
-        assert verify_chain(gone, samples_per_piece=20, seed=0,
-                            check_coverage=False).method == "sampled"
+        assert verify_chain(gone, samples_per_piece=20, seed=0).method == "sampled"
 
     def test_slices_of_another_domain_are_sampled(self, lip2_chains):
         chain = lip2_chains["ball"]

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.spatial import ConvexHull, QhullError
+from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 import whitneylab as w
 from whitneylab.errors import PreconditionError
@@ -395,25 +395,72 @@ REP_DOMAINS = {
 }
 
 
+def _reference_violation(dom, pts):
+    """The per-class ``violation`` formulas that ``signed_distance`` replaced:
+    a lower bound of the distance to the set, 0 on members."""
+    G = w.geometry
+    if isinstance(dom, G.ConeBodyRep):
+        proj = pts @ dom.xi
+        nrm = np.linalg.norm(pts, axis=1)
+        excess = np.maximum(nrm * (1.0 - dom.eps) - proj, 0.0) / 2.0
+        return np.maximum(np.maximum(excess, proj - 1.0), 0.0)
+    if isinstance(dom, G.UnionRep):
+        return np.min([_reference_violation(p, pts) for p in dom.parts], axis=0)
+    if isinstance(dom, G.IntersectionRep):
+        return np.max([_reference_violation(p, pts) for p in dom.parts], axis=0)
+    if isinstance(dom, G.AffineImageRep):
+        back = (pts - dom.shift) @ dom.inverse.T
+        return float(dom._singular_values[-1]) * _reference_violation(dom.base, back)
+    return np.maximum(dom.signed_distance(pts), 0.0)  # polytope and ball
+
+
 class TestRepProtocol:
     @pytest.mark.parametrize("kind", sorted(REP_DOMAINS))
     def test_violation_vanishes_exactly_on_members(self, kind):
         dom = REP_DOMAINS[kind]()
         pts = np.random.default_rng(1).uniform(-2.5, 2.5, size=(2000, 2))
         inside = dom.contains(pts)
-        viol = dom.violation(pts)
+        viol = np.maximum(dom.signed_distance(pts), 0.0)
         assert inside.any() and not inside.all()
         assert np.all(viol[inside] <= 1e-9)
         assert np.all(viol[~inside] > 0.0)
 
-    @pytest.mark.parametrize("kind", ["ball", "polytope"])
+    @pytest.mark.parametrize("kind", sorted(REP_DOMAINS))
     def test_signed_distance_sign_matches_membership(self, kind):
-        # the representations with a closed-form signed distance
         dom = REP_DOMAINS[kind]()
         pts = np.random.default_rng(2).uniform(-2.5, 2.5, size=(64, 2))
         sd = dom.signed_distance(pts)
         inside = dom.contains(pts)
         assert np.all(sd[inside] <= 1e-9) and np.all(sd[~inside] > -1e-9)
+
+    @pytest.mark.parametrize("kind", sorted(REP_DOMAINS))
+    def test_signed_distance_bounds_the_distance_from_the_safe_side(self, kind):
+        # inside, -sd is at most the distance to the complement, so at most the
+        # distance to its nearest grid point; outside, sd is at most the
+        # distance to the set, so at most the distance to its nearest grid point
+        dom = REP_DOMAINS[kind]()
+        axis = np.linspace(-2.5, 2.5, 251)
+        grid = np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2)
+        member = dom.contains(grid)
+        lo, hi = dom.bbox
+        pts = np.random.default_rng(3).uniform(lo - 0.3, hi + 0.3, size=(400, 2))
+        sd = dom.signed_distance(pts)
+        inside = dom.contains(pts)
+        assert 20 < inside.sum() < 380
+        to_out = cKDTree(grid[~member]).query(pts[inside])[0]
+        to_in = cKDTree(grid[member]).query(pts[~inside])[0]
+        assert np.all(-sd[inside] <= to_out + 1e-12)
+        assert np.all(sd[~inside] <= to_in + 1e-12)
+        # nor a loose one: within a factor 20 of the distances, less a grid step
+        assert np.all(-sd[inside] >= (to_out - 0.03) / 20.0)
+        assert np.all(sd[~inside] >= (to_in - 0.03) / 20.0)
+
+    @pytest.mark.parametrize("kind", sorted(REP_DOMAINS))
+    def test_clamped_signed_distance_is_the_old_violation(self, kind):
+        dom = REP_DOMAINS[kind]()
+        pts = np.random.default_rng(4).uniform(-2.5, 2.5, size=(2000, 2))
+        assert np.array_equal(np.maximum(dom.signed_distance(pts), 0.0),
+                              _reference_violation(dom, pts))
 
 
 CONVEX_DOMAINS = {
