@@ -1,16 +1,16 @@
 """Best L^p approximation from a polynomial basis on a sampled domain.
 
-Solver ladder: weighted normal equations at p = 2, a constraint-exchange
-linear program at p = inf (exact on the plan), iteratively reweighted least
-squares for 1 <= p < inf, and damped reweighting with random restarts for the
-nonconvex quasi-norm range 0 < p < 1, which is only ever reported as a local
-optimum.
+Solver ladder: weighted normal equations at p = 2, linear programs at p = inf
+(constraint exchange) and p = 1 (the dual of discrete L1 approximation), both
+exact on the plan, iteratively reweighted least squares for 1 < p < inf, and
+damped reweighting from the p = 1 fit with random restarts for the nonconvex
+quasi-norm range 0 < p < 1, which is only ever reported as a local optimum.
 
 The reweighted fits are sensitive to rounding: a relative change of 1e-15 in
-each least-squares solve moved the p = 0.5 error by up to 2.8e-4 relative and
-the p = 1 coefficients by up to 7e-9 (a random quartic on a 4096-point plan).
-So a p < 1 result repeats bit for bit only on the same numpy/LAPACK build, and
-the kernels here keep the bits of the plain broadcast forms they replace.
+each least-squares solve moved the p = 0.5 error by up to 2.8e-4 relative (a
+random quartic on a 4096-point plan). So a p < 1 result repeats bit for bit
+only on the same numpy/LAPACK build, and the kernels here keep the bits of the
+plain broadcast forms they replace.
 
 The p = inf fit solves the minimax LP on an active set of plan points rather
 than on all 2n rows. The LP has k + 1 unknowns, so its dual has k + 1
@@ -83,6 +83,31 @@ def _weighted_lsq(Phi, fvals, w):
     return sol
 
 
+def _check_lp_scale(Phi, fvals, kind):
+    """Refuse values and design entries that HiGHS cannot take (exit 2, not 3)."""
+    big = float(np.max(np.abs(fvals)))
+    if big >= LP_VALUE_MAX:
+        raise PreconditionError(f"largest |f| on the plan is {big:.6g}; the {kind} "
+                                f"linear program needs values below {LP_VALUE_MAX:.0e}")
+    big = float(np.max(np.abs(Phi)))
+    if big >= LP_MATRIX_MAX:
+        raise PreconditionError(f"largest |design-matrix entry| on the plan is {big:.6g}; the "
+                                f"{kind} linear program needs entries below {LP_MATRIX_MAX:.0e}")
+
+
+def _solve_l1(Phi, fvals, w):
+    """Coefficients c minimising sum_i w_i |fvals_i - (Phi c)_i|: the equality
+    multipliers, negated, of the dual LP max fvals . v subject to Phi^T v = 0,
+    |v_i| <= w_i (HiGHS; presolve costs these dense systems more than it saves)."""
+    _check_lp_scale(Phi, fvals, "L1")
+    res = linprog(-fvals, A_eq=Phi.T, b_eq=np.zeros(Phi.shape[1]),
+                  bounds=np.column_stack([-w, w]), method="highs",
+                  options={"presolve": False})
+    if res.status != 0:
+        raise ConvergenceError(f"L1 linear program failed: {res.message}")
+    return -res.eqlin.marginals
+
+
 def _minimax_lp(Phi, fvals):
     """Coefficients c minimising max_i |fvals_i - (Phi c)_i| over the rows given:
     the LP min t subject to -t <= fvals - Phi c <= t, solved by HiGHS."""
@@ -123,14 +148,7 @@ def _solve_inf(Phi, fvals):
     the rows outside S, is feasible for the full-plan dual with the same
     objective.
     """
-    big = float(np.max(np.abs(fvals)))
-    if big >= LP_VALUE_MAX:
-        raise PreconditionError(f"largest |f| on the plan is {big:.6g}; the minimax "
-                                f"linear program needs values below {LP_VALUE_MAX:.0e}")
-    big = float(np.max(np.abs(Phi)))
-    if big >= LP_MATRIX_MAX:
-        raise PreconditionError(f"largest |design-matrix entry| on the plan is {big:.6g}; the "
-                                f"minimax linear program needs entries below {LP_MATRIX_MAX:.0e}")
+    _check_lp_scale(Phi, fvals, "minimax")
     n, k = Phi.shape
     m = 16 * (k + 1)
     lsq, *_ = np.linalg.lstsq(Phi, fvals, rcond=None)
@@ -188,13 +206,15 @@ def _solve(Phi, fvals, weights, p, seed=0):
         return _weighted_lsq(Phi, fvals, weights), "optimal", 1
     if math.isinf(p):
         return _solve_inf(Phi, fvals), "optimal", 1
-    if p >= 1.0:
+    if p == 1.0:
+        return _solve_l1(Phi, fvals, weights), "optimal", 1
+    if p > 1.0:
         # plain reweighting oscillates for p > 2; relax by 1/(p-1)
         damping = 0.0 if p <= 2.0 else 1.0 - 1.0 / (p - 1.0)
         coeffs, it, ok = _irls(Phi, fvals, weights, p, damping=damping)
         return coeffs, ("optimal" if ok else "max_iter"), it
     # quasi-norm range: damped reweighting from the p=1 solution plus restarts
-    start, _, _ = _irls(Phi, fvals, weights, 1.0)
+    start = _solve_l1(Phi, fvals, weights)
     rng = np.random.default_rng(seed)
 
     def objective(c):

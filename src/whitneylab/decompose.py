@@ -86,9 +86,8 @@ def _check_order(r):
 
 
 def chain_from_spec(spec):
-    boxes = {}  # pieces often repeat the target's polytopes: one LP solve each
-    pieces = [domain_from_spec(s, boxes) for s in spec["pieces"]]
-    target = domain_from_spec(spec["target"], boxes) if spec.get("target") else None
+    pieces = [domain_from_spec(s) for s in spec["pieces"]]
+    target = domain_from_spec(spec["target"]) if spec.get("target") else None
     return DecompositionChain(pieces, np.asarray(spec["shifts"], dtype=float),
                               int(spec["r"]), direction_set(spec["dirs"]),
                               spec.get("provenance", "unknown"), target)
@@ -305,12 +304,11 @@ def _ball_excess(dom, centers, radii):
 # shared construction helpers
 # ---------------------------------------------------------------------------
 
-def _stack_with_polytope(A, b, bbox, dom):
+def _stack_with_polytope(A, b, dom):
     """Intersect a raw half-space system with ``dom`` (flattened if polytope)."""
-    clipped = intersection((PolytopeRep(A, b, bbox), dom))
     if isinstance(dom, PolytopeRep):
-        return PolytopeRep(np.vstack([A, dom.A]), np.concatenate([b, dom.b]), clipped.bbox)
-    return clipped
+        return PolytopeRep(np.vstack([A, dom.A]), np.concatenate([b, dom.b]))
+    return intersection((PolytopeRep(A, b), dom))
 
 
 def _piece_nonempty(piece, seed):
@@ -344,7 +342,7 @@ def _dilate(dom, c):
     """Dilation about the origin by factor c > 0 of a polytope or a ball."""
     if isinstance(dom, BallRep):
         return ball(c * dom.center, c * dom.radius)
-    return PolytopeRep(dom.A, c * dom.b, c * dom.bbox)
+    return PolytopeRep(dom.A, c * dom.b)
 
 
 # ---------------------------------------------------------------------------
@@ -420,30 +418,18 @@ def star_shaped_decomposition(dom, r, seed=0):
     delta = 0.999 * math.sqrt(3.0 * d + 1.0) / (2.0 * d * r)
     half = 1.0 / (2.0 * d)
 
-    # the plan measures extents only where no LP gives them
-    plan_pts = None if isinstance(dom, PolytopeRep) else _sample_in(dom, 4096, seed + 1)
+    # each line of a cone's tube (half-width half < 1) meets the domain in one
+    # interval through the unit ball, so the slabs along xi are nonempty up
+    # to the first empty one, which comes by R
     for xi in xis:
         U = _perp_basis(xi)
-        # extent of the domain inside this cone's extruded box
-        if plan_pts is None:
-            A = np.vstack([U, -U, dom.A])
-            b = np.concatenate([half * np.ones(2 * (d - 1)), dom.b])
-            res = linprog(-xi, A_ub=A, b_ub=b, bounds=[(None, None)] * d, method="highs")
-            t_max = -res.fun if res.status == 0 else 0.0
-        else:
-            mask = np.all(np.abs(plan_pts @ U.T) <= half, axis=1)
-            t_max = float(np.max(plan_pts[mask] @ xi, initial=0.0)) + delta
-        frame = np.vstack([U, xi])
         A_slab = np.vstack([U, -U, xi[None, :], -xi[None, :]])
 
         def slab(i):
             b_slab = np.concatenate([half * np.ones(2 * (d - 1)), [i * delta, -(i - 1) * delta]])
-            corners = geo._bbox_corners(np.array([[-half] * (d - 1) + [(i - 1) * delta],
-                                                  [half] * (d - 1) + [i * delta]])) @ frame
-            bbox = np.vstack([corners.min(axis=0), corners.max(axis=0)])
-            return _stack_with_polytope(A_slab, b_slab, bbox, dom)
+            return _stack_with_polytope(A_slab, b_slab, dom)
 
-        _march(pieces, shifts, int(math.ceil(max(t_max, 0.0) / delta)), slab, delta * xi, seed)
+        _march(pieces, shifts, int(math.ceil(R / delta)) + 1, slab, delta * xi, seed)
     chain = DecompositionChain(pieces, np.array(shifts), r,
                                direction_set(xis), "star_shaped", target=dom)
     return chain
@@ -538,10 +524,8 @@ def planar_two_direction_chain(dom, r=1):
         raise PreconditionError("degenerate inscribed square")
 
     def frame_poly(x2_lo, x2_hi, x1_lo, x1_hi):
-        A = np.vstack([xi2, -xi2, xi1, -xi1])
-        b_ = np.array([x2_hi, -x2_lo, x1_hi, -x1_lo])
-        pts = geo._bbox_corners(np.array([[x2_lo, x1_lo], [x2_hi, x1_hi]])) @ np.array([xi2, xi1])
-        return PolytopeRep(A, b_, np.vstack([pts.min(axis=0), pts.max(axis=0)]))
+        return PolytopeRep(np.vstack([xi2, -xi2, xi1, -xi1]),
+                           np.array([x2_hi, -x2_lo, x1_hi, -x1_lo]))
 
     pieces = [frame_poly(x0 - w, x0 + w, y_c - w, y_c + w)]  # the square
     shifts = []
@@ -555,7 +539,7 @@ def planar_two_direction_chain(dom, r=1):
             lo, hi = (t_lo, t_hi) if sign > 0 else (-t_hi, -t_lo)
             slab = (frame_poly(x0 - w, x0 + w, lo, hi) if axis_vec is xi1
                     else frame_poly(lo, hi, y_lo, y_hi))
-            return _stack_with_polytope(slab.A, slab.b, slab.bbox, dom)
+            return _stack_with_polytope(slab.A, slab.b, dom)
 
         _march(pieces, shifts, int(math.ceil(max(extent_hi - lo_start, 0.0) / delta)),
                slab_at, sign * delta * axis_vec, 1)
@@ -717,11 +701,7 @@ def lip2_ball_chain(dom, dirset, delta, r=1, seed=0):
     Binv = np.linalg.inv(frame.T)
     A_h = np.vstack([Binv, -Binv])
     b_h = np.concatenate([Binv @ c0 + delta / d, -(Binv @ c0) + delta / d])
-    corners = np.array([c0 + delta * (z @ frame)
-                        for z in geo._bbox_corners(np.vstack([-np.ones(d) / d,
-                                                              np.ones(d) / d]))])
-    pieces.append(PolytopeRep(A_h, b_h, np.vstack([corners.min(axis=0),
-                                                   corners.max(axis=0)])))
+    pieces.append(PolytopeRep(A_h, b_h))
 
     def add_slices(center, rho):
         ps, ss = _slice_pieces(center, rho, sym, eps0, r, dom)
@@ -803,7 +783,7 @@ def _slab_thickness(dom, c0, c1, r, diam):
 
 
 def _minkowski_segment(base, e, t1, t2, clip_dom):
-    """(base + [-t2, -t1] e) clipped to ``clip_dom``, as a representable domain."""
+    """(base + [-t2, -t1] e) clipped to ``clip_dom``, for a polytope or ball base."""
     d = base.dim
     if isinstance(base, PolytopeRep):
         verts = base.vertices
@@ -817,25 +797,20 @@ def _minkowski_segment(base, e, t1, t2, clip_dom):
         lead = np.unique(np.argmax(same, axis=1))
         A = eq[lead, :d]
         b = np.min(np.where(same[lead], -eq[:, d], np.inf), axis=1)
-        bbox = np.vstack([pts.min(axis=0), pts.max(axis=0)])
-        return _stack_with_polytope(A, b, bbox, clip_dom)
-    if isinstance(base, BallRep):
-        c, rho = base.center, base.radius
-        p1, p2 = c - t1 * e, c - t2 * e
-        parts = [ball(p1, rho), ball(p2, rho)]
-        if d == 2:
-            u = (p2 - p1) / np.linalg.norm(p2 - p1)
-            v = np.array([-u[1], u[0]])
-            A = np.vstack([u, -u, v, -v])
-            b = np.array([u @ p2, -(u @ p1), v @ p1 + rho, -(v @ p1) + rho])
-            corners = np.array([p + s * rho * v for p in (p1, p2) for s in (-1, 1)])
-            parts.append(PolytopeRep(A, b, np.vstack([corners.min(axis=0),
-                                                      corners.max(axis=0)])))
-        else:
-            for t in np.linspace(t1, t2, 33):
-                parts.append(ball(c - t * e, rho))
-        return intersection((union(parts), clip_dom))
-    raise PreconditionError("x-ray slabs support polytope and ball domains")
+        return _stack_with_polytope(A, b, clip_dom)
+    c, rho = base.center, base.radius  # a ball
+    p1, p2 = c - t1 * e, c - t2 * e
+    parts = [ball(p1, rho), ball(p2, rho)]
+    if d == 2:
+        u = (p2 - p1) / np.linalg.norm(p2 - p1)
+        v = np.array([-u[1], u[0]])
+        A = np.vstack([u, -u, v, -v])
+        b = np.array([u @ p2, -(u @ p1), v @ p1 + rho, -(v @ p1) + rho])
+        parts.append(PolytopeRep(A, b))
+    else:
+        for t in np.linspace(t1, t2, 33):
+            parts.append(ball(c - t * e, rho))
+    return intersection((union(parts), clip_dom))
 
 
 def xray_slab_decomposition(dom, dirset, n0=1, r=1, seed=0):

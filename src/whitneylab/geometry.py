@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.optimize import linprog
@@ -65,9 +65,8 @@ def _as_points(x, dim):
 # member(pts, slack) (coordinate-major, as the module docstring says),
 # signed_distance(pts) (exact on polytopes and balls, else off to the safe side:
 # on members at least the true value, so -sd(y) >= h puts B(y, h) in the set,
-# elsewhere at most the distance to the set), spec() and bbox (a field on
-# polytopes, whose box costs LPs or is known to the caller; derived on first
-# read elsewhere).  Where it has exact answers it defines vertices, diameter(),
+# elsewhere at most the distance to the set), spec() and bbox (derived on first
+# read).  Where it has exact answers it defines vertices, diameter(),
 # boundary(x, tol) -> (flag, outward normals or None), anchor() (an interior
 # point) and, for convex sets, _exit(pts, xi, slack): per member point x, the
 # largest u >= 0 with x + u xi a member within ``slack``; None means none.
@@ -166,10 +165,20 @@ def _exit_root(a, beta, gamma):
 
 @dataclass(eq=False)
 class PolytopeRep(Domain):
-    """Half-space intersection {x : A x <= b}, with its bounding box."""
+    """Half-space intersection {x : A x <= b}; its box is spanned by its vertex
+    candidates, and flat at the origin when there are none (infeasible)."""
     A: np.ndarray
     b: np.ndarray
-    bbox: np.ndarray
+
+    @cached_property
+    def _candidates(self):
+        return _vertex_candidates(self.A, self.b)
+
+    @cached_property
+    def bbox(self):
+        pts = self._candidates[0]
+        pts = pts if len(pts) else np.zeros((1, self.A.shape[1]))
+        return np.vstack([pts.min(axis=0), pts.max(axis=0)])
 
     def member(self, pts, slack):
         if self.A.shape[0] == 0:
@@ -181,7 +190,7 @@ class PolytopeRep(Domain):
 
     @cached_property
     def vertices(self):
-        return _polytope_vertices(self.A, self.b)
+        return _dedupe(*self._candidates)
 
     def signed_distance(self, pts):
         norms = np.maximum(np.linalg.norm(self.A, axis=1), 1e-300)
@@ -438,22 +447,17 @@ class AffineImageRep(Domain):
 # constructors
 # ---------------------------------------------------------------------------
 
-def polytope(A, b, boxes=None):
-    """Bounded half-space polytope {x : A x <= b} (possibly degenerate).
-
-    ``boxes``, a dict, keeps the bounding box of each distinct (A, b) across
-    calls, so equal polytopes solve their bounding-box LPs once.
-    """
+def polytope(A, b):
+    """Bounded half-space polytope {x : A x <= b} (possibly degenerate or
+    empty); its bounding box is read off its vertices when first asked for.
+    A system whose recession cone {x : A x <= 0} is not {0} is refused."""
     A = np.atleast_2d(_finite("A", A))
     b = _finite("b", b).ravel()
     if A.shape[0] != b.shape[0]:
         raise PreconditionError("A and b row counts differ")
-    if boxes is None:
-        return PolytopeRep(A, b, _polytope_bbox(A, b))
-    key = (A.shape, A.tobytes(), b.tobytes())
-    if key not in boxes:
-        boxes[key] = _polytope_bbox(A, b)
-    return PolytopeRep(A, b, boxes[key].copy())
+    if not _bounded(A.shape, A.tobytes()):
+        raise PreconditionError("polytope is unbounded")
+    return PolytopeRep(A, b)
 
 
 def box(lo, hi):
@@ -528,37 +532,46 @@ def _bbox_corners(bbox):
                      for k in range(1 << d)])
 
 
-def _polytope_bbox(A, b):
-    d = A.shape[1]
-    lo = np.empty(d)
-    hi = np.empty(d)
-    for i in range(d):
-        c = np.zeros(d)
-        c[i] = 1.0
-        res_min = linprog(c, A_ub=A, b_ub=b, bounds=[(None, None)] * d, method="highs")
-        res_max = linprog(-c, A_ub=A, b_ub=b, bounds=[(None, None)] * d, method="highs")
-        if res_min.status == 3 or res_max.status == 3:
-            raise PreconditionError("polytope is unbounded")
-        if res_min.status == 2 or res_max.status == 2:  # infeasible: empty piece
-            return np.vstack([np.zeros(d), np.zeros(d)])
-        lo[i] = res_min.fun
-        hi[i] = -res_max.fun
-    return np.vstack([lo, hi])
+def _unit_rows(A):
+    """A with each row divided by its largest |entry| (zero rows kept)."""
+    big = np.max(np.abs(A), axis=1, initial=0.0)
+    return A / np.where(big > 0.0, big, 1.0)[:, None]
+
+
+@lru_cache(maxsize=256)
+def _bounded(shape, data):
+    """Whether {x : A x <= b} is bounded, A = ``data`` of ``shape``: rank A = d
+    and A^T lam = 0 for some lam >= 1 (Stiemke's lemma: then A x <= 0 forces
+    A x = 0), one LP on the rows scaled to largest |entry| 1."""
+    A = _unit_rows(np.frombuffer(data).reshape(shape))
+    if np.linalg.matrix_rank(A) < shape[1]:
+        return False
+    return linprog(np.zeros(shape[0]), A_eq=A.T, b_eq=np.zeros(shape[1]),
+                   bounds=(1.0, None), method="highs").status == 0
+
+
+def _vertex_candidates(A, b):
+    """(points, tol): the feasible solutions, within tol, of every nonsingular
+    d-row subsystem, in the order of ``itertools.combinations``.  A subsystem counts
+    as singular when the determinant of its rows, each divided by its largest
+    |entry|, is below 1e-12.  The subsystems go 2^16 at a time to one stacked
+    det and one stacked solve, which give the bits of one call per subsystem."""
+    m, d = A.shape
+    tol = 1e-9 * float(np.max(np.abs(b), initial=1.0))
+    unit = _unit_rows(A)
+    combos = itertools.combinations(range(m), d)
+    found = [np.zeros((0, d))]
+    for block in iter(lambda: list(itertools.islice(combos, 1 << 16)), []):
+        idx = np.array(block, dtype=np.intp).reshape(len(block), d)
+        idx = idx[~(np.abs(np.linalg.det(unit[idx])) < 1e-12)]
+        v = np.linalg.solve(A[idx], b[idx][:, :, None])[:, :, 0]
+        found.append(v[np.all(A @ v.T <= (b + tol)[:, None], axis=0)])
+    return np.vstack(found), tol
 
 
 def _polytope_vertices(A, b):
-    """The feasible solutions of every nonsingular d-row subsystem, deduped,
-    in the order of ``itertools.combinations``; the subsystems go to one
-    stacked det and one stacked solve, which give the bits of one call per
-    subsystem."""
-    m, d = A.shape
-    tol = 1e-9  # relative to the largest |b_i|, at least 1
-    scale = max(1.0, float(np.max(np.abs(b))) if b.size else 1.0)
-    idx = np.array(list(itertools.combinations(range(m), d)), dtype=np.intp).reshape(-1, d)
-    sub = A[idx]
-    keep = ~(np.abs(np.linalg.det(sub)) < 1e-12)
-    v = np.linalg.solve(sub[keep], b[idx[keep]][:, :, None])[:, :, 0]
-    return _dedupe(v[np.all(A @ v.T <= (b + tol * scale)[:, None], axis=0)], tol * scale)
+    """The vertex candidates of {x : A x <= b}, deduped within their tolerance."""
+    return _dedupe(*_vertex_candidates(A, b))
 
 
 def _dedupe(rows, tol):
@@ -574,24 +587,23 @@ def _dedupe(rows, tol):
 # JSON specs
 # ---------------------------------------------------------------------------
 
-def domain_from_spec(spec, boxes=None):
-    """Rebuild a Domain from its JSON description; ``boxes`` as in `polytope`.
+def domain_from_spec(spec):
+    """Rebuild a Domain from its JSON description.
 
     An unknown ``type`` is a malformed spec (ValueError)."""
     kind = spec.get("type")
     if kind == "polytope":
-        return polytope(spec["A"], spec["b"], boxes)
+        return polytope(spec["A"], spec["b"])
     if kind == "ball":
         return ball(spec["center"], spec["radius"])
     if kind == "cone_body":
         return cone_body(spec["xi"], spec["eps"])
     if kind == "union":
-        return union([domain_from_spec(s, boxes) for s in spec["parts"]])
+        return union([domain_from_spec(s) for s in spec["parts"]])
     if kind == "intersection":
-        return intersection([domain_from_spec(s, boxes) for s in spec["parts"]])
+        return intersection([domain_from_spec(s) for s in spec["parts"]])
     if kind == "affine_image":
-        return affine_image(domain_from_spec(spec["base"], boxes), spec["matrix"],
-                            spec["shift"])
+        return affine_image(domain_from_spec(spec["base"]), spec["matrix"], spec["shift"])
     raise ValueError(f"unknown domain type {kind!r}")
 
 
@@ -831,8 +843,6 @@ def _chebyshev_ball(A, b):
     A_ub = np.hstack([A, norms[:, None]])
     res = linprog(c, A_ub=A_ub, b_ub=b, bounds=[(None, None)] * d + [(0, None)],
                   method="highs")
-    if res.status == 3:
-        raise PreconditionError("polytope is unbounded")
     if res.status == 2 or res.x is None:
         raise PreconditionError("polytope is infeasible")
     radius = float(res.x[d])

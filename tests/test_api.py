@@ -222,3 +222,18 @@ def test_no_src_function_imports():
              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
              for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert not inner, f"imports inside functions: {sorted(set(inner))}"
+
+
+def test_boxes_are_derived_not_given():
+    # a representation's box is read off what it is, so no constructor takes
+    # one, no box LP is left to solve, and no box cache is passed around
+    from whitneylab import geometry
+    fields = [cls.__name__ for cls in _representations()
+              if "bbox" in getattr(cls, "__dataclass_fields__", {})]
+    assert not fields, f"representations with a bbox field: {fields}"
+    assert "_polytope_bbox" not in vars(geometry)
+    takes = [f"{path.name}:{fn.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+             for fn in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+             and "boxes" in {a.arg for a in fn.args.args + fn.args.kwonlyargs}]
+    assert not takes, f"functions that take boxes: {takes}"

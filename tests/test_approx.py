@@ -1,11 +1,13 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 import whitneylab as w
-from whitneylab import approx
+from whitneylab import approx, cli
 from whitneylab.errors import PreconditionError
 from whitneylab.polyspace import design_matrix
 
@@ -232,6 +234,43 @@ class TestSolveInfExchange:
                                             seed=1)
         assert len(cert.rows) == 2 and lp_rows
         assert max(rows.shape[0] for rows in lp_rows) < 2 * 8192
+
+
+class TestSolveL1:
+    """The p = 1 fit is the exact L1 optimum on the plan, read off the dual LP."""
+
+    @pytest.mark.parametrize("seed", [3, 33, 401])
+    def test_certificate_quartic_is_the_dual_optimum(self, seed, tmp_path, monkeypatch):
+        # the benchmark's approx p=1; reweighting stopped at its iteration cap
+        # (exit 3) at seeds 33 and 401
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import workloads
+        exp = next(e for e in workloads.build("certificate", tmp_path, seed)
+                   if e.name == "approx p=1")
+        assert cli.run(exp.argv) == 0
+        out = json.loads(exp.out.read_text())
+        assert out["status"] == "optimal"
+        dom = w.domain_from_spec(json.loads((tmp_path / "polygon.json").read_text()))
+        plan = w.sample_plan(dom, 4096, seed=seed)
+        dirs = w.direction_set(json.loads((tmp_path / "e3.json").read_text())["dirs"])
+        f = w.function_from_spec(json.loads((tmp_path / "quartic.json").read_text()), 2)
+        Phi = design_matrix(w.build_basis(2, 2, dirs), plan.points)
+        fvals = f(plan.points)
+        dual = linprog(-fvals, A_eq=Phi.T, b_eq=np.zeros(Phi.shape[1]),
+                       bounds=np.column_stack([-plan.weights, plan.weights]), method="highs")
+        assert dual.status == 0
+        assert out["error"] == pytest.approx(-dual.fun, rel=1e-12)
+        assert w.lp_norm(fvals - Phi @ np.array(out["coeffs"]), plan.weights, 1.0) \
+            == pytest.approx(out["error"], rel=1e-15)
+        if seed == 33:
+            assert out["error"] <= 17.3437308594
+
+    @pytest.mark.parametrize("p", [1.0, 0.5])
+    def test_values_too_large_for_the_lp_are_refused(self, seg_plan, axis1, p):
+        seg, plan = seg_plan
+        f = w.CallbackFunction(lambda X: 1e20 * X[:, 0] ** 3, 1)
+        with pytest.raises(PreconditionError, match="the L1 linear program needs values below"):
+            w.best_approx(f, seg, plan, w.build_basis(1, 2, axis1), p)
 
 
 class TestKernelBits:

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from whitneylab.errors import PreconditionError, SpanDeficiencyError
 from conftest import random_convex_polygon, stadium_domain, thin_band_chain
 
 E2 = w.direction_set([[1.0, 0.0], [0.0, 1.0]])
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 class TestVerifyChain:
@@ -69,6 +71,19 @@ class TestVerifyChain:
         assert res.n_sampled == 0
         assert res.witnesses == [{"piece": 1, "reason": "not sampled: no member found "
                                   "and its bounding box is not flat"}]
+
+    def test_disjoint_stack_is_proven_empty(self):
+        # the triangle's box overlaps the slab's, the sets do not: the stacked
+        # half-spaces have no vertex, so the piece's box is flat
+        triangle = w.polytope([[-1, 0], [0, -1], [1, 1]], [0, 0, 1])
+        slab = w.polytope([[1, 1], [-1, -1], [1, -1], [-1, 1]], [1.6, -1.2, 1.0, 1.0])
+        assert np.all(np.maximum(triangle.bbox[0], slab.bbox[0])
+                      < np.minimum(triangle.bbox[1], slab.bbox[1]))
+        piece = dc._stack_with_polytope(slab.A, slab.b, triangle)
+        chain = DecompositionChain([w.box([0, 0], [1, 1]), piece], np.array([[1.0, 0.0]]), 1,
+                                   E2, "test")
+        res = verify_chain(chain, samples_per_piece=500, seed=0)
+        assert res.ok and chain.verified and res.n_sampled == 0 and res.witnesses == []
 
     def test_flat_box_piece_is_proven_empty(self):
         K = w.box([0, 0], [1, 1])
@@ -145,6 +160,19 @@ class TestPlanar:
                 res = verify_chain(chain, samples_per_piece=1500, seed=seed)
                 assert res.ok, res.witnesses[:2]
                 assert res.coverage_ok
+
+    def test_benchmark_sliver_gets_its_samples(self, monkeypatch):
+        # piece 7 of the benchmark's seed-1 planar chain is a thin sliver; in
+        # its exact box the chain sampler reaches all its points
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import workloads
+        spec = workloads.random_polygon(np.random.default_rng([1, 2]), normalized=True)
+        chain, _ = w.planar_two_direction_chain(w.domain_from_spec(spec), r=2)
+        sliver = chain.pieces[7]
+        assert len(dc._sample_in(sliver, dc.VERIFY_SAMPLES, 1 + 17 * 7)) == dc.VERIFY_SAMPLES
+        res = verify_chain(chain, seed=1)
+        assert res.ok and chain.verified
+        assert res.n_sampled == dc.VERIFY_SAMPLES * (chain.n_pieces - 1)
 
     def test_rejects_unnormalized(self):
         small = random_convex_polygon(3)
@@ -427,21 +455,25 @@ class TestXray:
 
 
 class TestChainSpec:
-    def test_bounding_box_solved_once_per_distinct_polytope(self, monkeypatch):
+    def test_boundedness_solved_once_per_distinct_matrix(self, monkeypatch):
+        # the boxes are read off the vertices; reading a chain solves one
+        # boundedness LP per distinct A, and a repeat of A solves none
         square, slab = w.box([0, 0], [1, 1]), w.box([1, 0], [1.5, 1])
-        chain = DecompositionChain([square, slab, w.intersection([square, slab])],
-                                   [[0.5, 0.0], [0.5, 0.0]], 1,
-                                   w.direction_set([[1.0, 0.0]]), "test", target=square)
+        triangle = w.polytope([[-1, 0], [0, -1], [1, 1]], [0, 0, 1])
+        chain = DecompositionChain([square, slab, w.intersection([square, slab]), triangle],
+                                   [[0.5, 0.0]] * 3, 1, w.direction_set([[1.0, 0.0]]),
+                                   "test", target=square)
         solved = []
-        solve = w.geometry._polytope_bbox
-        monkeypatch.setattr(w.geometry, "_polytope_bbox",
-                            lambda A, b: solved.append(1) or solve(A, b))
+        solve = w.geometry.linprog
+        monkeypatch.setattr(w.geometry, "linprog",
+                            lambda *a, **k: solved.append(1) or solve(*a, **k))
+        w.geometry._bounded.cache_clear()
         back = w.chain_from_spec(chain.spec())
-        assert len(solved) == 2
+        assert len(solved) == 2  # the boxes' A and the triangle's
         for got, want in zip(back.pieces + [back.target], chain.pieces + [chain.target]):
             assert np.array_equal(got.bbox, want.bbox)
         w.chain_from_spec(chain.spec())
-        assert len(solved) == 4  # nothing is kept between loads
+        assert len(solved) == 2
 
     def test_round_trip(self):
         chain, _ = w.planar_two_direction_chain(w.ball([0, 0], 1.5), r=1)

@@ -329,6 +329,69 @@ class TestPolytopeVertices:
     def test_fewer_rows_than_the_dimension(self):
         assert w.geometry._polytope_vertices(np.ones((1, 2)), np.ones(1)).shape == (0, 2)
 
+    def test_blocks_give_the_vertices_of_one_shot(self):
+        # C(75, 3) = 67 525 subsystems, past one block of 2^16
+        rng = np.random.default_rng(75)
+        A = rng.standard_normal((75, 3))
+        A /= np.linalg.norm(A, axis=1)[:, None]
+        b = rng.uniform(0.5, 2.0, 75)
+        # the enumeration as it was before blocks: every subsystem at once
+        idx = np.array(list(itertools.combinations(range(75), 3)), dtype=np.intp)
+        sub = A[idx]
+        keep = ~(np.abs(np.linalg.det(sub)) < 1e-12)
+        v = np.linalg.solve(sub[keep], b[idx[keep]][:, :, None])[:, :, 0]
+        tol = 1e-9 * max(1.0, float(np.max(np.abs(b))))
+        want = w.geometry._dedupe(v[np.all(A @ v.T <= (b + tol)[:, None], axis=0)], tol)
+        got = w.geometry._polytope_vertices(A, b)
+        assert len(got) > 8 and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-5, 1e5])
+    def test_row_scale_keeps_the_cube(self, scale):
+        # the singular cut reads each subsystem's rows scaled to largest |entry| 1
+        cube = w.box([-1.0] * 3, [1.0] * 3)
+        dom = w.polytope(scale * cube.A, scale * cube.b)
+        assert len(dom.vertices) == 8
+        assert w.diameter(dom).value == pytest.approx(2.0 * math.sqrt(3.0), rel=1e-12)
+        assert np.allclose(dom.bbox, [[-1.0] * 3, [1.0] * 3], rtol=0.0, atol=1e-12)
+
+
+class TestPolytopeBox:
+    @staticmethod
+    def _polytopes():
+        yield REP_DOMAINS["polytope"]()
+        for seed in range(8):
+            yield random_convex_polygon(seed, normalized=seed % 2 == 0)
+
+    def test_box_spans_the_vertices(self):
+        for dom in self._polytopes():
+            verts = dom.vertices
+            tol = 1e-9 * dom.scale()
+            assert np.allclose(dom.bbox, [verts.min(axis=0), verts.max(axis=0)],
+                               rtol=0.0, atol=tol)
+            plan = w.sample_plan(dom, 512, seed=3)
+            for pts in (verts, plan.points):
+                assert np.all(pts >= dom.bbox[0] - tol) and np.all(pts <= dom.bbox[1] + tol)
+
+    def test_infeasible_stack_is_flat_and_draws_nothing(self, monkeypatch):
+        triangle = w.polytope([[-1, 0], [0, -1], [1, 1]], [0, 0, 1])
+        far = w.box([2, 2], [3, 3])
+        piece = w.geometry.PolytopeRep(np.vstack([triangle.A, far.A]),
+                                       np.concatenate([triangle.b, far.b]))
+        assert np.array_equal(piece.bbox, np.zeros((2, 2)))
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("an empty piece drew proposals")
+        monkeypatch.setattr(w.geometry, "rejection_sample", no_draw)
+        assert w.decompose._sample_in(piece, 100, 0).shape == (0, 2)
+
+    def test_unbounded_systems_are_refused(self):
+        strip = [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]]  # rank 2: z is free
+        wedge = [[1, 0], [0, 1], [1, 1]]  # rank 2, but x = y -> -inf stays inside
+        for A in (strip, wedge):
+            with pytest.raises(PreconditionError, match="polytope is unbounded"):
+                w.polytope(A, np.ones(len(A)))
+        assert len(w.polytope(wedge + [[-1, -1]], [1, 1, 1, 5]).vertices) == 4
+
 
 class TestSamplePlan:
     def test_members_and_volume(self, unit_square):
@@ -586,7 +649,7 @@ class TestCoordinateMajorKernels:
         rng = np.random.default_rng(10 * rows + d)
         A = rng.standard_normal((rows, d))
         b = rng.uniform(0.5, 2.0, rows)
-        rep = w.geometry.PolytopeRep(A, b, None)
+        rep = w.geometry.PolytopeRep(A, b)
         pts = _facet_points(A, b, rng, self.SLACK) if rows else rng.standard_normal((50, d))
         pts = np.vstack([pts, rng.uniform(-2.0, 2.0, size=(500, d))])
         for slack in (0.0, self.SLACK, -self.SLACK):
