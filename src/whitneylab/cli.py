@@ -146,7 +146,7 @@ def _emit(payload, out, fmt, csv_rows=None, csv_header=None):
             writer.writerow([_fmt(v) for v in row])
         text = buf.getvalue()
     else:
-        text = json.dumps(payload, sort_keys=True, indent=2, default=str) + "\n"
+        text = json.dumps(payload, sort_keys=True, default=str) + "\n"
     if out:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

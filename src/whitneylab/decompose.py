@@ -5,9 +5,10 @@ pieces (E_0, ..., E_m) with one shift vector per later piece such that each
 piece, translated backwards by 1..r multiples of its shift, lands inside the
 union of the earlier pieces.  ``verify_chain`` checks that condition (and
 coverage of a target domain) by rejection sampling, except for the ball
-slices that closed-form inequalities prove (``_certified_pieces``).  The geometry
-is geometry.py's: its one rejection sampler, union test, intersection and ray
-march.
+slices that closed-form inequalities prove (``_certified_pieces``) and the
+polytope pieces whose vertices one earlier polytope absorbs (``_absorbed``).
+The geometry is geometry.py's: its one rejection sampler, union test,
+intersection and ray march.
 """
 from __future__ import annotations
 
@@ -101,7 +102,8 @@ class VerifyResult:
     n_sampled: int
     coverage_ok: Optional[bool]
     coverage_miss_rate: Optional[float]
-    method: str  # "construction" when _certified_pieces proves every piece, else "sampled"
+    method: str  # "construction" when _certified_pieces proves every piece, "sampled"
+    #              when a piece was sampled, else "exact"
 
 
 def _sample_in(dom, n, seed, max_factor=60):
@@ -118,16 +120,32 @@ def _candidate_order(k, r):
     return [*range(k - 1, lo - 1, -1), *([0] if lo > 0 else []), *range(lo - 1, 0, -1)]
 
 
+def _absorbed(chain, k, tol):
+    """Whether, for each j = 1..r, one earlier polytope piece holds the vertices
+    of polytope piece k shifted back by j h within ``tol``: exact, as a
+    polytope's signed distance is convex.  A piece with no vertices is empty."""
+    piece = chain.pieces[k]
+    if not isinstance(piece, PolytopeRep):
+        return False
+    priors = [q for i in _candidate_order(k, chain.order)
+              if isinstance(q := chain.pieces[i], PolytopeRep)]
+    h = chain.shifts[k - 1]
+    return all(any(np.max(q.signed_distance(piece.vertices - j * h), initial=-np.inf) <= tol
+                   for q in priors) for j in range(1, chain.order + 1))
+
+
 def verify_chain(chain, samples_per_piece=VERIFY_SAMPLES, seed=0):
     """Check that each piece's backward shifts land in the prior union.
 
-    A ball slice that ``_certified_pieces`` proves is not sampled; every other
-    piece is, and ``method`` says which way the chain passed.  A sampled piece
-    with no sample fails unless its bounding box is flat, which proves it
-    empty (``intersection`` of disjoint parts gives one); a sampled point that
-    misses counts by the prior union's signed distance.  Coverage of the
-    target is sampled.  ``ok`` is the shift condition, and ``chain.verified``
-    needs the coverage too."""
+    A ball slice that ``_certified_pieces`` proves is not sampled, nor is a
+    polytope piece that ``_absorbed`` settles; every other piece is, with the
+    same seed and prior union whatever else was settled, and ``method`` says
+    which way the chain passed.  A sampled piece with no sample fails unless
+    its bounding box is flat, which proves it empty (``intersection`` of
+    disjoint parts gives one); a sampled point that misses counts by the
+    prior union's signed distance.  Coverage of the target is sampled,
+    against the pieces with the largest boxes first.  ``ok`` is the shift
+    condition, and ``chain.verified`` needs the coverage too."""
     scale = chain.target.scale() if chain.target is not None else \
         max(p.scale() for p in chain.pieces)
     tol = VERIFY_TOL_REL * scale
@@ -135,12 +153,13 @@ def verify_chain(chain, samples_per_piece=VERIFY_SAMPLES, seed=0):
     r = chain.order
     worst = 0.0
     witnesses = []
-    unsampled = False
+    unsampled = sampled = False
     n_sampled = 0
     certified = _certified_pieces(chain, tol)
     for k in range(1, chain.n_pieces):
-        if k in certified:
+        if k in certified or _absorbed(chain, k, tol):
             continue
+        sampled = True
         piece = chain.pieces[k]
         pts = _sample_in(piece, samples_per_piece, seed + 17 * k)
         if len(pts) == 0:
@@ -170,7 +189,8 @@ def verify_chain(chain, samples_per_piece=VERIFY_SAMPLES, seed=0):
     if chain.target is not None:
         tpts = _sample_in(chain.target, COVERAGE_SAMPLES, seed + 9999)
         if len(tpts):
-            cover = UnionRep(tuple(chain.pieces[::-1]))
+            cover = UnionRep(tuple(sorted(
+                chain.pieces, key=lambda p: -float(np.prod(p.bbox[1] - p.bbox[0])))))
             block = 2 * VERIFY_SAMPLES  # bounds the per-part temporaries
             inside = np.concatenate([cover.member(tpts[i:i + block], slack)
                                      for i in range(0, len(tpts), block)])
@@ -178,8 +198,8 @@ def verify_chain(chain, samples_per_piece=VERIFY_SAMPLES, seed=0):
             cov_ok = miss_rate <= COVERAGE_MISS_MAX
     ok = worst == 0.0 and not unsampled  # witnesses are capped, failures are not
     chain.verified = ok and cov_ok is not False
-    method = "construction" if certified and len(certified) == chain.n_pieces - 1 \
-        else "sampled"
+    method = "sampled" if sampled \
+        else "construction" if certified and len(certified) == chain.n_pieces - 1 else "exact"
     return VerifyResult(ok, worst, witnesses, n_sampled, cov_ok, miss_rate, method)
 
 

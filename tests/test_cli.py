@@ -88,7 +88,8 @@ class TestChainBound:
         assert run(["chain-bound", "--chain", str(path), "--w0", "0", "--p", "1",
                     "--density", "500"]) == 2
 
-    @pytest.mark.parametrize("skip,label", [(True, "skipped"), (False, "sampled")])
+    # the fixture chain's boxes shift back onto earlier boxes: the vertex test settles it
+    @pytest.mark.parametrize("skip,label", [(True, "skipped"), (False, "exact")])
     def test_reports_verification(self, files, skip, label):
         out = files["tmp"] / "bound.json"
         argv = ["chain-bound", "--chain", str(files["chain"]), "--w0", "0", "--p", "inf",

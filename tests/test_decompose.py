@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 from pathlib import Path
 
@@ -6,6 +8,7 @@ import pytest
 
 import whitneylab as w
 from whitneylab import decompose as dc
+from whitneylab.cli import run
 from whitneylab.decompose import DecompositionChain, verify_chain
 from whitneylab.errors import PreconditionError, SpanDeficiencyError
 
@@ -13,6 +16,15 @@ from conftest import random_convex_polygon, stadium_domain, thin_band_chain
 
 E2 = w.direction_set([[1.0, 0.0], [0.0, 1.0]])
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def bench():
+    """The benchmark's ``perfbench/workloads.py`` module."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))
+        import workloads
+    return workloads
 
 
 class TestVerifyChain:
@@ -161,15 +173,16 @@ class TestPlanar:
                 assert res.ok, res.witnesses[:2]
                 assert res.coverage_ok
 
-    def test_benchmark_sliver_gets_its_samples(self, monkeypatch):
+    def test_benchmark_sliver_gets_its_samples(self, bench, monkeypatch):
         # piece 7 of the benchmark's seed-1 planar chain is a thin sliver; in
-        # its exact box the chain sampler reaches all its points
-        monkeypatch.syspath_prepend(str(PERFBENCH))
-        import workloads
-        spec = workloads.random_polygon(np.random.default_rng([1, 2]), normalized=True)
+        # its exact box the chain sampler reaches all its points.  With the
+        # vertex test on, most links are not sampled at all; off, every one is
+        # sampled in full
+        spec = bench.random_polygon(np.random.default_rng([1, 2]), normalized=True)
         chain, _ = w.planar_two_direction_chain(w.domain_from_spec(spec), r=2)
         sliver = chain.pieces[7]
         assert len(dc._sample_in(sliver, dc.VERIFY_SAMPLES, 1 + 17 * 7)) == dc.VERIFY_SAMPLES
+        monkeypatch.setattr(dc, "_absorbed", lambda *args: False)
         res = verify_chain(chain, seed=1)
         assert res.ok and chain.verified
         assert res.n_sampled == dc.VERIFY_SAMPLES * (chain.n_pieces - 1)
@@ -675,3 +688,127 @@ class TestReferenceCopies:
         for r in range(1, 6):
             for k in range(1, 700):
                 assert dc._candidate_order(k, r) == _candidate_order_by_sets(k, r)
+
+
+# ---------------------------------------------------------------------------
+# polytope links settled by their vertices
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def benchmark_chains(bench, tmp_path_factory):
+    """(decompose payload, program seed) of the ``chains`` workload's five
+    chains at benchmark seeds 1-3, by (name, seed); the lip2 chain has one
+    fixed program seed, so it is built once."""
+    out = {}
+    for seed in (1, 2, 3):
+        work = tmp_path_factory.mktemp(f"chains{seed}")
+        for exp in bench.build("chains", work, seed):
+            name = exp.name.split()[-1]
+            if exp.argv[0] != "decompose" or (name == "lip2" and seed > 1):
+                continue
+            assert run(exp.argv) == 0
+            out[name, seed] = (json.loads(exp.out.read_text()),
+                               int(exp.argv[exp.argv.index("--seed") + 1]))
+    return out
+
+
+def _all_sampled(chain, seed, monkeypatch, **kw):
+    """``verify_chain`` with the vertex test switched off."""
+    with monkeypatch.context() as mp:
+        mp.setattr(dc, "_absorbed", lambda *args: False)
+        return verify_chain(chain, seed=seed, **kw)
+
+
+def _same_verdict(res, ref):
+    """Every field but ``n_sampled`` and ``method`` equal."""
+    return dataclasses.replace(ref, n_sampled=res.n_sampled, method=res.method) == res
+
+
+def _reversed_cover_miss(chain, seed):
+    """The coverage miss rate with the cover tried last piece first (the
+    order before the largest-box-first one)."""
+    slack = w.geometry.MEMBERSHIP_SLACK * max(1.0, chain.target.scale())
+    pts = dc._sample_in(chain.target, dc.COVERAGE_SAMPLES, seed + 9999)
+    return float(1.0 - w.geometry.UnionRep(tuple(chain.pieces[::-1])).member(pts, slack).mean())
+
+
+def _pushed(chain, k, row):
+    """``chain`` with facet ``row`` of polytope piece k moved out by half its shift."""
+    P, h = chain.pieces[k], chain.shifts[k - 1]
+    b = P.b.copy()
+    b[row] += 0.5 * np.linalg.norm(h) * np.linalg.norm(P.A[row])
+    pieces = [*chain.pieces[:k], w.geometry.PolytopeRep(P.A, b), *chain.pieces[k + 1:]]
+    return DecompositionChain(pieces, chain.shifts, chain.order, chain.dirset, "pushed",
+                              target=chain.target)
+
+
+class TestVertexTest:
+    def test_benchmark_chains_keep_their_verdicts(self, benchmark_chains, monkeypatch):
+        for (name, _), (payload, seed) in benchmark_chains.items():
+            chain = dc.chain_from_spec(payload["chain"])
+            res = verify_chain(chain, seed=seed)
+            ref = _all_sampled(chain, seed, monkeypatch)
+            assert res.ok and _same_verdict(res, ref), name
+            assert res.n_sampled <= ref.n_sampled
+
+    def test_decompose_labels(self, benchmark_chains):
+        want = {"planar": "sampled", "star": "exact", "xray_cube": "exact",
+                "lip2": "construction", "xray_disk": "sampled"}
+        for (name, _), (payload, _) in benchmark_chains.items():
+            assert payload["method"] == want[name] and payload["verified"], name
+
+    def test_coverage_order_keeps_the_miss_rate(self, benchmark_chains):
+        for (name, _), (payload, seed) in benchmark_chains.items():
+            chain = dc.chain_from_spec(payload["chain"])
+            assert verify_chain(chain, seed=seed).coverage_miss_rate \
+                == _reversed_cover_miss(chain, seed), name
+        # test_cli's TestCoverageGate chain: [0, 1]^2 covers half its target
+        half = DecompositionChain([w.box([0, 0], [1, 1])], np.zeros((0, 2)), 1, E2, "test",
+                                  target=w.box([0, 0], [2, 1]))
+        res = verify_chain(half, seed=0)
+        assert res.coverage_miss_rate == _reversed_cover_miss(half, 0)
+        assert res.coverage_miss_rate == pytest.approx(0.5, abs=0.01)
+
+    @pytest.mark.parametrize("name, mutate", [
+        ("star", lambda ch: DecompositionChain(ch.pieces, 2 * ch.shifts, ch.order, ch.dirset,
+                                               "doubled", target=ch.target)),
+        ("planar", lambda ch: DecompositionChain(ch.pieces, 2 * ch.shifts, ch.order, ch.dirset,
+                                                 "doubled", target=ch.target)),
+        # the facets whose push leaves the earlier pieces, found by trying each
+        ("planar", lambda ch: _pushed(ch, 6, 0)),
+        ("xray_cube", lambda ch: _pushed(ch, 85, 11)),
+    ], ids=["star-doubled", "planar-doubled", "planar-pushed", "xray_cube-pushed"])
+    def test_mutants_fail_as_sampled(self, benchmark_chains, monkeypatch, name, mutate):
+        payload, seed = benchmark_chains[name, 1]
+        chain = mutate(dc.chain_from_spec(payload["chain"]))
+        res = verify_chain(chain, seed=seed)
+        ref = _all_sampled(chain, seed, monkeypatch)
+        assert not ref.ok and ref.witnesses and ref.worst_violation > 0.0
+        assert _same_verdict(res, ref) and res.method == "sampled"
+
+    def test_link_in_two_pieces_but_neither_is_sampled(self, monkeypatch):
+        # [0.5, 1.5] x [0, 1] lies in [0, 1]^2 union [1, 2] x [0, 1], in neither alone
+        pieces = [w.box([0, 0], [1, 1]), w.box([1, 0], [2, 1]), w.box([1.5, 0], [2.5, 1])]
+        chain = DecompositionChain(pieces, np.array([[1.0, 0.0], [1.0, 0.0]]), 1, E2, "test",
+                                   target=w.box([0, 0], [2.5, 1]))
+        assert dc._absorbed(chain, 1, 1e-9) and not dc._absorbed(chain, 2, 1e-9)
+        res = verify_chain(chain, samples_per_piece=2000, seed=0)
+        assert res.ok and res.method == "sampled" and res.n_sampled == 2000
+        assert _same_verdict(res, _all_sampled(chain, 0, monkeypatch, samples_per_piece=2000))
+
+    def test_each_multiple_of_the_shift_is_tested(self, monkeypatch):
+        # at r = 2, J - h lies in K and J - 2h does not
+        chain = DecompositionChain([w.box([0.5, 0], [2, 1]), w.box([2, 0], [3, 1])],
+                                   np.array([[1.0, 0.0]]), 2, E2, "test")
+        res = verify_chain(chain, samples_per_piece=2000, seed=0)
+        assert not res.ok and res.method == "sampled" and res.worst_violation > 0.4
+        assert _same_verdict(res, _all_sampled(chain, 0, monkeypatch, samples_per_piece=2000))
+
+    def test_planar_keeps_a_sampled_link(self, bench):
+        # verify-chain's benchmark check needs n_sampled > 0: an r = 2 planar
+        # chain keeps a link across its two slab families
+        for seed in range(1, 41):
+            spec = bench.random_polygon(np.random.default_rng([seed, 2]), normalized=True)
+            chain, _ = w.planar_two_direction_chain(w.domain_from_spec(spec), r=2)
+            res = verify_chain(chain, samples_per_piece=4096, seed=seed)
+            assert res.ok and res.method == "sampled" and res.n_sampled > 0, seed
