@@ -3,27 +3,13 @@
 Solver ladder: weighted normal equations at p = 2, linear programs at p = inf
 (constraint exchange) and p = 1 (the dual of discrete L1 approximation), both
 exact on the plan, iteratively reweighted least squares for 1 < p < inf, and
-damped reweighting from the p = 1 fit with random restarts for the nonconvex
-quasi-norm range 0 < p < 1, which is only ever reported as a local optimum.
+vertex descent from the p = 1 fit for the nonconvex quasi-norm range
+0 < p < 1, which is only ever reported as a local optimum (see `_solve`).
 
-The reweighted fits are sensitive to rounding: a relative change of 1e-15 in
-each least-squares solve moved the p = 0.5 error by up to 2.8e-4 relative (a
-random quartic on a 4096-point plan). So a p < 1 result repeats bit for bit
-only on the same numpy/LAPACK build, and the kernels here keep the bits of the
-plain broadcast forms they replace.
-
-The p = inf fit solves the minimax LP on an active set of plan points rather
-than on all 2n rows. The LP has k + 1 unknowns, so its dual has k + 1
-equality constraints and an optimal basic dual solution with at most k + 1
-nonzero entries: for any k-dimensional space on a finite plan, the minimax
-error on some k + 1 or fewer reference points equals the plan optimum (the
-characterisation of a best approximation via an optimal LP vertex, or
-Caratheodory's theorem). In 1-d under the Haar condition this is de la Vallee
-Poussin's theorem, on which Remez's exchange algorithm rests; the flat spaces
-here, such as {1, x, y, xy} in 2-d, do not meet that condition. Points
-whose residual exceeds the subset optimum join the set until none is left
-outside it, which makes the result exact on the whole plan (see
-`_solve_inf`).
+The descent moves between discrete vertices, so a rounding change moves its
+result only if it changes a comparison: multiplying each coefficient of the
+L1 start by 1 +- 1e-15 left the benchmark's p = 0.5 fits at seeds 1-8 on the
+same bits.
 """
 from __future__ import annotations
 
@@ -40,8 +26,8 @@ from .polyspace import design_matrix
 IRLS_MAX_ITER = 500
 IRLS_TOL = 1e-9
 IRLS_CLAMP = 1e-10
-QUASINORM_RESTARTS = 32
-QUASINORM_DAMPING = 0.5
+VERTEX_WINDOW = 64  # breakpoints searched per line of the p < 1 descent
+VERTEX_TOL = 1e-10  # relative gain below which the descent stops
 LP_VALUE_MAX = 1e20  # HiGHS reads a bound this large as infinite
 LP_MATRIX_MAX = 1e15  # HiGHS rejects a constraint-matrix entry this large
 
@@ -140,9 +126,11 @@ def _solve_inf(Phi, fvals):
 
     The LP has k + 1 unknowns (c, t), so its dual has an optimal basic
     solution with at most k + 1 nonzero entries: whatever the k-dimensional
-    space, some k + 1 or fewer plan points carry the plan optimum. That is why
-    S stays a few hundred rows where the full LP has 2n. The stop rule does
-    not rely on it; exactness comes from the argument above.
+    space, some k + 1 or fewer plan points carry the plan optimum (in 1-d
+    under the Haar condition, de la Vallee Poussin's theorem, on which Remez's
+    exchange rests; flat spaces such as {1, x, y, xy} in 2-d do not meet it).
+    That is why S stays a few hundred rows where the full LP has 2n. The stop
+    rule does not rely on it; exactness comes from the argument above.
 
     For a dual certificate: the final subset LP's dual, padded with zeros on
     the rows outside S, is feasible for the full-plan dual with the same
@@ -166,25 +154,23 @@ def _solve_inf(Phi, fvals):
         active = np.concatenate([active, worst])
 
 
-def _irls(Phi, fvals, w, p, x0=None, damping=0.0, max_iter=IRLS_MAX_ITER):
-    coeffs = _weighted_lsq(Phi, fvals, w) if x0 is None else x0.copy()
-    it = 0
-    converged = False
+def _irls(Phi, fvals, w, p):
+    # plain reweighting oscillates for p > 2; relax by 1/(p-1)
+    damping = 0.0 if p <= 2.0 else 1.0 - 1.0 / (p - 1.0)
+    coeffs = _weighted_lsq(Phi, fvals, w)
     # the residual of the current coefficients serves both the stagnation
     # test and the next weights
     res = fvals - Phi @ coeffs
     obj_prev = lp_norm(res, w, p)
     stagnant = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, IRLS_MAX_ITER + 1):
         mag = np.maximum(np.abs(res), IRLS_CLAMP)
         w_irls = w * mag ** (p - 2.0)
         new = _weighted_lsq(Phi, fvals, w_irls)
         if damping > 0.0:
             new = damping * coeffs + (1.0 - damping) * new
         if np.linalg.norm(new - coeffs) <= IRLS_TOL * (1.0 + np.linalg.norm(coeffs)):
-            coeffs = new
-            converged = True
-            break
+            return new, it, True
         coeffs = new
         # clamped weights dither near interpolation points; a stagnant
         # objective is the convex-case optimality signal
@@ -194,13 +180,69 @@ def _irls(Phi, fvals, w, p, x0=None, damping=0.0, max_iter=IRLS_MAX_ITER):
             else 0
         obj_prev = obj
         if stagnant >= 3:
-            converged = True
-            break
-    return coeffs, it, converged
+            return coeffs, it, True
+    return coeffs, IRLS_MAX_ITER, False
 
 
-def _solve(Phi, fvals, weights, p, seed=0):
-    """Return (coeffs, status, iterations) for one design matrix."""
+def _descend(Phi, fvals, w, p):
+    """Vertex descent (see `_solve`) from the k plan points of smallest L1-fit
+    residual whose rows are independent; returns (the final vertex in index
+    order, the number of rounds)."""
+    n, k = Phi.shape
+    vertex = []
+    for i in np.argsort(np.abs(fvals - Phi @ _solve_l1(Phi, fvals, w)), kind="stable"):
+        if np.linalg.matrix_rank(Phi[vertex + [i]]) > len(vertex):
+            vertex.append(int(i))
+            if len(vertex) == k:
+                break
+    vertex.sort()  # a start that depends on the set alone
+    buf = np.empty((VERTEX_WINDOW, n))
+    rounds = 0
+    while True:
+        inv = np.linalg.inv(Phi[vertex])
+        r = fvals - Phi @ (inv @ fvals[vertex])
+        best = np.sum(w * np.abs(r) ** p) * (1.0 - VERTEX_TOL)
+        move = None
+        for j in range(k):
+            a = Phi @ inv[:, j]
+            # a row with a_i = 0 depends on the k - 1 kept rows
+            live = np.setdiff1d(np.flatnonzero(a), vertex)
+            s = r[live] / a[live]
+            if live.size > VERTEX_WINDOW:
+                near = np.argpartition(np.abs(s), VERTEX_WINDOW - 1)[:VERTEX_WINDOW]
+                live, s = live[near], s[near]
+            # one line at a time in a fixed buffer: each row the residual at a breakpoint
+            vals = np.multiply(s[:, None], a, out=buf[:live.size])
+            np.abs(np.subtract(r, vals, out=vals), out=vals)
+            vals **= p
+            vals *= w
+            obj = vals.sum(axis=1)
+            if obj.size and obj.min() < best:
+                m = int(np.argmin(obj))
+                best, move = obj[m], (j, int(live[m]))
+        if move is None:
+            return sorted(vertex), rounds
+        vertex[move[0]] = move[1]
+        rounds += 1
+
+
+def _solve(Phi, fvals, weights, p):
+    """Return (coeffs, status, iterations) for one design matrix.
+
+    For 0 < p < 1, vertex descent. The objective sum_i w_i |r_i(c)|^p,
+    r(c) = fvals - Phi c, is concave on each cell of the arrangement
+    {r_i(c) = 0}, so every local minimum is a vertex: a c that interpolates
+    fvals at k plan points with independent rows. And every vertex is one:
+    near it the k zero residuals add terms of order |c - vertex|^p, which
+    outgrow the first-order change of the others. Each round drops each of
+    the k points in turn; c then moves on a line (a column of the inverse of
+    those k rows), where the objective is concave between the breakpoints
+    s_i = r_i / (Phi d)_i, so lowest at one of them: a neighbouring vertex.
+    Of each line the VERTEX_WINDOW = 64 breakpoints nearest the vertex are
+    searched (all n cost O(n^2) per line); the descent moves to the best
+    vertex of the k lines until none gains more than VERTEX_TOL relative.
+    The coefficients are solved from the final k rows alone.
+    """
     _check_rank(Phi, weights)
     if p == 2.0:
         return _weighted_lsq(Phi, fvals, weights), "optimal", 1
@@ -209,33 +251,13 @@ def _solve(Phi, fvals, weights, p, seed=0):
     if p == 1.0:
         return _solve_l1(Phi, fvals, weights), "optimal", 1
     if p > 1.0:
-        # plain reweighting oscillates for p > 2; relax by 1/(p-1)
-        damping = 0.0 if p <= 2.0 else 1.0 - 1.0 / (p - 1.0)
-        coeffs, it, ok = _irls(Phi, fvals, weights, p, damping=damping)
+        coeffs, it, ok = _irls(Phi, fvals, weights, p)
         return coeffs, ("optimal" if ok else "max_iter"), it
-    # quasi-norm range: damped reweighting from the p=1 solution plus restarts
-    start = _solve_l1(Phi, fvals, weights)
-    rng = np.random.default_rng(seed)
-
-    def objective(c):
-        return lp_norm(fvals - Phi @ c, weights, p)
-
-    best, it_total, _ = _irls(Phi, fvals, weights, p, x0=start,
-                              damping=QUASINORM_DAMPING)
-    best_val = objective(best)
-    scale = np.linalg.norm(start) + 1e-12
-    for _ in range(QUASINORM_RESTARTS):
-        x0 = start + 0.1 * scale * rng.standard_normal(start.size)
-        cand, it, _ = _irls(Phi, fvals, weights, p, x0=x0,
-                            damping=QUASINORM_DAMPING, max_iter=100)
-        it_total += it
-        val = objective(cand)
-        if val < best_val:
-            best, best_val = cand, val
-    return best, "local_optimum", it_total
+    vertex, rounds = _descend(Phi, fvals, weights, p)
+    return np.linalg.solve(Phi[vertex], fvals[vertex]), "local_optimum", rounds
 
 
-def best_approx(f, dom, plan, basis, p, seed=0):
+def best_approx(f, dom, plan, basis, p):
     """Best approximation of ``f`` from the basis span in L^p of the plan."""
     if len(plan) == 0:
         raise PreconditionError("empty sample plan")
@@ -243,7 +265,7 @@ def best_approx(f, dom, plan, basis, p, seed=0):
         raise PreconditionError("basis dimension does not match domain")
     fvals = finite_values(f, plan.points)
     Phi = design_matrix(basis, plan.points)
-    coeffs, status, iters = _solve(Phi, fvals, plan.weights, p, seed=seed)
+    coeffs, status, iters = _solve(Phi, fvals, plan.weights, p)
     error = lp_norm(fvals - Phi @ coeffs, plan.weights, p)
     if not math.isfinite(error):
         raise PreconditionError("approximation error is not finite: the residuals' norm "

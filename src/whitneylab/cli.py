@@ -208,7 +208,7 @@ def _cmd_approx(args):
     f = _function(args, dom.dim)
     plan = _plan(args, dom)
     basis = polyspace.build_basis(dom.dim, args.order, dirs)
-    res = approx.best_approx(f, dom, plan, basis, p, seed=args.seed)
+    res = approx.best_approx(f, dom, plan, basis, p)
     return (3 if res.status == "max_iter" else 0, res.spec(),
             ["error", "status", "iterations"], [[res.error, res.status, res.iterations]])
 

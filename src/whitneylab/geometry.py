@@ -576,11 +576,11 @@ def _polytope_vertices(A, b):
 
 def _dedupe(rows, tol):
     """In order, the rows at distance ``tol`` or more from every row kept before."""
-    keep = []
+    keep = rows[:0]
     for v in rows:
-        if not any(np.linalg.norm(v - w) < tol for w in keep):
-            keep.append(v)
-    return np.array(keep).reshape(-1, rows.shape[1])
+        if not (np.linalg.norm(keep - v, axis=1) < tol).any():
+            keep = np.vstack([keep, v])
+    return keep
 
 
 # ---------------------------------------------------------------------------

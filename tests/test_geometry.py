@@ -63,9 +63,11 @@ class TestDiameter:
         rim = np.column_stack([rim_rho * np.cos(th), np.ones_like(th)])
         ext = np.vstack([[[0.0, 0.0]], rim])
         sub = ext[:: 37]
+        # the farthest point of a finite set from p is a vertex of its hull
+        far = ext[ConvexHull(ext).vertices]
         best = 0.0
         for p in sub:
-            best = max(best, float(np.max(np.linalg.norm(ext - p, axis=1))))
+            best = max(best, float(np.max(np.linalg.norm(far - p, axis=1))))
         val = w.diameter(K).value
         assert val == pytest.approx(best, rel=1e-3)
         assert val == pytest.approx(1.0 / 0.9, rel=1e-12)
@@ -325,6 +327,21 @@ class TestPolytopeVertices:
         got = w.geometry._polytope_vertices(A, b)
         want = _vertices_one_subset_at_a_time(A, b)
         assert len(got) > 0 and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_dedupe_keeps_the_rows_of_the_per_pair_test(self, d):
+        # clusters of near copies, some within tol of a kept row and some beyond
+        rng = np.random.default_rng(d)
+        base = rng.standard_normal((40, d))
+        rows = np.vstack([base] + [base + 2e-9 * rng.uniform(0.0, 1.0, (40, 1))
+                                   * rng.standard_normal((40, d)) for _ in range(4)])
+        rows = rows[rng.permutation(len(rows))]
+        keep = []
+        for v in rows:
+            if not any(np.linalg.norm(v - u) < 1e-9 for u in keep):
+                keep.append(v)
+        got = w.geometry._dedupe(rows, 1e-9)
+        assert 40 < len(got) < len(rows) and got.tobytes() == np.array(keep).tobytes()
 
     def test_fewer_rows_than_the_dimension(self):
         assert w.geometry._polytope_vertices(np.ones((1, 2)), np.ones(1)).shape == (0, 2)
