@@ -310,8 +310,7 @@ def _default_margin_dirs(d):
 
 def _cmd_xray_check(args):
     dom, dirs = _domain_dirs(args)
-    sample = geo.boundary_points(dom, n=args.samples, seed=args.seed)
-    ok, wit = geo.xray_verifies(dom, dirs, sample)
+    ok, wit = geo.xray_verifies(dom, dirs, geo.boundary_points(dom))
     return (0 if ok else 2, {"ok": ok, "witnesses": [w.tolist() for w in wit[:16]]},
             ["ok", "n_witnesses"], [[ok, len(wit)]])
 
@@ -402,7 +401,7 @@ def _build_parser():
             opt("--dirs", default=None, help="direction-set JSON file; default margin-safe pair"),
             fmt="csv")
     command("xray-check", _cmd_xray_check, "verify illumination by +/- directions",
-            domain, dirs, opt("--samples", type=_positive_int, default=256))
+            domain, dirs)
     command("report", _cmd_report, "lower/upper bound table over (r, p) grids", domain, dirs,
             opt("--r-list", default="1,2", type=_parse_ints),
             opt("--p-list", default="1,inf", type=_parse_p_list),

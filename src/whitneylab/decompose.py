@@ -332,12 +332,18 @@ def _stack_with_polytope(A, b, dom):
 
 
 def _piece_nonempty(piece, seed):
+    """Whether ``piece`` has volume: exactly for a polytope, whose feasible
+    vertex candidates then affinely span R^d; else whether a sample at
+    ``seed`` finds a member."""
+    if isinstance(piece, PolytopeRep):
+        pts, tol = piece._candidates
+        return len(pts) > piece.dim and np.linalg.matrix_rank(pts[1:] - pts[0], tol) == piece.dim
     return len(_sample_in(piece, 1, seed, max_factor=512)) > 0
 
 
 def _march(pieces, shifts, n, piece_at, shift, seed):
     """Append piece_at(i) with ``shift`` for i = 1..n, up to the first piece
-    that ``_piece_nonempty`` at seed + i finds empty."""
+    that ``_piece_nonempty`` (at seed + i, where it samples) finds empty."""
     for i in range(1, n + 1):
         piece = piece_at(i)
         if not _piece_nonempty(piece, seed=seed + i):
@@ -838,8 +844,10 @@ def xray_slab_decomposition(dom, dirset, n0=1, r=1, seed=0):
 
     The base piece is a shrunken copy of the body; each direction contributes
     slabs of depth-delta ray segments whose forward shifts land in earlier
-    slabs or the base.  Fails loudly if the boundary is not illuminated or no
-    shrink index up to the cap yields a ray cover.
+    slabs or the base.  Fails loudly, with witnesses, if the directions do not
+    x-ray the body (decided in closed form by ``geometry.xray_verifies``: a
+    polytope by its vertices, a ball by the span), or if no shrink index up to
+    the cap yields a ray cover.
     """
     _check_order(r)
     d = dom.dim
@@ -849,8 +857,7 @@ def xray_slab_decomposition(dom, dirset, n0=1, r=1, seed=0):
         raise PreconditionError("x-ray slabs support polytope and ball domains")
     if not dom.strictly_inside(np.zeros(d)):
         raise PreconditionError("the origin must be interior to the domain")
-    bpts = geo.boundary_points(dom, n=128, seed=seed)
-    ok, wit = geo.xray_verifies(dom, dirset, bpts)
+    ok, wit = geo.xray_verifies(dom, dirset, geo.boundary_points(dom))
     if not ok:
         raise PreconditionError(
             "direction set does not x-ray the domain",

@@ -25,8 +25,13 @@ formulas they replace:
   (``stop_at_n``) test each batch in chunks sized from the acceptance seen
   so far and stop at the n-th member; the stream continues across chunks,
   so the points are the bits of the whole-batch sample;
-- ``ray_march`` (the one sampled ray march) builds its probes coordinate by
-  coordinate.
+- ``ray_march`` (the one sampled ray march, for the x-ray builder's shrink
+  index) builds its probes coordinate by coordinate.
+
+Whether directions x-ray a domain is decided in closed form, never sampled:
+by the vertices of its half-space form (``as_polytope``: polytopes, their
+affine images and 2-d cone bodies), by the span for balls and their affine
+images; any other representation raises (``xray_verifies``).
 """
 from __future__ import annotations
 
@@ -43,7 +48,6 @@ from .errors import PreconditionError
 
 MEMBERSHIP_SLACK = 1e-12
 BOUNDARY_TOL = 1e-8  # relative to bbox scale
-RAY_SAMPLES = 10_000
 
 
 def _as_points(x, dim):
@@ -67,10 +71,10 @@ def _as_points(x, dim):
 # on members at least the true value, so -sd(y) >= h puts B(y, h) in the set,
 # elsewhere at most the distance to the set), spec() and bbox (derived on first
 # read).  Where it has exact answers it defines vertices, diameter(),
-# boundary(x, tol) -> (flag, outward normals or None), anchor() (an interior
-# point) and, for convex sets, _exit(pts, xi, slack): per member point x, the
-# largest u >= 0 with x + u xi a member within ``slack``; None means none.
-# Domain answers the queries.
+# boundary(x, tol) -> (flag, outward normals at x) (polytopes and balls; the
+# others raise) and, for convex sets, _exit(pts, xi, slack): per member point
+# x, the largest u >= 0 with x + u xi a member within ``slack``; None means
+# none.  Domain answers the queries.
 
 def _translate(pts, v):
     """pts + v for an (n, d) batch and a (d,) offset, column by column: the
@@ -126,8 +130,8 @@ class Domain:
         pts, _ = _as_points(x, self.dim)
         return self._exit(pts, np.asarray(xi, dtype=float).ravel(), self._slack())
 
-    def strictly_inside(self, x, margin=None):
-        return self.contains(x, slack=-(margin if margin is not None else 1e-9 * self.scale()))
+    def strictly_inside(self, x):
+        return self.contains(x, slack=-1e-9 * self.scale())
 
     def scale(self):
         ext = self.bbox[1] - self.bbox[0]
@@ -144,10 +148,7 @@ class Domain:
         return _max_pairwise(self.vertices)
 
     def boundary(self, x, tol):
-        return None
-
-    def anchor(self):
-        return None
+        raise PreconditionError(f"a {self.spec()['type']} gives no outward normals")
 
     def _exit(self, pts, xi, slack):
         return None
@@ -202,9 +203,6 @@ class PolytopeRep(Domain):
         active = np.abs(res) <= tol * np.maximum(norms, 1e-300)
         return bool(active.any()), self.A[active]
 
-    def anchor(self):
-        return _chebyshev_ball(self.A, self.b)[0]
-
     def _exit(self, pts, xi, slack):
         rate = self.A @ xi
         ahead = rate > 0  # the rows a . xi <= 0 never bind for a member
@@ -238,9 +236,6 @@ class BallRep(Domain):
     def boundary(self, x, tol):
         return (abs(np.linalg.norm(x - self.center) - self.radius) <= tol,
                 (x - self.center)[None, :])
-
-    def anchor(self):
-        return self.center.copy()
 
     def _exit(self, pts, xi, slack):
         rel = pts - self.center
@@ -283,11 +278,6 @@ class ConeBodyRep(Domain):
         # both constraints over their Lipschitz constants (2 and 1)
         proj = pts @ self.xi
         return np.maximum((_row_norms(pts) * (1.0 - self.eps) - proj) / 2.0, proj - 1.0)
-
-    def boundary(self, x, tol):
-        proj = float(x @ self.xi)
-        on_cone = abs(float(np.linalg.norm(x)) * (1.0 - self.eps) - proj) <= tol
-        return abs(proj - 1.0) <= tol or on_cone, None
 
     def _exit(self, pts, xi, slack):
         # along y = x + u xi, with s = xi . axis: the cap binds when s > 0; the
@@ -893,66 +883,45 @@ def normalize(dom):
 
 
 def as_polytope(dom):
-    """Flatten an affine image of a polytope into a direct half-space form."""
+    """The half-space form of a polytope, of an affine image of one at any
+    depth, or of a 2-d cone body: {x : k |x| <= x . xi <= 1}, k = 1 - eps, is
+    the triangle (-s xi +/- k xi_perp) . x <= 0, xi . x <= 1, s = sqrt(1 - k^2).
+    Any other representation raises, naming it."""
     if isinstance(dom, PolytopeRep):
         return dom
-    if isinstance(dom, AffineImageRep) and isinstance(dom.base, PolytopeRep):
-        A = dom.base.A @ dom.inverse
-        b = dom.base.b + A @ dom.shift
-        return polytope(A, b)
-    raise PreconditionError("domain is not polytope-backed")
+    if isinstance(dom, AffineImageRep):
+        base = as_polytope(dom.base)
+        A = base.A @ dom.inverse
+        return polytope(A, base.b + A @ dom.shift)
+    if isinstance(dom, ConeBodyRep) and dom.dim == 2:
+        k = 1.0 - dom.eps
+        s = math.sqrt(1.0 - k * k)
+        perp = np.array([-dom.xi[1], dom.xi[0]])
+        return polytope([-s * dom.xi + k * perp, -s * dom.xi - k * perp, dom.xi], [0.0, 0.0, 1.0])
+    raise PreconditionError(f"a {dom.dim}-d {dom.spec()['type']} has no half-space form "
+                            f"(polytopes, 2-d cone bodies and their affine images have one)")
 
 
 # ---------------------------------------------------------------------------
-# boundary, illumination, x-ray
+# illumination, x-ray
 # ---------------------------------------------------------------------------
-
-def _boundary_info(dom, x):
-    """(is_boundary, outward normals at x or None). Tolerance is relative to scale."""
-    tol = BOUNDARY_TOL * dom.scale()
-    x = np.asarray(x, dtype=float).ravel()
-    if not dom.contains(x, slack=tol):
-        return False, None
-    exact = dom.boundary(x, tol)
-    if exact is not None:
-        return exact
-    # generic: member but not strictly interior, probed on a small sphere
-    probe = 32 * dom.dim
-    rng = np.random.default_rng(0)
-    dirs = rng.standard_normal((probe, dom.dim))
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    probes = x + 10.0 * tol * dirs
-    inside = dom.contains(probes)
-    return not bool(inside.all()), None
-
 
 def illuminated(dom, x, e):
-    """Whether the open ray from boundary point ``x`` along ``e`` enters the interior.
-
-    Where the representation gives the outward normals at x (polytopes, balls)
-    the ray enters iff it points against all of them; otherwise points along
-    the ray up to twice the diameter are sampled.
-    """
+    """Whether the open ray from boundary point ``x`` along ``e`` enters the
+    interior: iff e points against every outward normal at x.  Polytopes and
+    balls give their normals; any other representation raises."""
     x = np.asarray(x, dtype=float).ravel()
-    e = np.asarray(e, dtype=float).ravel()
-    e = e / np.linalg.norm(e)
-    on_bdry, normals = _boundary_info(dom, x)
-    if not on_bdry:
+    tol = BOUNDARY_TOL * dom.scale()
+    on_boundary, normals = dom.boundary(x, tol)
+    if not (on_boundary and dom.contains(x, slack=tol)):
         raise PreconditionError("illumination query requires a boundary point")
-    if normals is not None:
-        return bool(np.all(normals @ e < 0.0))
-    try:
-        diam = diameter(dom).value
-    except PreconditionError:
-        diam = float(np.linalg.norm(dom.bbox[1] - dom.bbox[0]))
-    return bool(ray_march(dom, x[None, :], e, 2.0 * diam, RAY_SAMPLES,
-                          slack=-1e-9 * dom.scale())[0])
+    return bool(np.all(normals @ np.asarray(e, dtype=float).ravel() < 0.0))
 
 
-def ray_march(dom, pts, e, t_hi, n_t, slack=None):
+def ray_march(dom, pts, e, t_hi, n_t):
     """Per row p of ``pts``, whether some p + t e with t = t_hi k / n_t
-    (k = 1..n_t) belongs to ``dom`` within ``slack``; rays that have met the
-    domain are dropped, a few thousand probe points per membership call."""
+    (k = 1..n_t) belongs to ``dom``; rays that have met the domain are
+    dropped, a few thousand probe points per membership call."""
     ts = np.linspace(0.0, t_hi, n_t + 1)[1:]
     hit = np.zeros(len(pts), dtype=bool)
     per_call = max(1, 4096 // max(len(pts), 1))
@@ -964,89 +933,59 @@ def ray_march(dom, pts, e, t_hi, n_t, slack=None):
         probes = np.empty((rem.size, step.size, dom.dim))
         for i in range(dom.dim):  # p + t e, coordinate by coordinate
             np.add(np.take(pts[:, i], rem)[:, None], step * e[i], out=probes[:, :, i])
-        inside = dom.contains(probes.reshape(-1, dom.dim), slack)
+        inside = dom.contains(probes.reshape(-1, dom.dim))
         hit[rem] = inside.reshape(len(rem), -1).any(axis=1)
     return hit
 
 
-def xray_verifies(dom, dirset, boundary_sample):
-    """Check that every boundary sample is illuminated by some +/- direction.
+def _ball_image(dom):
+    """(ball, M, s) with dom = M ball + s, nested affine images composed
+    (M <- M A, s <- M t + s per level) and M None for the identity; ball is
+    None unless dom is a ball or an affine image of one."""
+    M = s = None
+    while isinstance(dom, AffineImageRep):
+        M, s = (dom.matrix, dom.shift) if M is None else (M @ dom.matrix, M @ dom.shift + s)
+        dom = dom.base
+    return (dom if isinstance(dom, BallRep) else None), M, s
 
-    Returns (ok, witnesses) where witnesses lists the unilluminated points.
+
+def boundary_points(dom):
+    """The boundary points that decide whether directions x-ray ``dom``: the
+    vertices of ``as_polytope(dom)``.  A point on a face has its active set
+    inside that of each vertex of the face, so a direction that illuminates a
+    vertex illuminates the face around it.  A ball, or an affine image of
+    one, has none, as the span decides it (``xray_verifies``)."""
+    if _ball_image(dom)[0] is not None:
+        return np.zeros((0, dom.dim))
+    return as_polytope(dom).vertices
+
+
+def xray_verifies(dom, dirset, boundary_sample):
+    """Whether the +/- directions of ``dirset`` x-ray ``dom``, as (ok,
+    witnesses): the witnesses are boundary points that no ray along a
+    direction enters.
+
     A ball, or an affine image of one at any depth, is x-rayed exactly when
     the directions span.  Otherwise, for a unit n orthogonal to every
-    direction, the points where n . x is extreme are witnesses too (no ray
-    along a direction enters from them, and a boundary sample rarely hits
-    them): c +/- rho n on B(c, rho), M c + s +/- rho M M^T n / |M^T n| on its
-    image under y -> M y + s, where nested images compose into one M and s.
+    direction, the witnesses are the two points where n . x is extreme:
+    c +/- rho n on B(c, rho), M c + s +/- rho M M^T n / |M^T n| on its image
+    under y -> M y + s.  Any other domain is decided on ``boundary_sample``
+    by the outward normals of ``as_polytope(dom)``, which raises for a union,
+    an intersection or a cone body past d = 2; ``boundary_points(dom)`` are
+    the points that decide it.
     """
-    pts = np.atleast_2d(np.asarray(boundary_sample, dtype=float))
-    if len(pts) == 0:
-        raise PreconditionError("boundary sample must be nonempty")
-    sym = dirset.symmetrized()
-    witnesses = [x.copy() for x in pts if not any(illuminated(dom, x, e) for e in sym.dirs)]
-    ball, M, s = dom, None, None  # dom = M ball + s; None stands for the identity
-    while isinstance(ball, AffineImageRep):
-        M, s = (ball.matrix, ball.shift) if M is None else (M @ ball.matrix, M @ ball.shift + s)
-        ball = ball.base
-    if isinstance(ball, BallRep) and not dirset.spans:
+    ball, M, s = _ball_image(dom)
+    if ball is not None:
+        if dirset.spans:
+            return True, []
         n = np.linalg.svd(dirset.dirs)[2][-1]
         m = n if M is None else M.T @ n / np.linalg.norm(M.T @ n)
         ends = [ball.center + sign * ball.radius * m for sign in (1.0, -1.0)]
-        witnesses += ends if M is None else [M @ y + s for y in ends]
-    return len(witnesses) == 0, witnesses
-
-
-def boundary_points(dom, n=256, seed=0):
-    """Boundary sample by ray bisection from an interior anchor.
-
-    For polytopes and their affine images the vertex list is always included:
-    a direction that illuminates a vertex illuminates the faces around it, so
-    illumination failures concentrate there.
-    """
-    rng = np.random.default_rng(seed)
-    anchor = _interior_anchor(dom, rng)
-    dirs = rng.standard_normal((n, dom.dim))
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    pts = anchor + _ray_exit(dom, anchor, dirs)[:, None] * dirs
-    if dom.vertices is not None:
-        pts = np.vstack([dom.vertices, pts])
-    return pts
-
-
-def _ray_exit(dom, anchor, dirs):
-    """Per row u of ``dirs``, the length t at which the ray anchor + t u leaves
-    ``dom``, by 60 bisection steps on membership (all rays at once)."""
-    lo = np.zeros(len(dirs))
-    hi = np.full(len(dirs), 2.0 * float(np.linalg.norm(dom.bbox[1] - dom.bbox[0])) + 1.0)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        inside = dom.contains(anchor + mid[:, None] * dirs)
-        lo = np.where(inside, mid, lo)
-        hi = np.where(inside, hi, mid)
-    return lo
-
-
-def _interior_anchor(dom, rng):
-    """The representation's exact interior point, else the first of 100 000
-    proposals ``rng.uniform(lo, hi)`` strictly inside ``dom``.  Proposals are
-    drawn and tested in growing blocks (the same bits as single draws), and
-    ``rng`` is left just past the proposal returned, as single draws leave it."""
-    exact = dom.anchor()
-    if exact is not None:
-        return exact
-    _require_volume(dom)
-    lo, hi = dom.bbox
-    margin = 1e-7 * dom.scale()
-    tries, tried, m = 100_000, 0, 16
-    while tried < tries:
-        m = min(m, tries - tried)
-        state = rng.bit_generator.state
-        hit = np.flatnonzero(dom.strictly_inside(rng.uniform(lo, hi, (m, dom.dim)), margin))
-        if hit.size:
-            rng.bit_generator.state = state
-            return rng.uniform(lo, hi, (hit[0] + 1, dom.dim))[-1]
-        tried += m
-        m = min(2 * m, 4096)
-    raise PreconditionError("could not find an interior point")
-
+        return False, ends if M is None else [M @ y + s for y in ends]
+    pts = np.atleast_2d(np.asarray(boundary_sample, dtype=float))
+    if len(pts) == 0:
+        raise PreconditionError("boundary sample must be nonempty")
+    poly = as_polytope(dom)
+    sym = dirset.symmetrized()
+    witnesses = [x.copy() for x in pts if not any(illuminated(poly, x, e) for e in sym.dirs)]
+    return not witnesses, witnesses

@@ -22,7 +22,6 @@ PACKAGE = Path(whitneylab.__file__).resolve().parent
 
 KEPT_FOR_ACCEPTANCE = {
     "grid_plan": "test_acceptance.py::test_criterion_5_oned_whitney_ceiling",
-    "as_polytope": "test_acceptance.py::test_criterion_8_invariance_suite",
     "normalize": "test_acceptance.py::test_criterion_7_decomposition_verification "
                  "(its polygons come from conftest.random_convex_polygon)",
 }
@@ -237,3 +236,14 @@ def test_boxes_are_derived_not_given():
              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
              and "boxes" in {a.arg for a in fn.args.args + fn.args.kwonlyargs}]
     assert not takes, f"functions that take boxes: {takes}"
+
+
+def test_xray_verdicts_are_not_sampled():
+    # "E x-rays the domain" is decided by vertices or by the span, so no random
+    # boundary sample, interior point or ray march is left behind the verdict
+    from whitneylab import geometry
+    left = [name for name in ("RAY_SAMPLES", "_ray_exit", "_interior_anchor")
+            if name in vars(geometry)]
+    left += [f"{cls.__name__}.anchor" for cls in [geometry.Domain, *_representations()]
+             if "anchor" in vars(cls)]
+    assert not left, f"x-ray sampler remnants: {left}"

@@ -254,7 +254,7 @@ class TestVerifyAndXray:
         e1 = tmp_path / "e1.json"
         e1.write_text(json.dumps({"dirs": [[1, 0]]}))
         argv = ["--domain", str(files["disk"]), "--dirs", str(e1)]
-        assert run(["xray-check", *argv, "--samples", "32"]) == 2
+        assert run(["xray-check", *argv]) == 2
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is False
         assert sorted(np.round(np.abs(payload["witnesses"]), 12).tolist()) == [[0, 1], [0, 1]]
@@ -273,8 +273,7 @@ class TestVerifyAndXray:
         dom.write_text(json.dumps({"type": "affine_image", "matrix": matrix, "shift": shift,
                                    "base": {"type": "ball", "center": [0, 0], "radius": 1.0}}))
         dirs_path.write_text(json.dumps({"dirs": dirs}))
-        code = run(["xray-check", "--domain", str(dom), "--dirs", str(dirs_path),
-                    "--samples", "32"])
+        code = run(["xray-check", "--domain", str(dom), "--dirs", str(dirs_path)])
         payload = json.loads(capsys.readouterr().out)
         assert (code, payload["ok"]) == ((0, True) if top is None else (2, False))
         if top is not None:
@@ -290,18 +289,53 @@ class TestVerifyAndXray:
         dom.write_text(json.dumps({"type": "affine_image", "matrix": [[1, 0], [0, 1]],
                                    "shift": [0, 0], "base": ellipse}))
         dirs_path.write_text(json.dumps({"dirs": [[1, 0]]}))
-        code = run(["xray-check", "--domain", str(dom), "--dirs", str(dirs_path),
-                    "--samples", "32"])
+        code = run(["xray-check", "--domain", str(dom), "--dirs", str(dirs_path)])
         payload = json.loads(capsys.readouterr().out)
         assert (code, payload["ok"]) == (2, False)
         assert np.allclose(payload["witnesses"][-2:], [[0, 1], [0, -1]], rtol=0, atol=1e-12)
 
     def test_xray_square_axes_fails(self, files, capsys):
         code = run(["xray-check", "--domain", str(files["square"]),
-                    "--dirs", str(files["axes"]), "--samples", "32"])
+                    "--dirs", str(files["axes"])])
         assert code == 2
         payload = json.loads(capsys.readouterr().out)
-        assert payload["ok"] is False and payload["witnesses"]
+        assert payload["ok"] is False
+        assert sorted(payload["witnesses"]) == [[-1, -1], [-1, 1], [1, -1], [1, 1]]
+
+    def test_xray_two_dimensional_cone_body_axes_fail(self, files, tmp_path, capsys):
+        # a 2-d cone body is a triangle, and two directions never x-ray one:
+        # no ray along +/- e1 or +/- e2 enters at either cap corner
+        cone = tmp_path / "cone.json"
+        cone.write_text(json.dumps({"type": "cone_body", "xi": [0, 1], "eps": 0.3}))
+        assert run(["xray-check", "--domain", str(cone), "--dirs", str(files["axes"])]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["ok"] is False
+        corner = math.sqrt(1.0 - 0.7 ** 2) / 0.7
+        assert np.allclose(sorted(payload["witnesses"]), [[-corner, 1.0], [corner, 1.0]],
+                           rtol=0, atol=1e-12)
+
+    def test_xray_two_dimensional_cone_body_three_directions_pass(self, tmp_path, capsys):
+        cone, dirs = tmp_path / "cone.json", tmp_path / "dirs.json"
+        cone.write_text(json.dumps({"type": "cone_body", "xi": [0, 1], "eps": 0.3}))
+        dirs.write_text(json.dumps({"dirs": [[0, 1], [1, 0.5], [1, -0.5]]}))
+        assert run(["xray-check", "--domain", str(cone), "--dirs", str(dirs)]) == 0
+        assert json.loads(capsys.readouterr().out)["witnesses"] == []
+
+    @pytest.mark.parametrize("spec, dirs, name", [
+        ({"type": "union", "parts": [{"type": "ball", "center": [0, 0], "radius": 1},
+                                     {"type": "ball", "center": [1, 0], "radius": 1}]},
+         [[1, 0], [0, 1]], "2-d union"),
+        ({"type": "intersection", "parts": [{"type": "ball", "center": [0, 0], "radius": 1},
+                                            {"type": "ball", "center": [1, 0], "radius": 1}]},
+         [[1, 0], [0, 1]], "2-d intersection"),
+        ({"type": "cone_body", "xi": [0, 0, 1], "eps": 0.3}, np.eye(3).tolist(),
+         "3-d cone_body")])
+    def test_xray_without_closed_form_exit2(self, tmp_path, spec, dirs, name, capsys):
+        dom, dirs_path = tmp_path / "dom.json", tmp_path / "dirs.json"
+        dom.write_text(json.dumps(spec))
+        dirs_path.write_text(json.dumps({"dirs": dirs}))
+        assert run(["xray-check", "--domain", str(dom), "--dirs", str(dirs_path)]) == 2
+        assert f"a {name} has no half-space form" in capsys.readouterr().err
 
 
 class TestErrorPaths:
@@ -511,15 +545,14 @@ class TestSpecErrors:
         assert "domain is flat" in err and "along axis 1" in err
 
     def test_disjoint_intersection_xray_exit2(self, files, tmp_path, capsys):
-        # disjoint unit disks: the intersection's bounding box has extent 0 along x,
-        # so the interior-point search stops at once instead of 100 000 proposals
+        # disjoint unit disks: no closed form decides an intersection's x-ray
+        # verdict, so it stops at once, naming the representation
         lens = tmp_path / "lens.json"
         lens.write_text(json.dumps({"type": "intersection", "parts": [
             {"type": "ball", "center": [0, 0], "radius": 1},
             {"type": "ball", "center": [3, 0], "radius": 1}]}))
         assert run(["xray-check", "--domain", str(lens), "--dirs", str(files["axes"])]) == 2
-        err = capsys.readouterr().err
-        assert "domain is flat" in err and "along axis 0" in err
+        assert "a 2-d intersection has no half-space form" in capsys.readouterr().err
 
     def test_direction_dimension_mismatch_exit1(self, files, tmp_path, capsys):
         dirs = tmp_path / "dirs3.json"
@@ -620,12 +653,6 @@ class TestBadValues:
         path.write_text(json.dumps(spec))
         assert run([*argv, "--chain", str(path), "--density", "200"]) == 2
         assert "order r must be at least 1" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("samples", ["-1", "0"])
-    def test_xray_samples_must_be_positive(self, files, samples, capsys):
-        assert run(["xray-check", "--domain", str(files["square"]), "--dirs", str(files["axes"]),
-                    "--samples", samples]) == 1
-        assert "--samples" in capsys.readouterr().err
 
     def test_xray_negative_n0_exit2(self, files, capsys):
         assert run(["decompose", "--domain", str(files["disk"]), "--method", "xray",
@@ -814,8 +841,7 @@ class TestConfigHash:
         "verify-chain": (["--chain", "chain.json", "--density", "200"], "ed99341df8bd0b9b"),
         "counterexample": (["--dim", "2", "--order", "1", "--eps", "0.01", "--n", "2,4",
                             "--density", "256"], "390787709f4a9417"),
-        "xray-check": (["--domain", "square.json", "--dirs", "axes.json", "--samples", "32"],
-                       "b80c1a019e3d2f19"),
+        "xray-check": (["--domain", "square.json", "--dirs", "axes.json"], "957647caf72d2f2d"),
         "report": (["--domain", "square.json", "--dirs", "axes.json", "--r-list", "1",
                     "--p-list", "1,inf", "--budget", "2", "--density", "256"],
                    "2414626e2e450627"),

@@ -467,6 +467,30 @@ class TestXray:
             assert gap.min() > 1e-9
 
 
+class TestMarchEmptiness:
+    def test_thin_polytope_band_keeps_a_march_going(self):
+        # the band |x - y| <= 5e-6 across the unit square has area 1e-5, so a
+        # bounding-box proposal almost never lands in it, but its vertex
+        # candidates span R^2
+        band = w.polytope([[1, 0], [-1, 0], [0, 1], [0, -1], [1, -1], [-1, 1]],
+                          [1, 0, 1, 0, 5e-6, 5e-6])
+        pieces, shifts = [], []
+        dc._march(pieces, shifts, 4, lambda i: band, np.array([0.1, 0.0]), 0)
+        assert pieces == [band] * 4 and len(shifts) == 4
+
+    @pytest.mark.parametrize("empty", ["disjoint stack", "segment"])
+    def test_polytope_without_volume_stops_a_march(self, empty):
+        triangle = w.polytope([[-1, 0], [0, -1], [1, 1]], [0, 0, 1])
+        slab = w.polytope([[1, 1], [-1, -1], [1, -1], [-1, 1]], [1.6, -1.2, 1.0, 1.0])
+        stop = (dc._stack_with_polytope(slab.A, slab.b, triangle) if empty == "disjoint stack"
+                else w.box([0, 0], [1, 0]))
+        square = w.box([0, 0], [1, 1])
+        pieces, shifts = [], []
+        dc._march(pieces, shifts, 3, lambda i: [square, stop, square][i - 1],
+                  np.array([0.1, 0.0]), 0)
+        assert pieces == [square] and len(shifts) == 1
+
+
 class TestChainSpec:
     def test_boundedness_solved_once_per_distinct_matrix(self, monkeypatch):
         # the boxes are read off the vertices; reading a chain solves one

@@ -169,6 +169,11 @@ class TestIllumination:
         with pytest.raises(PreconditionError):
             w.illuminated(unit_square, [0.5, 0.5], [1, 0])
 
+    def test_representation_without_normals_errors(self):
+        # no sampled fallback: the x-ray verdict takes a cone body's half-spaces
+        with pytest.raises(PreconditionError, match="a cone_body gives no outward normals"):
+            w.illuminated(w.cone_body([0.0, 1.0], 0.3), [0.0, 1.0], [0.0, -1.0])
+
     def test_affine_invariance(self):
         poly = random_convex_polygon(7, normalized=False)
         verts = poly.vertices
@@ -185,35 +190,41 @@ class TestIllumination:
             assert lhs == rhs
 
 
+def _cone_body_corners(eps):
+    """The cap corners (+/- s / k, 1) of the 2-d cone body along e2, k = 1 - eps."""
+    k = 1.0 - eps
+    return [[-math.sqrt(1.0 - k * k) / k, 1.0], [math.sqrt(1.0 - k * k) / k, 1.0]]
+
+
 class TestXray:
     def test_ball_axes(self):
         # oracle: every boundary point has a nonzero coordinate, so a
-        # sign-matched axis direction illuminates; exhaustive sphere check
+        # sign-matched axis direction illuminates; a ball has no deciding points
         B = w.ball([0, 0], 1.0)
         E = w.direction_set(np.eye(2))
-        sample = w.boundary_points(B, n=256, seed=0)
+        sample = w.boundary_points(B)
+        assert sample.shape == (0, 2)
         ok, wit = w.xray_verifies(B, E, sample)
         assert ok and not wit
 
     def test_cube_axes_fails_at_vertex(self):
+        # at a vertex of the cube every axis lies in a facet, so no +/- axis enters
         cube = w.box([-1] * 3, [1] * 3)
         E = w.direction_set(np.eye(3))
-        ok, wit = w.xray_verifies(cube, E, w.boundary_points(cube, n=64, seed=0))
+        ok, wit = w.xray_verifies(cube, E, w.boundary_points(cube))
         assert not ok
-        assert any(np.allclose(np.abs(x), 1.0) for x in wit)
-        assert any(np.allclose(x, [1, 1, 1]) for x in wit)
+        corners = sorted(itertools.product([-1.0, 1.0], repeat=3))
+        assert sorted(map(tuple, np.round(wit, 12) + 0.0)) == corners
 
     def test_cube_diagonals_ok(self):
         cube = w.box([-1] * 3, [1] * 3)
-        diag = w.direction_set(np.array(
-            [[1, 1, 1], [1, 1, -1], [1, -1, 1], [1, -1, -1]]) / math.sqrt(3))
-        ok, wit = w.xray_verifies(cube, diag, w.boundary_points(cube, n=128, seed=1))
-        assert ok
+        ok, wit = w.xray_verifies(cube, w.direction_set(CUBE_DIAGONALS), w.boundary_points(cube))
+        assert ok and wit == []
 
     def test_symmetrization_idempotent(self):
         cube = w.box([-1] * 2, [1] * 2)
         E = w.direction_set([[1, 0], [0, 1]])
-        sample = w.boundary_points(cube, n=48, seed=2)
+        sample = w.boundary_points(cube)
         assert w.xray_verifies(cube, E, sample)[0] == \
             w.xray_verifies(cube, E.symmetrized(), sample)[0]
 
@@ -224,19 +235,99 @@ class TestXray:
         nested = w.affine_image(w.affine_image(w.ball([0.2, 0.1], 0.8), M1, s1), M2, s2)
         flat = w.affine_image(w.ball([0.2, 0.1], 0.8), np.dot(M2, M1), np.dot(M2, s1) + s2)
         E = w.direction_set([[1.0, 0.0]])
-        pts = w.boundary_points(flat, n=4, seed=0)
+        pts = w.boundary_points(flat)
         got, want = w.xray_verifies(nested, E, pts), w.xray_verifies(flat, E, pts)
         assert got[0] is want[0] is False
-        assert np.allclose(got[1][-2:], want[1][-2:], rtol=0, atol=1e-12)
+        assert len(got[1]) == len(want[1]) == 2
+        assert np.allclose(got[1], want[1], rtol=0, atol=1e-12)
 
     def test_affine_polytope_sample_has_its_vertices(self):
         img = w.affine_image(w.box([-1, -1], [1, 1]), [[2, 1], [0, 1]], [0.5, 0])
-        sample = w.boundary_points(img, n=8, seed=0)
-        assert np.array_equal(sample[:4], img.vertices)
+        sample = w.boundary_points(img)
+        assert np.array_equal(sample, w.as_polytope(img).vertices)
+        assert sorted(map(tuple, np.round(sample, 12))) == \
+            sorted(map(tuple, np.round(img.vertices, 12)))
 
     def test_empty_sample_errors(self, unit_square, axes2):
         with pytest.raises(PreconditionError):
             w.xray_verifies(unit_square, axes2, np.zeros((0, 2)))
+
+    def test_two_dimensional_cone_body_axes_fail_at_the_cap_corners(self):
+        # the cone body is a triangle; e1 runs along its cap and e2 along no
+        # side, so neither enters at a cap corner (the apex takes e2)
+        K = w.cone_body([0.0, 1.0], 0.3)
+        ok, wit = w.xray_verifies(K, w.direction_set(np.eye(2)), w.boundary_points(K))
+        assert not ok
+        assert np.allclose(sorted(map(list, wit)), _cone_body_corners(0.3), rtol=0, atol=1e-12)
+
+    def test_two_dimensional_cone_body_three_directions_pass(self):
+        # e2 enters at the apex; -(1, 0.5) and (1, -0.5) are steeper than the
+        # sides (slope 1 / 1.0202) and enter at the right and left cap corners
+        K = w.cone_body([0.0, 1.0], 0.3)
+        E = w.direction_set([[0.0, 1.0], [1.0, 0.5], [1.0, -0.5]])
+        assert w.xray_verifies(K, E, w.boundary_points(K)) == (True, [])
+
+    def test_two_directions_never_xray_a_two_dimensional_cone_body(self):
+        # the interior angles of a triangle and their negatives tile the
+        # circle, so a generic line lies in the angle of exactly one vertex:
+        # two lines leave one vertex dark, or two when they share a vertex
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            xi = rng.standard_normal(2)
+            K = w.cone_body(xi / np.linalg.norm(xi), rng.uniform(0.05, 0.95))
+            ok, wit = w.xray_verifies(K, w.direction_set(rng.standard_normal((2, 2))),
+                                      w.boundary_points(K))
+            assert not ok and len(wit) in (1, 2)
+
+    def test_cone_body_half_spaces_are_the_triangle(self):
+        rng = np.random.default_rng(3)
+        for _ in range(10):
+            xi = rng.standard_normal(2)
+            K = w.cone_body(xi / np.linalg.norm(xi), rng.uniform(0.05, 0.95))
+            T = w.as_polytope(K)
+            assert len(T.vertices) == 3
+            pts = rng.uniform(*K.bbox, size=(4000, 2))
+            assert np.array_equal(K.contains(pts), T.contains(pts))
+
+    def test_one_unilluminated_polygon_vertex_is_the_only_witness(self):
+        # triangle (0, 0), (4, 0), (0, 3): (1, 1) enters at the origin and
+        # (-1, 0.2) at (4, 0), while no +/- direction enters at (0, 3)
+        tri = w.polytope([[-1, 0], [0, -1], [3, 4]], [0, 0, 12])
+        E = w.direction_set([[1.0, 1.0], [-1.0, 0.2]])
+        ok, wit = w.xray_verifies(tri, E, w.boundary_points(tri))
+        assert not ok
+        assert np.allclose(wit, [[0.0, 3.0]], rtol=0, atol=1e-12)
+
+    def test_affine_image_has_the_verdict_of_its_half_space_form(self):
+        # and of the base under the preimage directions, with witnesses mapped
+        rng = np.random.default_rng(11)
+        M, shift = np.array([[1.4, 0.3], [-0.2, 0.9]]), np.array([0.7, -0.4])
+        for k in range(20):
+            base = random_convex_polygon(k, normalized=False)
+            img = w.affine_image(base, M, shift)
+            dirs = rng.standard_normal((2, 2))
+            E = w.direction_set(dirs @ M.T)
+            got = w.xray_verifies(img, E, w.boundary_points(img))
+            flat = w.as_polytope(img)
+            assert got[0] == w.xray_verifies(flat, E, w.boundary_points(flat))[0]
+            ok, wit = w.xray_verifies(base, w.direction_set(dirs), base.vertices)
+            assert got[0] == ok
+            mapped = sorted(map(tuple, np.round(np.asarray(wit).reshape(-1, 2) @ M.T + shift, 9)))
+            assert sorted(map(tuple, np.round(np.reshape(got[1], (-1, 2)), 9))) == mapped
+
+    @pytest.mark.parametrize("dom, name", [
+        (w.union([w.ball([0, 0], 1.0), w.ball([1, 0], 1.0)]), "2-d union"),
+        (w.intersection([w.ball([0, 0], 1.0), w.ball([1, 0], 1.0)]), "2-d intersection"),
+        (w.cone_body([0.0, 0.0, 1.0], 0.3), "3-d cone_body"),
+        (w.affine_image(w.cone_body([0.0, 0.0, 1.0], 0.3), 2 * np.eye(3), np.zeros(3)),
+         "3-d cone_body"),
+    ])
+    def test_no_closed_form_raises_naming_the_representation(self, dom, name):
+        with pytest.raises(PreconditionError, match=f"a {name} has no half-space form"):
+            w.boundary_points(dom)
+        E = w.direction_set(np.eye(dom.dim))
+        with pytest.raises(PreconditionError, match=name):
+            w.xray_verifies(dom, E, np.zeros((1, dom.dim)))
 
 
 class TestDirectionSet:
@@ -762,29 +853,6 @@ class TestCoordinateMajorKernels:
             assert (n_acc, n_prop) == (sum(map(len, want)), 1024 * len(want))
             assert np.array_equal(got.view(np.uint64), np.vstack(want)[:3000].view(np.uint64))
             assert np.any(dom.bbox[0] < 0.0)
-
-    @pytest.mark.parametrize("dom", [
-        w.union([w.ball([0, 0], 1.0), w.ball([1, 0], 1.0)]),
-        w.cone_body([0.0, 0.0, 1.0], 0.3),
-        w.intersection([w.ball([0, 0], 1.0), w.ball([1.9, 0], 1.0)]),
-        w.union([w.ball([0, 0], 0.01), w.ball([1, 1], 0.01)]),  # after 1200-2500 draws
-    ])
-    def test_interior_anchor_is_the_single_draw_stream(self, dom):
-        # the old search: one rng.uniform(lo, hi) point per strictly_inside call
-        for seed in range(4):
-            old, new = np.random.default_rng(seed), np.random.default_rng(seed)
-            margin = 1e-7 * dom.scale()
-            want = old.uniform(*dom.bbox)
-            while not dom.strictly_inside(want, margin):
-                want = old.uniform(*dom.bbox)
-            got = w.geometry._interior_anchor(dom, new)
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-            assert np.array_equal(new.random(4), old.random(4))  # the stream goes on alike
-
-    def test_interior_anchor_of_a_flat_box_raises(self):
-        lens = w.intersection([w.ball([0, 0], 1.0), w.ball([3, 0], 1.0)])
-        with pytest.raises(PreconditionError, match="along axis 0"):
-            w.geometry._interior_anchor(lens, np.random.default_rng(0))
 
     @pytest.mark.parametrize("d", range(1, 10))
     def test_row_norms_about_a_center_bits(self, d):
