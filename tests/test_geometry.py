@@ -190,12 +190,6 @@ class TestIllumination:
             assert lhs == rhs
 
 
-def _cone_body_corners(eps):
-    """The cap corners (+/- s / k, 1) of the 2-d cone body along e2, k = 1 - eps."""
-    k = 1.0 - eps
-    return [[-math.sqrt(1.0 - k * k) / k, 1.0], [math.sqrt(1.0 - k * k) / k, 1.0]]
-
-
 class TestXray:
     def test_ball_axes(self):
         # oracle: every boundary point has a nonzero coordinate, so a
@@ -258,7 +252,9 @@ class TestXray:
         K = w.cone_body([0.0, 1.0], 0.3)
         ok, wit = w.xray_verifies(K, w.direction_set(np.eye(2)), w.boundary_points(K))
         assert not ok
-        assert np.allclose(sorted(map(list, wit)), _cone_body_corners(0.3), rtol=0, atol=1e-12)
+        corner = math.sqrt(1.0 - 0.7 ** 2) / 0.7  # s / k at k = 1 - eps
+        assert np.allclose(sorted(map(list, wit)), [[-corner, 1.0], [corner, 1.0]],
+                           rtol=0, atol=1e-12)
 
     def test_two_dimensional_cone_body_three_directions_pass(self):
         # e2 enters at the apex; -(1, 0.5) and (1, -0.5) are steeper than the
