@@ -13,7 +13,7 @@ from .errors import ConvergenceError, PreconditionError, SpanDeficiencyError
 from .geometry import (
     AffineMap, DirectionSet, Domain, SamplePlan,
     affine_image, ball, box, cone_body, diameter, direction_set,
-    domain_from_spec, grid_plan, illuminated, inscribed_ball, intersection,
+    domain_from_spec, grid_plan, inscribed_ball, intersection,
     normalize, polytope, sample_plan, union, xray_verifies, boundary_points, as_polytope,
 )
 from .polyspace import (

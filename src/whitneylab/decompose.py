@@ -7,8 +7,8 @@ union of the earlier pieces.  ``verify_chain`` checks that condition (and
 coverage of a target domain) by rejection sampling, except for the ball
 slices that closed-form inequalities prove (``_certified_pieces``) and the
 polytope pieces whose vertices one earlier polytope absorbs (``_absorbed``).
-The geometry is geometry.py's: its one rejection sampler, union test,
-intersection and ray march.
+The geometry is geometry.py's: its one rejection sampler, union test and
+intersection.
 """
 from __future__ import annotations
 
@@ -839,6 +839,23 @@ def _minkowski_segment(base, e, t1, t2, clip_dom):
     return intersection((union(parts), clip_dom))
 
 
+def _segment_meets(dom, pts, e, t_hi):
+    """Per row p of ``pts``, whether p + t e meets the polytope or ball ``dom``
+    for some t in [0, t_hi]: a polytope's rows a . x <= b leave t an interval,
+    and a row with a . e = 0 allows every t or none (a . p <= b); a ball is
+    met iff the segment point nearest its center is in it."""
+    if isinstance(dom, BallRep):
+        t = np.clip((dom.center - pts) @ e / (e @ e), 0.0, t_hi)
+        return np.linalg.norm(pts + t[:, None] * e - dom.center, axis=1) <= dom.radius
+    rate = dom.A @ e
+    room = dom.b - pts @ dom.A.T  # t rate <= room, per point and row
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = room / rate
+    lo = np.max(np.where(rate < 0.0, bound, 0.0), axis=1)
+    hi = np.min(np.where(rate > 0.0, bound, t_hi), axis=1)
+    return (lo <= hi) & np.all((rate != 0.0) | (room >= 0.0), axis=1)
+
+
 def xray_slab_decomposition(dom, dirset, n0=1, r=1, seed=0):
     """Slab chain along the +/- ray directions of an x-rayed convex body.
 
@@ -873,7 +890,7 @@ def xray_slab_decomposition(dom, dirset, n0=1, r=1, seed=0):
             sub = (~reached).nonzero()[0]
             if sub.size == 0:
                 break
-            reached[sub] = geo.ray_march(inner, plan_pts[sub], e, 2.0 * diam, 512)
+            reached[sub] = _segment_meets(inner, plan_pts[sub], e, 2.0 * diam)
         if reached.all():
             break
     else:

@@ -24,9 +24,7 @@ formulas they replace:
   estimate is accepted / proposed over whole batches.  The chain samples
   (``stop_at_n``) test each batch in chunks sized from the acceptance seen
   so far and stop at the n-th member; the stream continues across chunks,
-  so the points are the bits of the whole-batch sample;
-- ``ray_march`` (the one sampled ray march, for the x-ray builder's shrink
-  index) builds its probes coordinate by coordinate.
+  so the points are the bits of the whole-batch sample.
 
 Whether directions x-ray a domain is decided in closed form, never sampled:
 by the vertices of its half-space form (``as_polytope``: polytopes, their
@@ -70,11 +68,10 @@ def _as_points(x, dim):
 # signed_distance(pts) (exact on polytopes and balls, else off to the safe side:
 # on members at least the true value, so -sd(y) >= h puts B(y, h) in the set,
 # elsewhere at most the distance to the set), spec() and bbox (derived on first
-# read).  Where it has exact answers it defines vertices, diameter(),
-# boundary(x, tol) -> (flag, outward normals at x) (polytopes and balls; the
-# others raise) and, for convex sets, _exit(pts, xi, slack): per member point
-# x, the largest u >= 0 with x + u xi a member within ``slack``; None means
-# none.  Domain answers the queries.
+# read).  Where it has exact answers it defines vertices, diameter() and, for
+# convex sets, _exit(pts, xi, slack): per member point x, the largest u >= 0
+# with x + u xi a member within ``slack``; None means none.  Domain answers
+# the queries.
 
 def _translate(pts, v):
     """pts + v for an (n, d) batch and a (d,) offset, column by column: the
@@ -147,9 +144,6 @@ class Domain:
             raise PreconditionError("empty domain has no diameter")
         return _max_pairwise(self.vertices)
 
-    def boundary(self, x, tol):
-        raise PreconditionError(f"a {self.spec()['type']} gives no outward normals")
-
     def _exit(self, pts, xi, slack):
         return None
 
@@ -197,12 +191,6 @@ class PolytopeRep(Domain):
         norms = np.maximum(np.linalg.norm(self.A, axis=1), 1e-300)
         return np.max((pts @ self.A.T - self.b) / norms, axis=1)
 
-    def boundary(self, x, tol):
-        res = self.A @ x - self.b
-        norms = np.linalg.norm(self.A, axis=1)
-        active = np.abs(res) <= tol * np.maximum(norms, 1e-300)
-        return bool(active.any()), self.A[active]
-
     def _exit(self, pts, xi, slack):
         rate = self.A @ xi
         ahead = rate > 0  # the rows a . xi <= 0 never bind for a member
@@ -232,10 +220,6 @@ class BallRep(Domain):
 
     def signed_distance(self, pts):
         return _row_norms(pts, self.center) - self.radius
-
-    def boundary(self, x, tol):
-        return (abs(np.linalg.norm(x - self.center) - self.radius) <= tol,
-                (x - self.center)[None, :])
 
     def _exit(self, pts, xi, slack):
         rel = pts - self.center
@@ -428,8 +412,9 @@ class AffineImageRep(Domain):
         return None if base is None else base @ self.matrix.T + self.shift
 
     def diameter(self):
-        if isinstance(self.base, BallRep):
-            return 2.0 * self.base.radius * float(self._singular_values[0])
+        ball, M, _ = _ball_image(self)  # an ellipsoid at any depth: 2 rho |M|_2
+        if ball is not None:
+            return 2.0 * ball.radius * float(np.linalg.norm(M, 2))
         return super().diameter()
 
 
@@ -559,11 +544,6 @@ def _vertex_candidates(A, b):
     return np.vstack(found), tol
 
 
-def _polytope_vertices(A, b):
-    """The vertex candidates of {x : A x <= b}, deduped within their tolerance."""
-    return _dedupe(*_vertex_candidates(A, b))
-
-
 def _dedupe(rows, tol):
     """In order, the rows at distance ``tol`` or more from every row kept before."""
     keep = rows[:0]
@@ -664,7 +644,7 @@ def _spread(dirs):
     1 / max_{y in P} |y|, and a norm peaks on a polytope at a vertex."""
     if not _spans(dirs):
         return 0.0
-    verts = _polytope_vertices(np.vstack([dirs, -dirs]), np.ones(2 * len(dirs)))
+    verts = PolytopeRep(np.vstack([dirs, -dirs]), np.ones(2 * len(dirs))).vertices
     # no vertex when every d rows fall under the solver's determinant cut
     far = float(np.max(np.linalg.norm(verts, axis=1), initial=0.0))
     return 1.0 / far if far > 0.0 else 0.0
@@ -903,40 +883,8 @@ def as_polytope(dom):
 
 
 # ---------------------------------------------------------------------------
-# illumination, x-ray
+# x-ray
 # ---------------------------------------------------------------------------
-
-def illuminated(dom, x, e):
-    """Whether the open ray from boundary point ``x`` along ``e`` enters the
-    interior: iff e points against every outward normal at x.  Polytopes and
-    balls give their normals; any other representation raises."""
-    x = np.asarray(x, dtype=float).ravel()
-    tol = BOUNDARY_TOL * dom.scale()
-    on_boundary, normals = dom.boundary(x, tol)
-    if not (on_boundary and dom.contains(x, slack=tol)):
-        raise PreconditionError("illumination query requires a boundary point")
-    return bool(np.all(normals @ np.asarray(e, dtype=float).ravel() < 0.0))
-
-
-def ray_march(dom, pts, e, t_hi, n_t):
-    """Per row p of ``pts``, whether some p + t e with t = t_hi k / n_t
-    (k = 1..n_t) belongs to ``dom``; rays that have met the domain are
-    dropped, a few thousand probe points per membership call."""
-    ts = np.linspace(0.0, t_hi, n_t + 1)[1:]
-    hit = np.zeros(len(pts), dtype=bool)
-    per_call = max(1, 4096 // max(len(pts), 1))
-    for k in range(0, n_t, per_call):
-        rem = (~hit).nonzero()[0]
-        if rem.size == 0:
-            break
-        step = ts[k:k + per_call]
-        probes = np.empty((rem.size, step.size, dom.dim))
-        for i in range(dom.dim):  # p + t e, coordinate by coordinate
-            np.add(np.take(pts[:, i], rem)[:, None], step * e[i], out=probes[:, :, i])
-        inside = dom.contains(probes.reshape(-1, dom.dim))
-        hit[rem] = inside.reshape(len(rem), -1).any(axis=1)
-    return hit
-
 
 def _ball_image(dom):
     """(ball, M, s) with dom = M ball + s, nested affine images composed
@@ -970,9 +918,11 @@ def xray_verifies(dom, dirset, boundary_sample):
     direction, the witnesses are the two points where n . x is extreme:
     c +/- rho n on B(c, rho), M c + s +/- rho M M^T n / |M^T n| on its image
     under y -> M y + s.  Any other domain is decided on ``boundary_sample``
-    by the outward normals of ``as_polytope(dom)``, which raises for a union,
-    an intersection or a cone body past d = 2; ``boundary_points(dom)`` are
-    the points that decide it.
+    against the half-spaces A x <= b of ``as_polytope(dom)``, which raises for
+    a union, an intersection or a cone body past d = 2: each sample point x
+    must lie on the boundary, and x is illuminated by e iff A_I e < 0 on the
+    rows I active at x (within ``BOUNDARY_TOL``).  ``boundary_points(dom)``
+    are the points that decide it.
     """
     ball, M, s = _ball_image(dom)
     if ball is not None:
@@ -986,6 +936,12 @@ def xray_verifies(dom, dirset, boundary_sample):
     if len(pts) == 0:
         raise PreconditionError("boundary sample must be nonempty")
     poly = as_polytope(dom)
-    sym = dirset.symmetrized()
-    witnesses = [x.copy() for x in pts if not any(illuminated(poly, x, e) for e in sym.dirs)]
+    tol = BOUNDARY_TOL * poly.scale()
+    res = pts @ poly.A.T - poly.b  # (points, rows)
+    active = np.abs(res) <= tol * np.maximum(np.linalg.norm(poly.A, axis=1), 1e-300)
+    if not np.all(active.any(axis=1) & np.all(res <= tol, axis=1)):
+        raise PreconditionError("the x-ray verdict requires boundary points")
+    blocked = ~(poly.A @ dirset.symmetrized().dirs.T < 0.0)  # (rows, directions)
+    dark = np.all(np.any(active[:, :, None] & blocked[None], axis=1), axis=1)
+    witnesses = list(pts[dark])
     return not witnesses, witnesses

@@ -239,11 +239,12 @@ def test_boxes_are_derived_not_given():
 
 
 def test_xray_verdicts_are_not_sampled():
-    # "E x-rays the domain" is decided by vertices or by the span, so no random
-    # boundary sample, interior point or ray march is left behind the verdict
+    # "E x-rays the domain" is decided by vertices or by the span, and the
+    # shrink search by a closed-form segment test, so no random boundary
+    # sample, interior point, per-point normal query or ray march is left
     from whitneylab import geometry
-    left = [name for name in ("RAY_SAMPLES", "_ray_exit", "_interior_anchor")
-            if name in vars(geometry)]
-    left += [f"{cls.__name__}.anchor" for cls in [geometry.Domain, *_representations()]
-             if "anchor" in vars(cls)]
+    left = [name for name in ("RAY_SAMPLES", "_ray_exit", "_interior_anchor", "ray_march",
+                              "illuminated") if name in vars(geometry)]
+    left += [f"{cls.__name__}.{name}" for cls in [geometry.Domain, *_representations()]
+             for name in ("anchor", "boundary") if name in vars(cls)]
     assert not left, f"x-ray sampler remnants: {left}"

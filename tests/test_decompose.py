@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 import whitneylab as w
 from whitneylab import decompose as dc
@@ -465,6 +466,52 @@ class TestXray:
             gap = np.max(np.abs(rows[:, None] - rows[None]), axis=2)
             np.fill_diagonal(gap, np.inf)
             assert gap.min() > 1e-9
+
+
+class TestSegmentMeets:
+    """``_segment_meets``: whether p + t e, t in [0, t_hi], meets a polytope or a
+    ball, the x-ray builder's test for its shrink index."""
+
+    @staticmethod
+    def _domains():
+        rng = np.random.default_rng(5)
+        for seed in range(3):
+            yield random_convex_polygon(seed, normalized=seed % 2 == 0)
+        hull = ConvexHull(rng.standard_normal((12, 3)))
+        yield w.polytope(hull.equations[:, :3], -hull.equations[:, 3])
+        yield w.box([-1.0] * 3, [1.0] * 3)
+        yield w.ball([0.3, -0.2], 0.9)
+        yield w.ball([0.1, 0.4, -0.3], 1.2)
+
+    def test_matches_a_per_step_loop(self):
+        rng = np.random.default_rng(0)
+        ts = np.linspace(0.0, 2.0, 4001)
+        for dom in self._domains():
+            pts = rng.uniform(-3.0, 3.0, size=(150, dom.dim))
+            e = rng.standard_normal(dom.dim)
+            e /= np.linalg.norm(e)
+            want = np.array([dom.contains(p + ts[:, None] * e).any() for p in pts])
+            got = dc._segment_meets(dom, pts, e, 2.0)
+            assert 0 < want.sum() < len(pts) and dom.contains(pts).any()
+            assert np.array_equal(got, want)
+
+    def test_box_face_parallel_to_the_ray(self):
+        # along e1 the face rows y <= 1 and -y <= 1 have a . e = 0: from
+        # (-3, 2) the ray passes over the face y = 1, where the x rows alone
+        # allow t in [2, 4]; from (3, 0) they allow t in [-4, -2], behind p;
+        # (-3, 1) runs along that face, and t_hi = 1 stops short of the square
+        sq = w.box([-1.0, -1.0], [1.0, 1.0])
+        e = np.array([1.0, 0.0])
+        pts = np.array([[-3.0, 2.0], [3.0, 0.0], [-3.0, 0.5], [0.5, 0.5], [-3.0, 1.0]])
+        assert dc._segment_meets(sq, pts, e, 10.0).tolist() == [False, False, True, True, True]
+        assert dc._segment_meets(sq, pts, e, 1.0).tolist() == [False, False, False, True, False]
+
+    def test_ball_behind_and_beside_the_ray(self):
+        disk = w.ball([0.0, 0.0], 1.0)
+        e = np.array([1.0, 0.0])
+        pts = np.array([[3.0, 0.0], [-3.0, 0.0], [-3.0, 1.5], [-3.0, 1.0]])
+        assert dc._segment_meets(disk, pts, e, 10.0).tolist() == [False, True, False, True]
+        assert dc._segment_meets(disk, pts, e, 1.5).tolist() == [False, False, False, False]
 
 
 class TestMarchEmptiness:

@@ -79,6 +79,16 @@ class TestDiameter:
         img = w.as_polytope(w.AffineMap(R, np.array([3.0, -1.0])).apply_domain(poly))
         assert w.diameter(img).value == pytest.approx(w.diameter(poly).value, rel=1e-12)
 
+    def test_nested_ellipsoid_is_exact(self):
+        # an image of an image of the unit disk: the ellipse with semi-axes 2
+        # and 1, moved by (1, 0), has diameter 4 without a plan
+        inner = w.affine_image(w.ball([0, 0], 1.0), np.diag([2.0, 1.0]), [0.0, 0.0])
+        res = w.diameter(w.affine_image(inner, np.eye(2), [1.0, 0.0]))
+        assert res.value == 4.0 and not res.approximate
+        twice = w.affine_image(inner, [[1.0, 1.0], [0.0, 1.0]], [0.0, 0.0])
+        sv = np.linalg.svd(np.array([[2.0, 1.0], [0.0, 1.0]]), compute_uv=False)
+        assert w.diameter(twice).value == pytest.approx(2.0 * sv[0], rel=1e-14)
+
     def test_sampled_domain_flag(self):
         dom = w.union([w.ball([0, 0], 1.0), w.ball([2, 0], 1.0)])
         plan = w.sample_plan(dom, 2048, seed=0)
@@ -142,52 +152,42 @@ class TestNormalize:
 
 
 class TestIllumination:
+    # a boundary point is illuminated by e iff A_I e < 0 on its active rows I
     def test_cube_vertex_diagonal(self):
         cube = w.box([-1] * 3, [1] * 3)
-        e = -np.ones(3) / math.sqrt(3)
-        assert w.illuminated(cube, [1, 1, 1], e)
+        assert w.xray_verifies(cube, w.direction_set(np.ones((1, 3))), [[1.0, 1.0, 1.0]]) == \
+            (True, [])
 
     def test_cube_vertex_face_direction(self):
+        # +/- e1 runs along the faces y = 1 and z = 1 at (1, 1, 1)
         cube = w.box([-1] * 3, [1] * 3)
-        assert not w.illuminated(cube, [1, 1, 1], [-1, 0, 0])
-
-    def test_ball_antipodal(self):
-        B = w.ball([0, 0, 0], 1.0)
-        x = np.array([0.6, 0.8, 0.0])
-        assert w.illuminated(B, x, -x)
-
-    def test_ray_march_matches_a_per_step_loop(self):
-        cone = w.cone_body([0.0, 1.0], 0.2)
-        pts = np.random.default_rng(1).uniform(-2, 2, size=(300, 2))
-        e = np.array([0.6, 0.8])
-        ts = np.linspace(0.0, 3.0, 65)[1:]
-        want = np.array([cone.contains(p + ts[:, None] * e).any() for p in pts])
-        assert 0 < want.sum() < len(pts)
-        assert np.array_equal(w.geometry.ray_march(cone, pts, e, 3.0, 64), want)
+        ok, wit = w.xray_verifies(cube, w.direction_set([[1.0, 0.0, 0.0]]), [[1.0, 1.0, 1.0]])
+        assert not ok and np.array_equal(wit, [[1.0, 1.0, 1.0]])
 
     def test_not_on_boundary_errors(self, unit_square):
-        with pytest.raises(PreconditionError):
-            w.illuminated(unit_square, [0.5, 0.5], [1, 0])
-
-    def test_representation_without_normals_errors(self):
-        # no sampled fallback: the x-ray verdict takes a cone body's half-spaces
-        with pytest.raises(PreconditionError, match="a cone_body gives no outward normals"):
-            w.illuminated(w.cone_body([0.0, 1.0], 0.3), [0.0, 1.0], [0.0, -1.0])
+        # an interior point, alone or after a vertex, and a point outside on the
+        # line of a face
+        for sample in [[[0.5, 0.5]], [[0.0, 0.0], [0.5, 0.5]], [[2.0, 1.0]]]:
+            with pytest.raises(PreconditionError, match="requires boundary points"):
+                w.xray_verifies(unit_square, w.direction_set([[1.0, 0.0]]), sample)
 
     def test_affine_invariance(self):
+        # the image's witnesses are the images of the base's
         poly = random_convex_polygon(7, normalized=False)
-        verts = poly.vertices
         A = np.array([[1.4, 0.3], [-0.2, 0.9]])
         shift = np.array([0.7, -0.4])
         img = w.as_polytope(w.AffineMap(A, shift).apply_domain(poly))
         rng = np.random.default_rng(0)
-        for v in verts:
-            e = rng.standard_normal(2)
-            e /= np.linalg.norm(e)
-            lhs = w.illuminated(poly, v, e)
-            Ae = A @ e
-            rhs = w.illuminated(img, A @ v + shift, Ae / np.linalg.norm(Ae))
-            assert lhs == rhs
+        counts = set()
+        for k in range(30):
+            dirs = rng.standard_normal((1 + k % 3, 2))
+            ok, wit = w.xray_verifies(poly, w.direction_set(dirs), poly.vertices)
+            got = w.xray_verifies(img, w.direction_set(dirs @ A.T), poly.vertices @ A.T + shift)
+            assert got[0] == ok and len(got[1]) == len(wit)
+            assert np.allclose(np.reshape(got[1], (-1, 2)), np.reshape(wit, (-1, 2)) @ A.T + shift,
+                               rtol=0, atol=1e-12)
+            counts.add(len(wit))
+        assert 0 in counts and len(counts) > 2
 
 
 class TestXray:
@@ -411,7 +411,7 @@ class TestPolytopeVertices:
         dirs = rng.standard_normal((k, d))
         A = np.vstack([dirs, -dirs, dirs[:1]])  # a repeated row: singular subsets
         b = np.concatenate([rng.uniform(0.5, 2.0, 2 * k), [1.0]])
-        got = w.geometry._polytope_vertices(A, b)
+        got = w.geometry.PolytopeRep(A, b).vertices
         want = _vertices_one_subset_at_a_time(A, b)
         assert len(got) > 0 and got.tobytes() == want.tobytes()
 
@@ -431,7 +431,7 @@ class TestPolytopeVertices:
         assert 40 < len(got) < len(rows) and got.tobytes() == np.array(keep).tobytes()
 
     def test_fewer_rows_than_the_dimension(self):
-        assert w.geometry._polytope_vertices(np.ones((1, 2)), np.ones(1)).shape == (0, 2)
+        assert w.geometry.PolytopeRep(np.ones((1, 2)), np.ones(1)).vertices.shape == (0, 2)
 
     def test_blocks_give_the_vertices_of_one_shot(self):
         # C(75, 3) = 67 525 subsystems, past one block of 2^16
@@ -446,7 +446,7 @@ class TestPolytopeVertices:
         v = np.linalg.solve(sub[keep], b[idx[keep]][:, :, None])[:, :, 0]
         tol = 1e-9 * max(1.0, float(np.max(np.abs(b))))
         want = w.geometry._dedupe(v[np.all(A @ v.T <= (b + tol)[:, None], axis=0)], tol)
-        got = w.geometry._polytope_vertices(A, b)
+        got = w.geometry.PolytopeRep(A, b).vertices
         assert len(got) > 8 and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("scale", [1.0, 1e-5, 1e5])
