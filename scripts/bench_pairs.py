@@ -15,9 +15,16 @@ Use first seeds that the change was not tuned on.
 
 The output file holds, per workload and end-to-end metric, the median and
 quartiles of each side over the pairs, the relative change of the medians,
-and the pairs the change won (strictly better in the metric's direction);
-and every run's metrics with its ``attempted``, ``failed`` and ``correct``
-fields. A summary line per workload and metric goes to standard output.
+the pairs the change won (strictly better in the metric's direction), the
+metric's ``bound`` from ``BENCHMARK.json`` and two flags: ``beyond_bound``
+when the change's median is worse than the parent's by more than that
+relative bound, and ``unresolved`` when the parent's quartile spread
+(q3 - q1) exceeds the bound times its median, unless every run of the change
+is better than every run of the parent. It also holds every run's metrics
+with its ``attempted``, ``failed`` and ``correct`` fields. A summary line per
+workload and metric goes to standard output, then one line per flagged metric
+and per run with ``failed`` > 0; the script exits 1 if there is any such
+line, and 0 otherwise.
 """
 import argparse
 import json
@@ -50,7 +57,8 @@ def quartiles(values):
 
 
 def summarise(runs, metrics):
-    """Per metric: each side's median and quartiles, and the pairs won."""
+    """Per metric: each side's median and quartiles, the pairs won, the
+    metric's bound, and the ``beyond_bound`` and ``unresolved`` flags."""
     out = {}
     for name, spec in metrics.items():
         got = {side: [run[side]["metrics"][name]["value"] for run in runs] for side in SIDES}
@@ -58,10 +66,34 @@ def summarise(runs, metrics):
         won = sum(sign * (c - p) < 0.0 for p, c in zip(got["parent"], got["change"]))
         stats = {side: quartiles(got[side]) for side in SIDES}
         base = stats["parent"]["median"]
+        # relative to the parent's median, multiplied out so a zero median needs no case
+        allowed = spec["bound"] * abs(base)
+        worse = sign * (stats["change"]["median"] - base)
+        spread = stats["parent"]["q3"] - stats["parent"]["q1"]
+        all_better = all(sign * (c - p) < 0.0 for p in got["parent"] for c in got["change"])
         out[name] = {"unit": spec["unit"], "better": spec["better"], **stats,
                      "median_change": (stats["change"]["median"] - base) / base if base else None,
-                     "pairs_won": won, "pairs": len(runs)}
+                     "pairs_won": won, "pairs": len(runs), "bound": spec["bound"],
+                     "beyond_bound": worse > allowed,
+                     "unresolved": spread > allowed and not all_better}
     return out
+
+
+def flagged(workload, summary, runs):
+    """One line per metric beyond its bound or unresolved, and per failed run."""
+    lines = []
+    for name, s in summary.items():
+        flags = [flag for flag in ("beyond_bound", "unresolved") if s[flag]]
+        if flags:
+            lines.append(f"{workload} {name}: {' and '.join(flags)} (bound {s['bound']:g}, "
+                         f"parent {s['parent']['median']:.4g} [{s['parent']['q1']:.4g}, "
+                         f"{s['parent']['q3']:.4g}], change {s['change']['median']:.4g})")
+    for run in runs:
+        for side in SIDES:
+            if run[side]["failed"] > 0:
+                lines.append(f"{workload} pair {run['pair']} seed {run['seed']}: {side} "
+                             f"failed {run[side]['failed']} of {run[side]['attempted']}")
+    return lines
 
 
 def main(argv=None):
@@ -85,6 +117,7 @@ def main(argv=None):
               "machine": {"cpus": os.cpu_count(), "platform": platform.platform(),
                           "python": platform.python_version()},
               "workloads": {}}
+    problems = []
     for workload in (w["name"] for w in spec["workloads"]):
         runs = []
         for i in range(PAIRS):
@@ -105,7 +138,10 @@ def main(argv=None):
                   f"[{s['parent']['q1']:.4g}, {s['parent']['q3']:.4g}], change "
                   f"{s['change']['median']:.4g} [{s['change']['q1']:.4g}, "
                   f"{s['change']['q3']:.4g}], won {s['pairs_won']}/{s['pairs']}", flush=True)
-    return 0
+        problems += flagged(workload, summary, runs)
+    for line in problems:
+        print(f"FLAGGED {line}", flush=True)
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .errors import ConvergenceError, PreconditionError, SpanDeficiencyError
 from .geometry import (
-    AffineMap, DirectionSet, Domain, SamplePlan,
+    DirectionSet, Domain, SamplePlan,
     affine_image, ball, box, cone_body, diameter, direction_set,
     domain_from_spec, grid_plan, inscribed_ball, intersection,
     normalize, polytope, sample_plan, union, xray_verifies, boundary_points, as_polytope,
@@ -21,7 +21,7 @@ from .polyspace import (
 )
 from .modulus import (
     CallbackFunction, ModulusResult, PolynomialFunction, RidgeLog,
-    SampledFunction, directional_modulus, finite_difference,
+    SampledFunction, finite_difference,
     function_from_spec, lp_norm, random_polynomial, set_modulus, shift_domain,
 )
 from .approx import ApproxResult, best_approx

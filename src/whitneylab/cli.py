@@ -249,7 +249,7 @@ def _cmd_decompose(args):
     if args.method == "star":
         chain = decompose.star_shaped_decomposition(dom, args.order, seed=seed)
     elif args.method == "planar":
-        chain, _ = decompose.planar_two_direction_chain(dom, r=args.order)
+        chain = decompose.planar_two_direction_chain(dom, r=args.order)
     elif args.method == "lip2":
         if dirs is None or args.delta is None:
             raise ConfigError("lip2 needs --dirs and --delta")

@@ -26,7 +26,7 @@ from .geometry import (
     Domain, DirectionSet, PolytopeRep, BallRep, ConeBodyRep, UnionRep, IntersectionRep,
     AffineImageRep,
     ball, cone_body, direction_set, intersection, union, affine_image,
-    domain_from_spec,
+    domain_from_spec, _integer,
 )
 
 VERIFY_SAMPLES = 10_000
@@ -53,11 +53,12 @@ class DecompositionChain:
 
     def __post_init__(self):
         _check_order(self.order)
-        self.shifts = np.atleast_2d(np.asarray(self.shifts, dtype=float)) \
-            if len(self.pieces) > 1 else np.zeros((0, self.pieces[0].dim))
+        self.shifts = np.asarray(self.shifts, dtype=float).reshape(-1, self.pieces[0].dim)
         if self.shifts.shape[0] != len(self.pieces) - 1:
             raise PreconditionError("need exactly one shift per piece after the first")
-        for h in self.shifts:
+        for k, h in enumerate(self.shifts):
+            if not np.all(np.isfinite(h)):
+                raise PreconditionError(f"shift {k} is not finite: {h.tolist()}")
             n = np.linalg.norm(h)
             if n == 0:
                 raise PreconditionError("zero shift vector")
@@ -90,7 +91,7 @@ def chain_from_spec(spec):
     pieces = [domain_from_spec(s) for s in spec["pieces"]]
     target = domain_from_spec(spec["target"]) if spec.get("target") else None
     return DecompositionChain(pieces, np.asarray(spec["shifts"], dtype=float),
-                              int(spec["r"]), direction_set(spec["dirs"]),
+                              _integer("r", spec["r"]), direction_set(spec["dirs"]),
                               spec.get("provenance", "unknown"), target)
 
 
@@ -177,6 +178,8 @@ def verify_chain(chain, samples_per_piece=VERIFY_SAMPLES, seed=0):
             inside = prior.member(shifted, slack)
             if not inside.all():
                 dists = prior.signed_distance(shifted[~inside])
+                # a point with no distance (a NaN, as from a NaN shift) is a violation
+                dists = np.where(np.isnan(dists), np.inf, dists)
                 real = dists > tol
                 if real.any():
                     worst = max(worst, float(dists.max()))
@@ -494,6 +497,9 @@ def planar_two_direction_chain(dom, r=1):
     the largest inscribed axis-aligned (in the rotated frame) square centered
     on the diameter chord, then covers the chord strip with vertical slabs
     and the rest with horizontal slabs, each of thickness equal to its shift.
+    Returns the chain; the first two rows of its ``dirset`` are the diameter
+    direction and its perpendicular.  A parallelogram is a one-piece chain
+    whose ``dirset`` is its two edge directions.
     """
     _check_order(r)
     if dom.dim != 2:
@@ -505,9 +511,7 @@ def planar_two_direction_chain(dom, r=1):
     # a parallelepiped is its own base piece, whatever its scale
     para = _parallelogram_dirs(dom)
     if para is not None:
-        chain = DecompositionChain([dom], np.zeros((0, 2)), r, para,
-                                   "planar", target=dom)
-        return chain, para
+        return DecompositionChain([dom], np.zeros((0, 2)), r, para, "planar", target=dom)
 
     if dom.signed_distance(np.zeros((1, 2)))[0] > -(1.0 - 1e-9):
         raise PreconditionError("domain must be normalized to contain the unit ball")
@@ -578,8 +582,7 @@ def planar_two_direction_chain(dom, r=1):
     add_slabs(-(x0 - w), -x_lo, xi2, -1.0)
 
     sym = direction_set([xi1, xi2]).symmetrized()
-    chain = DecompositionChain(pieces, np.array(shifts), r, sym, "planar", target=dom)
-    return chain, direction_set([xi1, xi2])
+    return DecompositionChain(pieces, np.array(shifts), r, sym, "planar", target=dom)
 
 
 # ---------------------------------------------------------------------------
@@ -868,8 +871,9 @@ def xray_slab_decomposition(dom, dirset, n0=1, r=1, seed=0):
     """
     _check_order(r)
     d = dom.dim
-    if n0 < 0:
-        raise PreconditionError(f"shrink index n0 must be nonnegative, got {n0}")
+    if not 0 <= n0 <= XRAY_N0_CAP:
+        raise PreconditionError(
+            f"shrink index n0 must be nonnegative and at most {XRAY_N0_CAP}, got {n0}")
     if not isinstance(dom, (PolytopeRep, BallRep)):
         raise PreconditionError("x-ray slabs support polytope and ball domains")
     if not dom.strictly_inside(np.zeros(d)):

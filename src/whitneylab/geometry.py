@@ -500,6 +500,14 @@ def _finite(name, value):
     return arr
 
 
+def _integer(name, value):
+    """``value`` as an int; a bool, or a number with a fractional part, is a
+    malformed spec (ValueError) naming the field ``name``."""
+    if isinstance(value, bool) or not float(value).is_integer():
+        raise ValueError(f"{name!r} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _bbox_corners(bbox):
     lo, hi = bbox
     d = lo.size
@@ -836,30 +844,17 @@ def _chebyshev_ball(A, b):
     return center, radius
 
 
-@dataclass(frozen=True)
-class AffineMap:
-    """x -> matrix @ x + shift."""
-    matrix: np.ndarray
-    shift: np.ndarray
-
-    def apply_domain(self, dom):
-        return affine_image(dom, self.matrix, self.shift)
-
-
 def normalize(dom):
-    """Affine map sending the inscribed ball to the unit ball at the origin.
+    """The image of the polytope ``dom`` under the map x -> M x + s that sends
+    its inscribed ball to the unit ball at the origin, and R, the radius of
+    the smallest origin-centered ball containing it.
 
-    Returns (map, R) where R is the radius of the smallest origin-centered
-    ball containing the image (computed over the image vertices).
+    Returns (image, R): ``image.matrix`` and ``image.shift`` are M and s, and
+    R is computed over the image's vertices.
     """
     c, rho = inscribed_ball(dom)
-    matrix = np.eye(dom.dim) / rho
-    shift = -c / rho
-    amap = AffineMap(matrix, shift)
-    verts = dom.vertices
-    img = verts @ matrix.T + shift
-    R = float(np.max(np.linalg.norm(img, axis=1)))
-    return amap, R
+    img = affine_image(dom, np.eye(dom.dim) / rho, -c / rho)
+    return img, float(np.max(np.linalg.norm(img.vertices, axis=1)))
 
 
 def as_polytope(dom):

@@ -36,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import PreconditionError
-from .geometry import _translate
+from .geometry import _integer, _translate
 from .polyspace import (_exponent_index, derivative_lowerings, monomial_exponents,
                         monomial_matrix)
 
@@ -197,9 +197,10 @@ def function_from_spec(spec, dim):
     if kind == "polynomial":
         return PolynomialFunction(spec["exponents"], spec["coeffs"])
     if kind == "ridge_log":
-        return RidgeLog(spec["n"], spec["xi"])
+        return RidgeLog(_integer("n", spec["n"]), spec["xi"])
     if kind == "random_poly":
-        return random_polynomial(spec["degree"], spec["seed"], dim)
+        return random_polynomial(_integer("degree", spec["degree"]),
+                                 _integer("seed", spec["seed"]), dim)
     raise ValueError(f"unknown function kind {kind!r}")
 
 
@@ -341,60 +342,6 @@ def _step_norm(f, dom, plan, xi, r, p):
     return norm
 
 
-def directional_modulus(f, dom, plan, xi, r, t, p, n_shift=N_SHIFT_DEFAULT,
-                        refine=None):
-    """Sampled modulus along one direction.
-
-    The shift grid is {t k / n_shift}; for the uniform norm the top grid
-    steps are refined by golden-section search to 1e-4 * t.  At p = inf the
-    result is a lower bound of the exact supremum; at p < inf it is a Monte
-    Carlo estimate.  Every plan point must belong to ``dom``: the stencil of
-    x starts at x, and only x + j u xi, j = 1..r, are tested.  A value that is
-    not finite raises PreconditionError.
-    """
-    if not 0 < t < math.inf:
-        raise PreconditionError(f"scale t must be positive and finite, got {t}")
-    if r < 1:
-        raise PreconditionError("difference order must be >= 1")
-    if len(plan) == 0:
-        raise PreconditionError("empty sample plan")
-    if not np.all(dom.contains(plan.points)):
-        raise PreconditionError("plan points must belong to the domain")
-    xi = np.asarray(xi, dtype=float).ravel()
-    xi = xi / np.linalg.norm(xi)
-    if refine is None:
-        refine = math.isinf(p)
-
-    norm_at = _step_norm(f, dom, plan, xi, r, p)
-    us = t * np.arange(1, n_shift + 1) / n_shift
-    norms = np.empty(n_shift)
-    counts = np.empty(n_shift, dtype=int)
-    for i, u in enumerate(us):
-        norms[i], counts[i] = norm_at(u)
-
-    best_i = int(np.argmax(norms))
-    best = (norms[best_i], us[best_i], counts[best_i])
-
-    if refine and n_shift >= 2:
-        step = t / n_shift
-        for i in np.argsort(norms)[-3:]:
-            lo = max(us[i] - step, 1e-12 * t)
-            hi = min(us[i] + step, t)
-            u_ref, val, cnt = _golden_max(norm_at, lo, hi, tol=1e-4 * t)
-            if val > best[0]:
-                best = (val, u_ref, cnt)
-
-    value, u_best, n_valid = best
-    # a non-finite value or difference on a valid stencil reaches the maximum,
-    # so one check here costs nothing on the usual path
-    if not math.isfinite(value):
-        finite_values(f, plan.points)
-        raise PreconditionError("modulus is not finite: the differences of the function "
-                                "or their norm overflow")
-    reliable = n_valid >= MIN_VALID_POINTS and value >= 0.0 and any(counts > 0)
-    return ModulusResult(float(value), float(u_best), xi, int(n_valid), bool(reliable))
-
-
 def _golden_max(fn, lo, hi, tol):
     """Golden-section search for the maximum of ``fn`` on [lo, hi].
 
@@ -420,14 +367,54 @@ def _golden_max(fn, lo, hi, tol):
 
 def set_modulus(f, dom, plan, dirset, r, t, p, n_shift=N_SHIFT_DEFAULT,
                 refine=None):
-    """Max of the directional modulus over a direction set (first-index ties);
-    every plan point must belong to ``dom``."""
+    """Sampled modulus over a direction set: the largest of the moduli along
+    its directions, the first one on ties.
+
+    Along each direction the shift grid is {t k / n_shift}; for the uniform
+    norm the top grid steps are refined by golden-section search to 1e-4 * t.
+    At p = inf the result is a lower bound of the exact supremum; at p < inf
+    it is a Monte Carlo estimate.  Every plan point must belong to ``dom``:
+    the stencil of x starts at x, and only x + j u xi, j = 1..r, are tested.
+    A value that is not finite raises PreconditionError.
+    """
+    if not 0 < t < math.inf:
+        raise PreconditionError(f"scale t must be positive and finite, got {t}")
+    if r < 1:
+        raise PreconditionError("difference order must be >= 1")
+    if len(plan) == 0:
+        raise PreconditionError("empty sample plan")
     if len(dirset) == 0:
         raise PreconditionError("empty direction set")
+    if not np.all(dom.contains(plan.points)):
+        raise PreconditionError("plan points must belong to the domain")
+    if refine is None:
+        refine = math.isinf(p)
+    us = t * np.arange(1, n_shift + 1) / n_shift
     best = None
     for xi in dirset.dirs:
-        res = directional_modulus(f, dom, plan, xi, r, t, p,
-                                  n_shift=n_shift, refine=refine)
-        if best is None or res.value > best.value:
-            best = res
+        xi = xi / np.linalg.norm(xi)
+        norm_at = _step_norm(f, dom, plan, xi, r, p)
+        norms = np.empty(n_shift)
+        counts = np.empty(n_shift, dtype=int)
+        for i, u in enumerate(us):
+            norms[i], counts[i] = norm_at(u)
+        best_i = int(np.argmax(norms))
+        value, u_best, n_valid = norms[best_i], us[best_i], counts[best_i]
+        if refine and n_shift >= 2:
+            step = t / n_shift
+            for i in np.argsort(norms)[-3:]:
+                lo = max(us[i] - step, 1e-12 * t)
+                hi = min(us[i] + step, t)
+                u_ref, val, cnt = _golden_max(norm_at, lo, hi, tol=1e-4 * t)
+                if val > value:
+                    value, u_best, n_valid = val, u_ref, cnt
+        # a non-finite value or difference on a valid stencil reaches the
+        # maximum, so one check here costs nothing on the usual path
+        if not math.isfinite(value):
+            finite_values(f, plan.points)
+            raise PreconditionError("modulus is not finite: the differences of the function "
+                                    "or their norm overflow")
+        if best is None or value > best.value:
+            reliable = n_valid >= MIN_VALID_POINTS and value >= 0.0 and any(counts > 0)
+            best = ModulusResult(float(value), float(u_best), xi, int(n_valid), bool(reliable))
     return best

@@ -22,8 +22,7 @@ def random_convex_polygon(seed, n_points=7, normalized=True):
     dom = w.polytope(hull.equations[:, :2], -hull.equations[:, 2])
     if not normalized:
         return dom
-    amap, _ = w.normalize(dom)
-    return w.as_polytope(amap.apply_domain(dom))
+    return w.as_polytope(w.normalize(dom)[0])
 
 
 def span_residual(basis, poly):

@@ -298,9 +298,9 @@ def planar_chains(polygons):
     chains = {}
     for i, G in enumerate(polygons):
         for r in (1, 2):
-            chain, dirs = w.planar_two_direction_chain(G, r=r)
+            chain = w.planar_two_direction_chain(G, r=r)
             res = verify_chain(chain, samples_per_piece=10_000, seed=i)
-            chains[(i, r)] = (chain, dirs, res)
+            chains[(i, r)] = (chain, res)
     return chains
 
 
@@ -315,7 +315,7 @@ def test_criterion_7_decomposition_verification(polygons, planar_chains):
         assert res.coverage_ok, (i, res.coverage_miss_rate)
         n_pieces += chain.n_pieces
 
-    for (i, r), (chain, dirs, res) in planar_chains.items():
+    for (i, r), (chain, res) in planar_chains.items():
         assert res.ok and res.worst_violation == 0.0, (i, r, res.witnesses[:2])
         assert res.coverage_ok, (i, r, res.coverage_miss_rate)
         n_pieces += chain.n_pieces
@@ -418,7 +418,7 @@ def test_criterion_8_invariance_suite():
         A = U @ np.diag([s1, s1 * rng.uniform(0.15, 1.0)]) @ V
         shift = rng.uniform(-1, 1, 2)
         detA = abs(np.linalg.det(A))
-        G2 = w.as_polytope(w.AffineMap(A, shift).apply_domain(G))
+        G2 = w.as_polytope(w.affine_image(G, A, shift))
         plan2 = w.SamplePlan(gplan.points @ A.T + shift, gplan.weights * detA)
         mapped = (A @ E.dirs.T).T
         E2 = w.direction_set(mapped)
@@ -463,10 +463,11 @@ def test_criterion_8_invariance_suite():
 def test_criterion_9_consistency_gate(polygons, planar_chains):
     t0 = time.time()
     n_checked = 0
-    for (i, r), (chain, dirs, res) in planar_chains.items():
+    for (i, r), (chain, res) in planar_chains.items():
         assert res.ok
         G = polygons[i]
         base = chain.pieces[0]
+        dirs = w.direction_set(chain.dirset.dirs[:2])  # the chord direction and its normal
         base_plan = w.sample_plan(base, 400, seed=i)
         g_plan = w.sample_plan(G, 400, seed=i + 100)
         for p in (1.0, math.inf):

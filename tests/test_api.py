@@ -64,7 +64,7 @@ def test_every_export_has_a_caller_outside_the_tests():
 
 def test_kept_helpers_are_exported_and_unused():
     # an entry whose name gained a caller, or left the exports, goes from the list;
-    # AffineMap and inscribed_ball need none, as normalize calls them
+    # inscribed_ball and affine_image need none, as normalize calls them
     kept = set(KEPT_FOR_ACCEPTANCE)
     assert kept <= _exported()
     assert not kept & _used_names()

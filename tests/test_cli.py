@@ -659,6 +659,55 @@ class TestBadValues:
                     "--dirs", str(files["axes"]), "--n0", "-2"]) == 2
         assert "n0 must be nonnegative" in capsys.readouterr().err
 
+    def test_xray_n0_above_the_cap_exit2(self, files, capsys):
+        assert run(["decompose", "--domain", str(files["disk"]), "--method", "xray",
+                    "--dirs", str(files["axes"]), "--n0", "40"]) == 2
+        assert "n0 must be nonnegative and at most 12, got 40" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["verify-chain"], ["chain-bound", "--w0", "1", "--p", "1"]],
+                             ids=["verify-chain", "chain-bound"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_chain_file_non_finite_shift_exit2(self, files, argv, bad, capsys):
+        spec = json.loads(files["chain"].read_text())
+        spec["shifts"][-1] = [bad, 0.0]
+        path = files["tmp"] / "bad_shift.json"
+        path.write_text(json.dumps(spec))
+        assert run([*argv, "--chain", str(path), "--density", "200"]) == 2
+        assert "shift 1 is not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("r", [1.5, 0.5, True])
+    def test_chain_file_order_must_be_an_integer(self, files, r, capsys):
+        spec = json.loads(files["chain"].read_text())
+        spec["r"] = r
+        path = files["tmp"] / "r.json"
+        path.write_text(json.dumps(spec))
+        assert run(["verify-chain", "--chain", str(path), "--density", "200"]) == 1
+        err = capsys.readouterr().err
+        assert "malformed spec" in err and f"'r' must be an integer, got {r!r}" in err
+
+    def test_one_piece_chain_file_with_a_shift_exit2(self, files, capsys):
+        spec = json.loads(files["chain"].read_text())
+        spec["pieces"], spec["shifts"] = spec["pieces"][:1], [[0.1, 0.0]]
+        path = files["tmp"] / "one_piece.json"
+        path.write_text(json.dumps(spec))
+        assert run(["verify-chain", "--chain", str(path), "--density", "200"]) == 2
+        assert "one shift per piece after the first" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec, field", [
+        ({"kind": "ridge_log", "n": 2.7, "xi": [0.0, 1.0]}, "n"),
+        ({"kind": "ridge_log", "n": True, "xi": [0.0, 1.0]}, "n"),
+        ({"kind": "random_poly", "degree": True, "seed": 1}, "degree"),
+        ({"kind": "random_poly", "degree": 2, "seed": True}, "seed")],
+        ids=["ridge-n-2.7", "ridge-n-true", "random-degree-true", "random-seed-true"])
+    def test_function_integers_must_be_integers(self, files, spec, field, capsys):
+        fn = files["tmp"] / "fn_int.json"
+        fn.write_text(json.dumps(spec))
+        assert run(["modulus", "--function", str(fn), "--domain", str(files["square"]),
+                    "--dirs", str(files["axes"]), "--order", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "malformed spec" in err
+        assert f"{field!r} must be an integer, got {spec[field]!r}" in err
+
     @pytest.mark.parametrize("delta", ["0", "-1", "nan", "inf"])
     def test_lip2_delta_must_be_positive_and_finite(self, files, delta, capsys):
         assert run(["decompose", "--domain", str(files["disk"]), "--method", "lip2",

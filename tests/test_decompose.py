@@ -69,6 +69,15 @@ class TestVerifyChain:
         with pytest.raises(PreconditionError):
             DecompositionChain([K, K], np.array([[1.0, 1.0]]), 1, E2, "test")
 
+    def test_nan_distance_is_a_violation(self):
+        # a shift set to NaN after the chain is built: no shifted sample has a distance
+        chain = DecompositionChain([w.box([0, 0], [1, 1]), w.box([1, 0], [2, 1])],
+                                   np.array([[1.0, 0.0]]), 1, E2, "test")
+        chain.shifts[0] = [math.nan, 0.0]
+        res = verify_chain(chain, samples_per_piece=500, seed=0)
+        assert not res.ok and not chain.verified and res.method == "sampled"
+        assert res.worst_violation == math.inf and len(res.witnesses) == dc.MAX_WITNESSES
+
     def test_coverage_miss_flagged(self):
         K = w.box([0, 0], [1, 1])
         chain = DecompositionChain([K], np.zeros((0, 2)), 1, E2, "test",
@@ -149,27 +158,27 @@ class TestStarShaped:
 
 class TestPlanar:
     def test_disk(self):
-        chain, dirs = w.planar_two_direction_chain(w.ball([0, 0], 1.5), r=1)
-        assert len(dirs) == 2
-        assert abs(dirs.dirs[0] @ dirs.dirs[1]) <= 1e-12
+        chain = w.planar_two_direction_chain(w.ball([0, 0], 1.5), r=1)
+        xi1, xi2 = chain.dirset.dirs[:2]
+        assert len(chain.dirset) == 4 and abs(xi1 @ xi2) <= 1e-12
         res = verify_chain(chain, samples_per_piece=2000, seed=0)
         assert res.ok and res.coverage_ok
 
     def test_square_is_single_parallelogram_piece(self):
-        chain, dirs = w.planar_two_direction_chain(w.box([-1, -1], [1, 1]), r=1)
+        chain = w.planar_two_direction_chain(w.box([-1, -1], [1, 1]), r=1)
         assert chain.n_pieces == 1
         assert verify_chain(chain, samples_per_piece=500, seed=0).ok
 
     def test_base_square_itself(self):
         s = 1.0 / math.sqrt(2)
-        chain, _ = w.planar_two_direction_chain(w.box([-s, -s], [s, s]), r=1)
+        chain = w.planar_two_direction_chain(w.box([-s, -s], [s, s]), r=1)
         assert chain.n_pieces == 1
 
     def test_random_polygons(self):
         for seed in (0, 1):
             G = random_convex_polygon(seed)
             for r in (1, 2):
-                chain, dirs = w.planar_two_direction_chain(G, r=r)
+                chain = w.planar_two_direction_chain(G, r=r)
                 res = verify_chain(chain, samples_per_piece=1500, seed=seed)
                 assert res.ok, res.witnesses[:2]
                 assert res.coverage_ok
@@ -180,7 +189,7 @@ class TestPlanar:
         # vertex test on, most links are not sampled at all; off, every one is
         # sampled in full
         spec = bench.random_polygon(np.random.default_rng([1, 2]), normalized=True)
-        chain, _ = w.planar_two_direction_chain(w.domain_from_spec(spec), r=2)
+        chain = w.planar_two_direction_chain(w.domain_from_spec(spec), r=2)
         sliver = chain.pieces[7]
         assert len(dc._sample_in(sliver, dc.VERIFY_SAMPLES, 1 + 17 * 7)) == dc.VERIFY_SAMPLES
         monkeypatch.setattr(dc, "_absorbed", lambda *args: False)
@@ -191,7 +200,7 @@ class TestPlanar:
     def test_rejects_unnormalized(self):
         small = random_convex_polygon(3)
         shrunk = w.as_polytope(
-            w.AffineMap(0.3 * np.eye(2), np.zeros(2)).apply_domain(small))
+            w.affine_image(small, 0.3 * np.eye(2), np.zeros(2)))
         with pytest.raises(PreconditionError):
             w.planar_two_direction_chain(shrunk, r=1)
 
@@ -440,6 +449,17 @@ class TestXray:
         res = verify_chain(chain, samples_per_piece=1500, seed=0)
         assert res.ok and res.coverage_ok
 
+    def test_ball_in_three_dimensions(self):
+        # past d = 2 a ball's slab is the union of 35 balls along its segment
+        axes = w.direction_set(np.eye(3))
+        chain = w.xray_slab_decomposition(w.ball([0, 0, 0], 1.0), axes, n0=1, r=1, seed=1)
+        assert chain.n_pieces == 187
+        assert len(chain.pieces[1].parts[0].parts) == 35
+        assert np.all(np.count_nonzero(chain.shifts, axis=1) == 1)  # each along +/- an axis
+        res = verify_chain(chain, samples_per_piece=2000)
+        assert res.ok and res.method == "sampled" and res.worst_violation == 0.0
+        assert res.coverage_ok and res.coverage_miss_rate == pytest.approx(3e-5, rel=1e-9)
+
     def test_cube_axes_precondition_error(self):
         cube = w.box([-1] * 3, [1] * 3)
         with pytest.raises(PreconditionError) as err:
@@ -560,7 +580,7 @@ class TestChainSpec:
         assert len(solved) == 2
 
     def test_round_trip(self):
-        chain, _ = w.planar_two_direction_chain(w.ball([0, 0], 1.5), r=1)
+        chain = w.planar_two_direction_chain(w.ball([0, 0], 1.5), r=1)
         back = w.chain_from_spec(chain.spec())
         assert back.n_pieces == chain.n_pieces
         assert np.allclose(back.shifts, chain.shifts)
@@ -880,6 +900,6 @@ class TestVertexTest:
         # chain keeps a link across its two slab families
         for seed in range(1, 41):
             spec = bench.random_polygon(np.random.default_rng([seed, 2]), normalized=True)
-            chain, _ = w.planar_two_direction_chain(w.domain_from_spec(spec), r=2)
+            chain = w.planar_two_direction_chain(w.domain_from_spec(spec), r=2)
             res = verify_chain(chain, samples_per_piece=4096, seed=seed)
             assert res.ok and res.method == "sampled" and res.n_sampled > 0, seed

@@ -76,7 +76,7 @@ class TestDiameter:
         poly = random_convex_polygon(5, normalized=False)
         th = 0.83
         R = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
-        img = w.as_polytope(w.AffineMap(R, np.array([3.0, -1.0])).apply_domain(poly))
+        img = w.as_polytope(w.affine_image(poly, R, np.array([3.0, -1.0])))
         assert w.diameter(img).value == pytest.approx(w.diameter(poly).value, rel=1e-12)
 
     def test_nested_ellipsoid_is_exact(self):
@@ -128,9 +128,9 @@ class TestInscribedBall:
         dom = random_convex_polygon(2, normalized=False)
         _, r0 = w.inscribed_ball(dom)
         shift = np.array([5.0, -3.0])
-        moved = w.as_polytope(w.AffineMap(np.eye(2), shift).apply_domain(dom))
+        moved = w.as_polytope(w.affine_image(dom, np.eye(2), shift))
         _, r1 = w.inscribed_ball(moved)
-        scaled = w.as_polytope(w.AffineMap(2.5 * np.eye(2), np.zeros(2)).apply_domain(dom))
+        scaled = w.as_polytope(w.affine_image(dom, 2.5 * np.eye(2), np.zeros(2)))
         _, r2 = w.inscribed_ball(scaled)
         assert r1 == pytest.approx(r0, rel=1e-9)
         assert r2 == pytest.approx(2.5 * r0, rel=1e-9)
@@ -138,16 +138,16 @@ class TestInscribedBall:
 
 class TestNormalize:
     def test_cube(self, unit_square):
-        amap, R = w.normalize(unit_square)
+        _, R = w.normalize(unit_square)
         assert R == pytest.approx(math.sqrt(2), rel=1e-9)
 
     def test_already_normalized_identity(self):
         dom = w.box([-1, -1], [1, 1])
-        amap, R = w.normalize(dom)
-        assert np.allclose(amap.matrix, np.eye(2)) and np.allclose(amap.shift, 0)
+        img, R = w.normalize(dom)
+        assert np.allclose(img.matrix, np.eye(2)) and np.allclose(img.shift, 0)
 
     def test_long_box(self):
-        amap, R = w.normalize(w.box([0, 0], [10, 1]))
+        _, R = w.normalize(w.box([0, 0], [10, 1]))
         assert R == pytest.approx(math.sqrt(101), rel=1e-9)
 
 
@@ -176,7 +176,7 @@ class TestIllumination:
         poly = random_convex_polygon(7, normalized=False)
         A = np.array([[1.4, 0.3], [-0.2, 0.9]])
         shift = np.array([0.7, -0.4])
-        img = w.as_polytope(w.AffineMap(A, shift).apply_domain(poly))
+        img = w.as_polytope(w.affine_image(poly, A, shift))
         rng = np.random.default_rng(0)
         counts = set()
         for k in range(30):

@@ -136,7 +136,7 @@ class TestNonFiniteValues:
         f = w.CallbackFunction(lambda X: np.where(X[:, 0] > 0.5, np.nan, X[:, 0]), 2)
         n_bad = int(np.count_nonzero(plan.points[:, 0] > 0.5))
         with pytest.raises(PreconditionError, match=f"not finite at {n_bad} of {len(plan)} "):
-            w.directional_modulus(f, disk, plan, [1.0, 0.0], 1, 0.5, 1.0)
+            w.set_modulus(f, disk, plan, w.direction_set([[1.0, 0.0]]), 1, 0.5, 1.0)
 
     @pytest.mark.parametrize("f, r, p", [
         (w.PolynomialFunction([[1, 0]], [1e200]), 1, 2.0),
@@ -148,7 +148,7 @@ class TestNonFiniteValues:
         plan = w.sample_plan(disk, 2048, seed=5)
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(PreconditionError, match="modulus is not finite"):
-            w.directional_modulus(f, disk, plan, [1.0, 0.0], r, 0.5, p)
+            w.set_modulus(f, disk, plan, w.direction_set([[1.0, 0.0]]), r, 0.5, p)
 
 
 class TestLpNorm:
@@ -189,8 +189,8 @@ class TestDirectionalModulus:
     def test_linear_r1(self):
         seg = w.box([0.0], [1.0])
         plan = w.grid_plan(seg, 257)
-        res = w.directional_modulus(poly1d(lambda t: t), seg, plan,
-                                    np.array([1.0]), 1, 1.0, math.inf)
+        res = w.set_modulus(poly1d(lambda t: t), seg, plan, w.direction_set([[1.0]]),
+                            1, 1.0, math.inf)
         assert res.value == pytest.approx(1.0, abs=1e-9)
 
     def test_quadratic_r1_brute_force_oracle(self):
@@ -204,8 +204,8 @@ class TestDirectionalModulus:
             valid = xs[xs + u <= 1.0]
             if len(valid):
                 best = max(best, np.max((valid + u) ** 2 - valid ** 2))
-        res = w.directional_modulus(poly1d(lambda t: t ** 2), seg, plan,
-                                    np.array([1.0]), 1, 1.0, math.inf)
+        res = w.set_modulus(poly1d(lambda t: t ** 2), seg, plan, w.direction_set([[1.0]]),
+                            1, 1.0, math.inf)
         assert best == pytest.approx(1.0, abs=1e-3)
         assert res.value == pytest.approx(best, abs=2e-3)
 
@@ -221,22 +221,12 @@ class TestDirectionalModulus:
     def test_empty_shift_sets_flagged(self):
         seg = w.box([0.0], [1.0])
         plan = w.grid_plan(seg, 64)
-        res = w.directional_modulus(poly1d(lambda t: t), seg, plan,
-                                    np.array([1.0]), 2, 3.0, math.inf,
-                                    n_shift=2, refine=False)
+        res = w.set_modulus(poly1d(lambda t: t), seg, plan, w.direction_set([[1.0]]),
+                            2, 3.0, math.inf, n_shift=2, refine=False)
         assert res.value == 0.0 and not res.reliable
 
 
 class TestSetModulus:
-    def test_single_direction_reduces(self):
-        seg2 = w.box([0, 0], [1, 1])
-        plan = w.sample_plan(seg2, 512, seed=1)
-        f = w.CallbackFunction(lambda X: X[:, 0] ** 2 + X[:, 1], 2)
-        E1 = w.direction_set([[1.0, 0.0]])
-        a = w.directional_modulus(f, seg2, plan, np.array([1.0, 0.0]), 1, 1.0, 2.0)
-        b = w.set_modulus(f, seg2, plan, E1, 1, 1.0, 2.0)
-        assert b.value == pytest.approx(a.value, rel=1e-12)
-
     def test_monotone_under_symmetrization(self, axes2):
         seg2 = w.box([0, 0], [1, 1])
         plan = w.sample_plan(seg2, 512, seed=1)
@@ -400,9 +390,9 @@ class TestAlgebraicPath:
         plan = w.sample_plan(dom, 64, seed=2)
         f = w.PolynomialFunction([[k] for k in range(301)], np.full(301, 1e-3))
         assert f.taylor(plan.points, [1.0]) is not None
-        a = w.directional_modulus(f, dom, plan, [1.0], 150, 1.0, 1.0, n_shift=8)
-        b = w.directional_modulus(w.CallbackFunction(f, 1), dom, plan, [1.0], 150, 1.0,
-                                  1.0, n_shift=8)
+        axis = w.direction_set([[1.0]])
+        a = w.set_modulus(f, dom, plan, axis, 150, 1.0, 1.0, n_shift=8)
+        b = w.set_modulus(w.CallbackFunction(f, 1), dom, plan, axis, 150, 1.0, 1.0, n_shift=8)
         assert a == b
 
     @pytest.mark.parametrize("name", ["unit_square", "cone_body"])
@@ -413,7 +403,7 @@ class TestAlgebraicPath:
                                np.ones(len(plan) + 1))
         f = w.PolynomialFunction([[2, 0]], [1.0])
         with pytest.raises(PreconditionError, match="plan points must belong"):
-            w.directional_modulus(f, dom, outside, [1.0, 1.0], 2, 1.0, math.inf)
+            w.set_modulus(f, dom, outside, w.direction_set([[1.0, 1.0]]), 2, 1.0, math.inf)
         with pytest.raises(PreconditionError, match="plan points must belong"):
             w.set_modulus(f, w.union([dom, w.ball([3.0, 3.0], 0.5)]), outside,
                           w.direction_set([[1.0, 0.0]]), 2, 1.0, 1.0)
