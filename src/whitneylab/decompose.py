@@ -53,7 +53,11 @@ class DecompositionChain:
 
     def __post_init__(self):
         _check_order(self.order)
-        self.shifts = np.asarray(self.shifts, dtype=float).reshape(-1, self.pieces[0].dim)
+        d = self.pieces[0].dim
+        shifts = np.asarray(self.shifts, dtype=float)
+        self.shifts = np.atleast_2d(shifts) if shifts.size else np.zeros((0, d))
+        if self.shifts.shape[1] != d:
+            raise ValueError(f"a shift has {self.shifts.shape[1]} entries, the pieces {d}")
         if self.shifts.shape[0] != len(self.pieces) - 1:
             raise PreconditionError("need exactly one shift per piece after the first")
         for k, h in enumerate(self.shifts):

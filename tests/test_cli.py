@@ -685,6 +685,14 @@ class TestBadValues:
         err = capsys.readouterr().err
         assert "malformed spec" in err and f"'r' must be an integer, got {r!r}" in err
 
+    def test_chain_file_shift_of_another_dimension_exit1(self, files, capsys):
+        spec = json.loads(files["chain"].read_text())
+        spec["shifts"] = [[0.25, 0.0, 0.0], [0.25, 0.0, 0.0]]
+        path = files["tmp"] / "wide.json"
+        path.write_text(json.dumps(spec))
+        assert run(["verify-chain", "--chain", str(path), "--density", "200"]) == 1
+        assert "a shift has 3 entries, the pieces 2" in capsys.readouterr().err
+
     def test_one_piece_chain_file_with_a_shift_exit2(self, files, capsys):
         spec = json.loads(files["chain"].read_text())
         spec["pieces"], spec["shifts"] = spec["pieces"][:1], [[0.1, 0.0]]
